@@ -8,7 +8,7 @@ consume pre-drawn standard-normal (and uniform) arrays, so a given seed
 produces the same draws on either backend; floating-point results agree to
 rounding but are only guaranteed bit-stable within a backend.
 
-``benchmarks/bench_kernels.py`` times the two variants against each other.
+``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Every criterion is a pure function of the master seed and returns a
 CriterionResult with JSON-able details; the runner executes the battery
 twice and adds a byte-identity check of the two reports as the final
-criterion.  The same battery backs the ``acceptance`` CLI subcommand and
-``tests/test_acceptance.py``.
+criterion.  The same battery backs the ``acceptance`` CLI subcommand.
 """
 
 from __future__ import annotations

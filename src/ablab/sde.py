@@ -3,7 +3,9 @@
 All randomness in the package flows through counter-based Philox streams
 keyed by ``(master_seed, stream_id)``: the same key always reproduces the
 same draws, and distinct stream ids give statistically independent
-sequences regardless of scheduling or batching.
+sequences regardless of scheduling or batching.  Each row of
+``normal_matrix`` is a pure function of ``(master_seed, stream_id)`` and its
+length: the batch it is drawn in, and the rows beside it, do not change it.
 """
 
 from __future__ import annotations
@@ -30,17 +32,34 @@ class RngStream:
     def normals(self, n: int) -> np.ndarray:
         return self.generator().standard_normal(n)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return self.generator().random(n)
-
 
 def normal_matrix(master_seed: int, stream_ids: np.ndarray | list[int],
                   n: int) -> np.ndarray:
-    """Stack independent N(0,1) rows, one stream per row."""
+    """Stack independent N(0,1) rows, one stream per row.
+
+    Row ``i`` equals ``RngStream(master_seed, stream_ids[i]).normals(n)``
+    bit for bit: it is a pure function of ``(master_seed, stream_ids[i])``
+    and ``n``, whatever the batch.  Philox is counter-based, so a stream is
+    only a key and a counter; one bit generator is re-keyed per row, which
+    is far cheaper than constructing one per row.
+    """
     ids = np.asarray(stream_ids, dtype=np.uint64)
     out = np.empty((len(ids), n), dtype=np.float64)
-    for row, sid in enumerate(ids):
-        out[row] = RngStream(master_seed, int(sid)).normals(n)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    # The state setter copies these values, so one dict serves every row.
+    # Plain ints, not arrays: the setter indexes them element by element.
+    # An empty buffer (buffer_pos 4) and no cached uint32 start each row on
+    # a fresh stream, exactly as a newly constructed Philox does.
+    key = [int(master_seed), 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for row, sid in zip(out, ids.tolist()):
+        key[1] = sid
+        bitgen.state = state
+        gen.standard_normal(out=row)
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ablab.sde import (RngStream, TimeGrid, PathSample, brownian_increments,
-                       euler_maruyama, exact_ou_step)
+                       euler_maruyama, exact_ou_step, normal_matrix)
 
 
 def test_grid_rejects_degenerate_step():
@@ -43,6 +43,33 @@ def test_streams_independent():
     b = RngStream(5, 1).normals(n)
     corr = np.dot(a, b) / n
     assert abs(corr) < 4.0 / math.sqrt(n)
+
+
+# Unsorted, with the largest stream ids; odd lengths leave buffered state
+# behind in a reused generator, which must not leak into the next row.
+MATRIX_IDS = [5, 2**64 - 1, 0, 2**63, 3, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 1000])
+def test_normal_matrix_rows_match_single_streams(seed, n):
+    z = normal_matrix(seed, MATRIX_IDS, n)
+    assert z.shape == (len(MATRIX_IDS), n)
+    for row, sid in zip(z, MATRIX_IDS):
+        assert np.array_equal(row, RngStream(seed, sid).normals(n))
+
+
+def test_normal_matrix_empty_ids():
+    assert normal_matrix(7, [], 5).shape == (0, 5)
+    assert normal_matrix(7, np.array([], dtype=np.int64), 0).shape == (0, 0)
+
+
+def test_normal_matrix_rows_independent_of_batch():
+    ids = np.array([9, 2, 2**63, 4, 11], dtype=np.uint64)
+    whole = normal_matrix(13, ids, 3)
+    split = np.vstack([normal_matrix(13, ids[:2], 3),
+                       normal_matrix(13, ids[2:], 3)])
+    assert np.array_equal(whole, split)
 
 
 def test_exact_ou_step_zero_rate_is_brownian():
