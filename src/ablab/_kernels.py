@@ -8,6 +8,14 @@ consume pre-drawn standard-normal (and uniform) arrays, so a given seed
 produces the same draws on either backend; floating-point results agree to
 rounding but are only guaranteed bit-stable within a backend.
 
+The numpy variants of the splitting and exit-time kernels step only the
+lanes that have work: the paths that need substeps, and the paths that have
+not exited.  Each lane runs the same floating-point operations whatever the
+batch, so a path's result does not depend on the other paths in it.  Their
+work buffers are allocated once per call and written with ``out=``: fresh
+temporaries whose size changed from step to step fragmented the malloc heap
+and raised peak memory by several percent.
+
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
 
@@ -45,12 +53,23 @@ def _ou_var_scalar(lam: float, h: float) -> float:
     return -math.expm1(w) / (2.0 * lam)
 
 
-def _ou_var_vec(lam: np.ndarray, h: float) -> np.ndarray:
-    u = lam * h
-    w = np.minimum(-2.0 * u, _EXP_CLAMP)
-    lam_safe = np.where(np.abs(lam) < 1e-300, 1.0, lam)
-    var = -np.expm1(w) / (2.0 * lam_safe)
-    return np.where(np.abs(u) < 1e-12, h, var)
+def _ou_var_vec(lam: np.ndarray, h: float, out=None, tmp=None,
+                small=None) -> np.ndarray:
+    # Lane by lane the value of _ou_var_scalar.  -expm1(w) / (2 lam) is
+    # computed as expm1(w) / (-2 lam), the same double, and the lanes with
+    # |lam h| < 1e-12 are set to h afterwards; lam = 0 gives 0/0 there, so
+    # call this under np.errstate(invalid="ignore").  out, tmp (float) and
+    # small (bool) are optional work buffers shaped like lam; the result is
+    # written into out.
+    u = np.multiply(lam, h, out=tmp)
+    var = np.multiply(u, -2.0, out=out)
+    np.minimum(var, _EXP_CLAMP, out=var)
+    np.expm1(var, out=var)
+    small = np.less(np.abs(u, out=u), 1e-12, out=small)
+    np.divide(var, np.multiply(lam, -2.0, out=u), out=var)
+    if np.count_nonzero(small):
+        np.copyto(var, h, where=small)
+    return var
 
 
 # ---------------------------------------------------------------------------
@@ -59,56 +78,131 @@ def _ou_var_vec(lam: np.ndarray, h: float) -> np.ndarray:
 
 def _rescaled_split_np(x0, y0, inv_eps, damp, h, dtheta_max, guard,
                        z1, z2, xs, ys, div):
+    # Each step computes the plain one-step update at full width.  Only the
+    # lanes with nsub > 1 are gathered, sorted by descending nsub and
+    # sub-stepped on prefix slices (substep j runs on the lanes that still
+    # need it); their drift result and end rate are scattered back before
+    # the noise is added at full width.  Every lane runs the operations of
+    # the scalar scheme, so the result does not depend on the batch: -(a b)
+    # is computed as a (-b), which is the same double, and no product or sum
+    # is reassociated.  The per-step allocations left are the index arrays
+    # of the substepped lanes.
     n_paths, n_steps = z1.shape
     sqrt_h = math.sqrt(h)
+    # full-width buffers, then compacted ones (the first m entries are used)
+    xn, yn, a, b, c, cx, cy, cq, ct, chs, chalf = (np.empty(n_paths)
+                                                   for _ in range(11))
     x = np.full(n_paths, x0, dtype=np.float64)
     y = np.full(n_paths, y0, dtype=np.float64)
+    nsub = np.empty(n_paths, dtype=np.int64)
+    cns = np.empty(n_paths, dtype=np.int64)
+    multi = np.empty(n_paths, dtype=bool)
+    small = np.empty(n_paths, dtype=bool)
     alive = np.ones(n_paths, dtype=bool)
+    all_alive = True
     xs[:, 0] = x
     ys[:, 0] = y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
-            lam = y * inv_eps + damp
-            ang = np.abs(x) * inv_eps * h
-            nsub = np.clip((ang / dtheta_max).astype(np.int64) + 1,
-                           1, MAX_SUBSTEPS)
-            one = nsub == 1
+            # nsub = clip(int(|x| inv_eps h / dtheta_max) + 1, 1, MAX)
+            np.abs(x, out=a)
+            a *= inv_eps
+            a *= h
+            a /= dtheta_max
+            nsub[...] = a
+            nsub += 1
+            np.maximum(nsub, 1, out=nsub)
+            np.minimum(nsub, MAX_SUBSTEPS, out=nsub)
+            np.greater(nsub, 1, out=multi)
+            if not all_alive:
+                multi &= alive
 
-            xa = x * np.exp(np.minimum(-lam * h, _EXP_CLAMP)) \
-                + np.sqrt(_ou_var_vec(lam, h)) * z1[:, k]
-            ya = y + (xa * xa * inv_eps - damp * y) * h + sqrt_h * z2[:, k]
+            # plain step: exact OU decay of x at the rate lam of the start
+            lam = np.multiply(y, inv_eps, out=a)
+            lam += damp
+            np.multiply(lam, -h, out=xn)  # -(lam h)
+            np.minimum(xn, _EXP_CLAMP, out=xn)
+            np.exp(xn, out=xn)
+            xn *= x
 
-            xb = x.copy()
-            yb = y.copy()
-            multi = alive & ~one
-            if multi.any():
+            m = np.count_nonzero(multi)
+            if m:
                 # Strang-split drift substeps: half y-step, exact x-decay at
-                # the midpoint rate, half y-step; noise added once at the end.
-                hs = h / nsub
-                nmax = int(nsub[multi].max())
-                for j in range(nmax):
-                    act = multi & (j < nsub)
-                    yh = yb + (xb * xb * inv_eps - damp * yb) * (0.5 * hs)
-                    lamm = yh * inv_eps + damp
-                    xn = xb * np.exp(np.minimum(-lamm * hs, _EXP_CLAMP))
-                    yn = yh + (xn * xn * inv_eps - damp * yh) * (0.5 * hs)
-                    xb = np.where(act, xn, xb)
-                    yb = np.where(act, yn, yb)
-                lamm = yb * inv_eps + damp
-                xb = np.where(multi,
-                              xb + np.sqrt(_ou_var_vec(lamm, h)) * z1[:, k],
-                              xb)
-                yb = np.where(multi, yb + sqrt_h * z2[:, k], yb)
+                # the midpoint rate, half y-step; noise added once at the end,
+                # at the rate of the end point.
+                sel = np.flatnonzero(multi)
+                ns = cns[:m]
+                np.negative(nsub.take(sel, out=ns, mode="clip"), out=ns)
+                sel = sel[ns.argsort()]
+                nsub.take(sel, out=ns, mode="clip")
+                x.take(sel, out=cx[:m], mode="clip")
+                y.take(sel, out=cy[:m], mode="clip")
+                hs = np.divide(h, ns, out=chs[:m])
+                np.multiply(hs, 0.5, out=chalf[:m])
+                np.negative(hs, out=hs)
+                np.multiply(cx[:m], cx[:m], out=cq[:m])
+                cq[:m] *= inv_eps
+                cnt = 0
+                for j in range(int(ns[0])):
+                    if cnt == 0 or ns[cnt - 1] <= j:
+                        # the lanes with nsub > j: a prefix of the sort
+                        cnt = m - int(ns[::-1].searchsorted(j, "right"))
+                        X, Y, Q, T = cx[:cnt], cy[:cnt], cq[:cnt], ct[:cnt]
+                        HALF, NHS = chalf[:cnt], chs[:cnt]
+                    # Q holds X*X*inv_eps on entry and on exit
+                    Q -= np.multiply(Y, damp, out=T)
+                    Q *= HALF
+                    Y += Q
+                    np.multiply(Y, inv_eps, out=T)
+                    T += damp
+                    T *= NHS  # -(lam hs)
+                    np.minimum(T, _EXP_CLAMP, out=T)
+                    np.exp(T, out=T)
+                    X *= T
+                    np.multiply(X, X, out=Q)
+                    Q *= inv_eps
+                    np.subtract(Q, np.multiply(Y, damp, out=T), out=T)
+                    T *= HALF
+                    Y += T
+                xn[sel] = cx[:m]
+                lamm = np.multiply(cy[:m], inv_eps, out=ct[:m])
+                lamm += damp
+                lam[sel] = lamm
 
-            xn = np.where(one, xa, xb)
-            yn = np.where(one, ya, yb)
-            blown = ~(np.isfinite(xn) & np.isfinite(yn)) \
-                | (np.abs(xn) > guard) | (np.abs(yn) > guard)
-            newly = alive & blown
-            div |= newly
-            x = np.where(alive & ~newly, xn, x)
-            y = np.where(alive & ~newly, yn, y)
-            alive &= ~newly
+            # OU noise over h at rate lam, then the y step (explicit for the
+            # plain lanes; the substepped lanes keep their drift result)
+            var = _ou_var_vec(lam, h, out=b, tmp=c, small=small)
+            np.sqrt(var, out=var)
+            var *= z1[:, k]
+            xn += var
+            np.multiply(xn, xn, out=yn)
+            yn *= inv_eps
+            yn -= np.multiply(y, damp, out=b)
+            yn *= h
+            yn += y
+            if m:
+                yn[sel] = cy[:m]
+            yn += np.multiply(z2[:, k], sqrt_h, out=b)
+
+            # divergence check; while every lane is alive and none blew up
+            # the new state is simply (xn, yn)
+            np.abs(xn, out=a)
+            np.maximum(a, np.abs(yn, out=b), out=a)
+            top = a.max(initial=0.0)
+            if all_alive and top <= guard and math.isfinite(top):
+                x, xn = xn, x
+                y, yn = yn, y
+            else:
+                blown = np.isfinite(xn, out=multi)
+                blown &= np.isfinite(yn, out=small)
+                np.logical_not(blown, out=blown)
+                blown |= np.greater(np.abs(xn, out=a), guard, out=small)
+                blown |= np.greater(np.abs(yn, out=a), guard, out=small)
+                div |= np.logical_and(alive, blown, out=small)
+                np.greater(alive, blown, out=alive)  # alive & ~blown
+                np.copyto(x, xn, where=alive)
+                np.copyto(y, yn, where=alive)
+                all_alive = bool(alive.all())
             xs[:, k + 1] = x
             ys[:, k + 1] = y
 
@@ -353,24 +447,66 @@ def _make_ou2d_radius_nb():
 # ---------------------------------------------------------------------------
 
 def _ou_exit_chunk_np(x, t, tau, done, z, u, lo, hi, decay, sd, h):
-    n_paths, chunk = z.shape
-    alive = ~done
+    # Steps only the live lanes, kept packed in the first m entries of the
+    # work buffers with their index into the batch.  A lane that exits gets
+    # tau (from t before the step), done, x and t written at once; the
+    # others are written back at the end of the chunk.  x and t are updated
+    # in place and returned.
+    chunk = z.shape[1]
+    live = np.flatnonzero(~done)
+    m = live.size
+    xl, xn, tl, p, q = (np.empty(m) for _ in range(5))
+    hit, tmp = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    spare = np.empty(m, dtype=live.dtype)
+    x.take(live, out=xl, mode="clip")
+    t.take(live, out=tl, mode="clip")
+    half_h = 0.5 * h
     with np.errstate(over="ignore", under="ignore"):
         for k in range(chunk):
-            xn = np.where(alive, x * decay + sd * z[:, k], x)
-            crossed = np.zeros(n_paths, dtype=bool)
+            if m == 0:
+                break
+            L, X, XN, T = live[:m], xl[:m], xn[:m], tl[:m]
+            P, Q, HIT, TMP = p[:m], q[:m], hit[:m], tmp[:m]
+            np.multiply(X, decay, out=XN)
+            XN += np.multiply(z[:, k].take(L, out=P, mode="clip"), sd, out=P)
+            HIT.fill(False)
             if lo > -np.inf:
-                p = np.exp(-2.0 * (x - lo) * (xn - lo) / h)
-                crossed |= (xn <= lo) | (u[:, k, 0] < p)
+                # exp(-2 (x - lo)(xn - lo) / h): the bridge's crossing chance
+                np.multiply(np.subtract(X, lo, out=P), -2.0, out=P)
+                P *= np.subtract(XN, lo, out=Q)
+                P /= h
+                np.exp(P, out=P)
+                HIT |= np.less(u[:, k, 0].take(L, out=Q, mode="clip"), P,
+                               out=TMP)
+                HIT |= np.less_equal(XN, lo, out=TMP)
             if hi < np.inf:
-                p = np.exp(-2.0 * (hi - x) * (hi - xn) / h)
-                crossed |= (xn >= hi) | (u[:, k, 1] < p)
-            crossed &= alive
-            tau[crossed] = t[crossed] + 0.5 * h
-            done |= crossed
-            t = np.where(alive, t + h, t)
-            x = np.where(alive & ~crossed, xn, x)
-            alive &= ~crossed
+                np.multiply(np.subtract(hi, X, out=P), -2.0, out=P)
+                P *= np.subtract(hi, XN, out=Q)
+                P /= h
+                np.exp(P, out=P)
+                HIT |= np.less(u[:, k, 1].take(L, out=Q, mode="clip"), P,
+                               out=TMP)
+                HIT |= np.greater_equal(XN, hi, out=TMP)
+            n_hit = np.count_nonzero(HIT)
+            if n_hit:
+                out = L[HIT]
+                tau[out] = T[HIT] + half_h
+                done[out] = True
+                x[out] = X[HIT]
+            T += h
+            if n_hit:
+                t[out] = T[HIT]
+                np.logical_not(HIT, out=HIT)
+                m -= n_hit
+                L.compress(HIT, out=spare[:m])
+                live, spare = spare, live
+                XN.compress(HIT, out=xl[:m])
+                T.compress(HIT, out=p[:m])
+                tl, p = p, tl
+            else:
+                xl, xn = xn, xl
+        x[live[:m]] = xl[:m]
+        t[live[:m]] = tl[:m]
     return x, t
 
 
