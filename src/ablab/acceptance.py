@@ -45,6 +45,11 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid}: {self.name}"
 
 
+# Pass window of the log-log slope of E[X_t^2] against epsilon at
+# alpha = 0.1, shared by criterion 5 and ``ablab lemma1``.
+MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
+
+
 def _seed(master: int, k: int) -> int:
     return master * 1009 + k
 
@@ -132,7 +137,7 @@ def criterion_moment_scaling(seed: int) -> CriterionResult:
     eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
     fit = x_second_moment_scaling(eps, 0.1, 0.2, 4000, _seed(seed, 51),
                                   h=1e-3)
-    lo, hi = 0.9 * 0.9 - 0.15, 0.9 + 0.15
+    lo, hi = MOMENT_SCALING_WINDOW
     ok = lo <= fit.slope <= hi
     return CriterionResult(5, "fast-coordinate moment scaling", bool(ok),
                            {"fit": fit.to_dict(), "window": [lo, hi]})

@@ -15,7 +15,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .acceptance import algebra_identity_battery, run_acceptance
+from .acceptance import (MOMENT_SCALING_WINDOW,
+                         algebra_identity_battery, run_acceptance)
 from .analysis import (crossing_stats, excursion_anatomy,
                        excursion_probability, martingale_residual,
                        martingale_residual_limit, terminal_law_gap,
@@ -278,7 +279,8 @@ def lemma1(config_path, **kw):
     fit = x_second_moment_scaling(eps, float(s["alpha"]), t,
                                   int(s["replicas"]), int(s["seed"]),
                                   h=float(s["step"]))
-    passed = 0.75 <= fit.slope <= 1.05
+    lo, hi = MOMENT_SCALING_WINDOW
+    passed = lo <= fit.slope <= hi
     with open(_out_dir(s) / "xmoment_scaling.csv", "w") as fh:
         scaling_to_csv(fit, fh, seed=s["seed"], config={"alpha": s["alpha"],
                                                         "t": s["t"]})
@@ -287,8 +289,8 @@ def lemma1(config_path, **kw):
         {"epsilons": eps, "alpha": s["alpha"], "t": s["t"],
          "replicas": s["replicas"]},
         fit.slope, fit.slope_se, int(s["replicas"]), passed,
-        [0.75, 1.05], s["seed"]))
-    click.echo(f"slope = {fit.slope:.4f} (target window [0.75, 1.05])")
+        [lo, hi], s["seed"]))
+    click.echo(f"slope = {fit.slope:.4f} (target window [{lo:g}, {hi:g}])")
     _finish(passed)
 
 

@@ -120,19 +120,6 @@ def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:
     return flow_unperturbed(s0, t, tol).y
 
 
-def rescaled_drift(s, p: ModelParams) -> State2:
-    x, y = s
-    inv_eps = 1.0 / p.epsilon
-    d = p.damping
-    return State2(-x * y * inv_eps - d * x, x * x * inv_eps - d * y)
-
-
-def slowtime_drift(s, p: ModelParams) -> State2:
-    x, y = s
-    d = p.damping
-    return State2(-x * y - d * p.epsilon * x, x * x - d * p.epsilon * y)
-
-
 def _run_rescaled(p: ModelParams, grid: TimeGrid, z1, z2, scheme, guard,
                   dtheta_max):
     n_paths, n_steps = z1.shape
@@ -219,34 +206,34 @@ def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def simulate_slowtime(p: ModelParams, grid: TimeGrid,
-                      streams: tuple[RngStream, RngStream],
-                      guard: float = DEFAULT_GUARD) -> PathSample:
-    """One path of the original slow-time system, noise amplitude sqrt(eps)."""
-    s1, s2 = streams
-    z1 = s1.normals(grid.n_steps).reshape(1, -1)
-    z2 = s2.normals(grid.n_steps).reshape(1, -1)
-    xs = np.empty((1, grid.n_steps + 1))
-    ys = np.empty((1, grid.n_steps + 1))
-    div = np.zeros(1, dtype=bool)
-    _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
-                            guard, z1, z2, xs, ys, div)
-    return PathSample(grid=grid, states=np.column_stack([xs[0], ys[0]]),
-                      master_seed=s1.master_seed,
-                      stream_ids=(s1.stream_id, s2.stream_id),
-                      scheme="slowtime_euler", diverged=bool(div[0]))
-
-
 def slowtime_path_from_normals(p: ModelParams, grid: TimeGrid, z1, z2,
                                guard: float = DEFAULT_GUARD):
+    """Single slow-time path driven by caller-supplied N(0,1) draws.
+
+    Returns (states, diverged).
+    """
     z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
     z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
+    if z1.shape[1] != grid.n_steps or z2.shape[1] != grid.n_steps:
+        raise ValueError("need one draw per step and coordinate")
     xs = np.empty((1, grid.n_steps + 1))
     ys = np.empty((1, grid.n_steps + 1))
     div = np.zeros(1, dtype=bool)
     _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
                             guard, z1, z2, xs, ys, div)
     return np.column_stack([xs[0], ys[0]]), bool(div[0])
+
+
+def simulate_slowtime(p: ModelParams, grid: TimeGrid,
+                      streams: tuple[RngStream, RngStream],
+                      guard: float = DEFAULT_GUARD) -> PathSample:
+    """One path of the original slow-time system, noise amplitude sqrt(eps)."""
+    s1, s2 = streams
+    states, diverged = slowtime_path_from_normals(
+        p, grid, s1.normals(grid.n_steps), s2.normals(grid.n_steps), guard)
+    return PathSample(grid=grid, states=states, master_seed=s1.master_seed,
+                      stream_ids=(s1.stream_id, s2.stream_id),
+                      scheme="slowtime_euler", diverged=diverged)
 
 
 def to_polar(path: PathSample) -> PathSample:

@@ -1,4 +1,4 @@
-"""Seeded Brownian path generation and generic time stepping.
+"""Seeded noise streams, uniform time grids and path records.
 
 All randomness in the package flows through counter-based Philox streams
 keyed by ``(master_seed, stream_id)``: the same key always reproduces the
@@ -108,66 +108,3 @@ class PathSample:
         if not self.diverged and not np.isfinite(self.states).all():
             raise ValueError("non-finite states in a path not flagged diverged")
 
-
-def brownian_increments(stream: RngStream, grid: TimeGrid) -> np.ndarray:
-    """n_steps draws of N(0, step)."""
-    return math.sqrt(grid.step) * stream.normals(grid.n_steps)
-
-
-def exact_ou_step(x: float, lam: float, h: float, noise: float) -> float:
-    """Advance dX = -lam*X dt + dW over h, exactly in law.
-
-    Returns x*exp(-lam*h) + sqrt((1 - exp(-2*lam*h)) / (2*lam)) * noise,
-    with the lam -> 0 limit sqrt(h)*noise.  Valid for any lam >= 0 and,
-    by the same formula, for lam < 0 (exponentially unstable case).
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    u = lam * h
-    if abs(u) < 1e-12:
-        var = h
-    else:
-        var = -math.expm1(-2.0 * u) / (2.0 * lam)
-    return x * math.exp(-u) + math.sqrt(var) * noise
-
-
-def euler_maruyama(drift, diffusion, x0, grid: TimeGrid,
-                   streams: list[RngStream] | tuple[RngStream, ...],
-                   guard: float = DEFAULT_GUARD) -> PathSample:
-    """Explicit Euler-Maruyama with constant diffusion, one stream per dim.
-
-    The path is flagged ``diverged`` (not raised) as soon as any coordinate
-    magnitude exceeds ``guard``; remaining samples repeat the last finite
-    state.  This keeps stiffness failures observable as data.
-    """
-    x = np.atleast_1d(np.asarray(x0, dtype=np.float64)).copy()
-    d = x.size
-    if len(streams) != d:
-        raise ValueError(f"need {d} streams, got {len(streams)}")
-    g = np.asarray(diffusion, dtype=np.float64)
-    dw = np.empty((d, grid.n_steps))
-    for j, s in enumerate(streams):
-        dw[j] = brownian_increments(s, grid)
-    states = np.empty((grid.n_steps + 1, d))
-    states[0] = x
-    diverged = False
-    for k in range(grid.n_steps):
-        if not diverged:
-            if g.ndim == 2:
-                noise = g @ dw[:, k]
-            else:
-                noise = g * dw[:, k]
-            xn = x + np.asarray(drift(x), dtype=np.float64) * grid.step + noise
-            if not np.isfinite(xn).all() or np.abs(xn).max() > guard:
-                diverged = True
-            else:
-                x = xn
-        states[k + 1] = x
-    return PathSample(
-        grid=grid,
-        states=states,
-        master_seed=streams[0].master_seed,
-        stream_ids=tuple(s.stream_id for s in streams),
-        scheme="euler_maruyama",
-        diverged=diverged,
-    )

@@ -1,4 +1,4 @@
-"""Lane handling of the numpy kernels, checked without numba.
+"""Lane handling of the numpy kernels.
 
 The numpy splitting kernel steps only the lanes that need substeps, and the
 exit-time kernel only the paths that have not exited.  Each lane must still
@@ -15,8 +15,8 @@ from ablab import _kernels
 from ablab.model import DTHETA_MAX
 from ablab.sde import DEFAULT_GUARD
 
-split = _kernels._rescaled_split_np
-exit_chunk = _kernels._ou_exit_chunk_np
+split = _kernels.rescaled_split
+exit_chunk = _kernels.ou_exit_chunk
 
 
 def _bits_equal(a, b):
@@ -29,6 +29,13 @@ def _bits_equal(a, b):
 # OU increment variance
 # ---------------------------------------------------------------------------
 
+def _ou_var(lam, h):
+    u = lam * h
+    if abs(u) < 1e-12:
+        return h
+    return -math.expm1(min(-2.0 * u, 60.0)) / (2.0 * lam)
+
+
 def test_ou_var_vec_matches_scalar():
     h = 1e-3
     lam = np.array([0.0, -0.0, 1e-300, -1e-300,
@@ -37,7 +44,7 @@ def test_ou_var_vec_matches_scalar():
                     -2e4, 0.5, 1e3, 1e6])
     with np.errstate(invalid="ignore", divide="ignore"):
         vec = _kernels._ou_var_vec(lam, h)
-    ref = np.array([_kernels._ou_var_scalar(float(v), h) for v in lam])
+    ref = np.array([_ou_var(float(v), h) for v in lam])
     tiny = np.abs(lam * h) < 1e-12
     assert tiny.tolist() == [True] * 6 + [False] * 8
     assert np.all(vec[tiny] == h)
@@ -59,13 +66,6 @@ def test_ou_var_vec_into_buffers():
 # ---------------------------------------------------------------------------
 # splitting kernel
 # ---------------------------------------------------------------------------
-
-def _ou_var(lam, h):
-    u = lam * h
-    if abs(u) < 1e-12:
-        return h
-    return -math.expm1(min(-2.0 * u, 60.0)) / (2.0 * lam)
-
 
 def _split_scalar(x0, y0, inv_eps, damp, h, dtheta_max, guard, z1, z2):
     """The splitting scheme, one path at a time, in plain Python floats."""

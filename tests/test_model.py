@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ablab.analysis import ks_critical_value, ks_statistic
 from ablab.limit import limit_exact_terminal
 from ablab.model import (ModelParams, State2, energy, flow_unperturbed,
-                         project_pi, project_pi_flow, rescaled_drift,
+                         project_pi, project_pi_flow,
                          rescaled_path_from_normals, rescaled_reduce,
-                         simulate_rescaled, simulate_slowtime, slowtime_drift,
+                         simulate_rescaled, simulate_slowtime,
                          slowtime_path_from_normals, to_polar, unperturbed_rhs)
 from ablab.sde import RngStream, TimeGrid
 
@@ -70,19 +70,57 @@ def test_projection_consistency_random_starts():
                    - project_pi_flow((x0, y0), 50.0)) < 1e-3
 
 
+# One zero-noise Euler step of h = 1/4 from (x0, y0) lands on start + drift/4,
+# exactly in binary; the noise amplitude is read off a unit draw from (0, 0).
+STEP = TimeGrid(0.0, 0.25, 0.25)
+
+
+def _rescaled_step(p, z=(0.0, 0.0)):
+    states, _ = rescaled_path_from_normals(p, STEP, [z[0]], [z[1]],
+                                           scheme="euler")
+    return tuple(states[1])
+
+
+def _slowtime_step(p, z=(0.0, 0.0)):
+    states, _ = slowtime_path_from_normals(p, STEP, [z[0]], [z[1]])
+    return tuple(states[1])
+
+
 def test_rescaled_drift_values():
-    p = ModelParams(epsilon=0.1)
-    assert rescaled_drift((0.0, 3.0), p) == (0.0, -3.0)
-    assert rescaled_drift((1.0, 1.0), p) == (-11.0, 9.0)
-    pn = ModelParams(epsilon=0.1, variant="no_dissipation")
-    assert rescaled_drift((1.0, 1.0), pn) == (-10.0, 10.0)
+    # drift (-x y / eps - d x, x^2 / eps - d y) at eps = 0.1
+    p = ModelParams(epsilon=0.1, x0=0.0, y0=3.0)
+    assert _rescaled_step(p) == (0.0, 3.0 - 3.0 / 4)
+    p = ModelParams(epsilon=0.1, x0=1.0, y0=1.0)
+    assert _rescaled_step(p) == (1.0 - 11.0 / 4, 1.0 + 9.0 / 4)
+    pn = ModelParams(epsilon=0.1, x0=1.0, y0=1.0, variant="no_dissipation")
+    assert _rescaled_step(pn) == (1.0 - 10.0 / 4, 1.0 + 10.0 / 4)
+    p = ModelParams(epsilon=0.1, x0=2.0, y0=3.0)
+    assert _rescaled_step(p) == (2.0 - 62.0 / 4, 3.0 + 37.0 / 4)
+    # unit noise: sqrt(h) = 1/2
+    p = ModelParams(epsilon=0.1, x0=0.0, y0=0.0)
+    assert _rescaled_step(p, (1.0, -1.0)) == (0.5, -0.5)
 
 
 def test_slowtime_drift_values():
-    p = ModelParams(epsilon=1.0)
-    assert slowtime_drift((1.0, 1.0), p) == (-2.0, 0.0)
-    d = slowtime_drift((2.0, 3.0), p)
-    assert d == (-2.0 * 3.0 - 2.0, 4.0 - 3.0)
+    # drift (-x y - d eps x, x^2 - d eps y) at eps = 1/4
+    p = ModelParams(epsilon=0.25, x0=1.0, y0=1.0)
+    assert _slowtime_step(p) == (1.0 - 1.25 / 4, 1.0 + 0.75 / 4)
+    p = ModelParams(epsilon=0.25, x0=2.0, y0=3.0)
+    assert _slowtime_step(p) == (2.0 - 6.5 / 4, 3.0 + 3.25 / 4)
+    pn = ModelParams(epsilon=0.25, x0=2.0, y0=3.0, variant="no_dissipation")
+    assert _slowtime_step(pn) == (2.0 - 6.0 / 4, 3.0 + 4.0 / 4)
+    # noise sqrt(eps): sqrt(eps h) = 1/4
+    p = ModelParams(epsilon=0.25, x0=0.0, y0=0.0)
+    assert _slowtime_step(p, (1.0, -1.0)) == (0.25, -0.25)
+
+
+def test_path_from_normals_needs_one_draw_per_step():
+    p = ModelParams(epsilon=0.1)
+    grid = TimeGrid(0.0, 1.0, 0.1)
+    for run in (rescaled_path_from_normals, slowtime_path_from_normals):
+        for n in (grid.n_steps - 1, grid.n_steps + 1):
+            with pytest.raises(ValueError):
+                run(p, grid, np.zeros(n), np.zeros(grid.n_steps))
 
 
 def test_params_validation():

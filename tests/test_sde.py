@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ablab.sde import (RngStream, TimeGrid, PathSample, brownian_increments,
-                       euler_maruyama, exact_ou_step, normal_matrix)
+from ablab import _kernels
+from ablab.model import DTHETA_MAX
+from ablab.sde import (DEFAULT_GUARD, RngStream, TimeGrid, PathSample,
+                       normal_matrix)
 
 
 def test_grid_rejects_degenerate_step():
@@ -20,21 +22,6 @@ def test_grid_covers_horizon():
     assert np.all(np.diff(g.times()) > 0)
     # float-noise span does not produce a spurious extra step
     assert TimeGrid(0.0, 1.0, 0.1).n_steps == 10
-
-
-def test_brownian_increments_law():
-    g = TimeGrid(0.0, 1_000_000.0, 1.0)
-    dw = brownian_increments(RngStream(1, 0), g)
-    n = dw.size
-    assert abs(dw.mean()) < 4.0 / math.sqrt(n)
-    assert abs(dw.var() - 1.0) < 0.01
-
-
-def test_brownian_increments_deterministic():
-    g = TimeGrid(0.0, 100.0, 0.5)
-    a = brownian_increments(RngStream(7, 3), g)
-    b = brownian_increments(RngStream(7, 3), g)
-    assert np.array_equal(a, b)
 
 
 def test_streams_independent():
@@ -72,21 +59,43 @@ def test_normal_matrix_rows_independent_of_batch():
     assert np.array_equal(whole, split)
 
 
+# ---------------------------------------------------------------------------
+# exact OU step: with drift scale 0 the splitting kernel advances x by
+# x e^(-lam h) + sqrt(var) z, where lam is the damping and var = _ou_var_vec
+# ---------------------------------------------------------------------------
+
+def _ou_var(lam, h):
+    with np.errstate(invalid="ignore"):
+        return float(_kernels._ou_var_vec(np.array([lam]), h)[0])
+
+
+def _exact_ou_steps(x0, lam, h, z):
+    z1 = np.asarray(z, dtype=np.float64).reshape(-1, 1)
+    n = z1.shape[0]
+    xs, ys = np.empty((n, 2)), np.empty((n, 2))
+    div = np.zeros(n, dtype=bool)
+    _kernels.rescaled_split(x0, 0.0, 0.0, lam, h, DTHETA_MAX, DEFAULT_GUARD,
+                            z1, np.zeros_like(z1), xs, ys, div)
+    assert not div.any()
+    return xs[:, 1]
+
+
 def test_exact_ou_step_zero_rate_is_brownian():
-    assert exact_ou_step(0.3, 0.0, 0.25, 1.7) == 0.3 + math.sqrt(0.25) * 1.7
+    assert _ou_var(0.0, 0.25) == 0.25
+    assert _exact_ou_steps(0.3, 0.0, 0.25, [1.7])[0] \
+        == 0.3 + math.sqrt(0.25) * 1.7
 
 
 def test_exact_ou_step_stationary_variance():
     # lam=1, huge h: variance -> 1/(2 lam) = 1/2
-    z = RngStream(11, 0).normals(100_000)
-    vals = np.array([exact_ou_step(5.0, 1.0, 50.0, zi) for zi in z[:1000]])
-    assert abs(vals.var(ddof=1) - 0.5) < 5 * 0.5 * math.sqrt(2.0 / 999)
+    assert _ou_var(1.0, 50.0) == 0.5
 
 
 def test_exact_ou_step_stiff_mean_factor():
-    # lam=1e4, h=1e-3: mean factor e^{-10}, no instability
-    out = exact_ou_step(1.0, 1.0e4, 1.0e-3, 0.0)
+    # lam=1e4, h=1e-3: mean factor e^{-10}, variance (1 - e^{-20}) / 2e4
+    out = _exact_ou_steps(1.0, 1.0e4, 1.0e-3, [0.0])[0]
     assert out == pytest.approx(math.exp(-10.0), rel=1e-12)
+    assert _ou_var(1.0e4, 1.0e-3) == -math.expm1(-20.0) / 2.0e4
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1.0e3])
@@ -95,7 +104,7 @@ def test_exact_ou_step_moments(lam, h):
     n = 100_000
     z = RngStream(23, int(lam) * 7 + int(h * 10)).normals(n)
     x0 = 0.8
-    samples = np.array([exact_ou_step(x0, lam, h, zi) for zi in z])
+    samples = _exact_ou_steps(x0, lam, h, z)
     u = lam * h
     mean = x0 * math.exp(-u)
     var = h if abs(u) < 1e-12 else -math.expm1(-2 * u) / (2 * lam)
@@ -104,69 +113,80 @@ def test_exact_ou_step_moments(lam, h):
     assert abs(samples.var(ddof=1) - var) < 5 * var_se
 
 
+# ---------------------------------------------------------------------------
+# Euler-Maruyama: with drift scale 0 the affine Euler kernel is the plain
+# scheme for dX = -d X dt + dW, in x and in y
+# ---------------------------------------------------------------------------
+
+def _ou_euler(d, x0, grid, n, seed=None):
+    """Terminal x of n Euler-Maruyama paths; no noise when seed is None."""
+    shape = (n, grid.n_steps)
+    ids = 2 * np.arange(n, dtype=np.uint64)
+    z1 = np.zeros(shape) if seed is None \
+        else normal_matrix(seed, ids, grid.n_steps)
+    z2 = np.zeros(shape) if seed is None \
+        else normal_matrix(seed, ids + 1, grid.n_steps)
+    xs, ys = np.empty((n, grid.n_steps + 1)), np.empty((n, grid.n_steps + 1))
+    div = np.zeros(n, dtype=bool)
+    _kernels.rescaled_euler(x0, x0, 0.0, d, grid.step, DEFAULT_GUARD,
+                            z1, z2, xs, ys, div)
+    return xs, ys, div
+
+
 def test_euler_maruyama_pure_brownian():
     # zero drift, unit diffusion: terminal variance ~ horizon
-    d = 2000
-    g = TimeGrid(0.0, 1.0, 0.05)
-    streams = [RngStream(3, i) for i in range(d)]
-    path = euler_maruyama(lambda x: np.zeros_like(x), 1.0,
-                          np.zeros(d), g, streams)
-    v = path.states[-1].var(ddof=1)
-    assert abs(v - 1.0) < 5 * math.sqrt(2.0 / (d - 1))
-    assert not path.diverged
+    n = 2000
+    xs, ys, div = _ou_euler(0.0, 0.0, TimeGrid(0.0, 1.0, 0.05), n, seed=3)
+    for v in (xs[:, -1].var(ddof=1), ys[:, -1].var(ddof=1)):
+        assert abs(v - 1.0) < 5 * math.sqrt(2.0 / (n - 1))
+    assert not div.any()
 
 
 def test_euler_maruyama_ou_mean():
     # OU closed form: E X_T = e^{-T} x0 at T=10
-    d = 1000
-    g = TimeGrid(0.0, 10.0, 1.0e-3)
-    streams = [RngStream(9, i) for i in range(d)]
-    path = euler_maruyama(lambda x: -x, 1.0, np.ones(d), g, streams)
-    m = path.states[-1].mean()
-    se = path.states[-1].std(ddof=1) / math.sqrt(d)
+    n = 1000
+    xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(0.0, 10.0, 1.0e-3), n, seed=9)
+    m = xs[:, -1].mean()
+    se = xs[:, -1].std(ddof=1) / math.sqrt(n)
     assert abs(m - math.exp(-10.0)) < 3 * se
 
 
 def test_euler_maruyama_stiff_drift_diverges():
     # 1/eps = 1e4 drift coefficient at h = 1e-3 breaks the explicit scheme
-    g = TimeGrid(0.0, 0.1, 1.0e-3)
-    path = euler_maruyama(lambda x: -1.0e4 * x, 1.0,
-                          np.array([1.0]), g, [RngStream(1, 0)])
-    assert path.diverged
-    assert np.isfinite(path.states).all()
+    xs, ys, div = _ou_euler(1.0e4, 1.0, TimeGrid(0.0, 0.1, 1.0e-3), 1,
+                            seed=1)
+    assert div[0]
+    assert np.isfinite(xs).all() and np.isfinite(ys).all()
+    assert abs(xs[0, -1]) <= DEFAULT_GUARD and xs[0, -1] == xs[0, -2]
 
 
 def test_euler_maruyama_weak_order_one():
     # For the linear additive-noise SDE the mean of the EM path equals the
     # noise-free recursion, so the weak bias is measured exactly from
-    # zero-diffusion runs.
+    # zero-noise runs.
     T = 2.0
     errs = []
     hs = [0.2, 0.1, 0.05, 0.025]
     for h in hs:
-        g = TimeGrid(0.0, T, h)
-        path = euler_maruyama(lambda x: -x, 0.0, np.array([1.0]), g,
-                              [RngStream(2, 0)])
-        errs.append(abs(path.states[-1, 0] - math.exp(-T)))
+        xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(0.0, T, h), 1)
+        errs.append(abs(xs[0, -1] - math.exp(-T)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 0.7 < slope < 1.3
     # MC consistency: noisy mean matches the zero-noise recursion
-    d = 2000
+    n = 2000
     g = TimeGrid(0.0, T, 0.1)
-    streams = [RngStream(4, i) for i in range(d)]
-    noisy = euler_maruyama(lambda x: -x, 1.0, np.ones(d), g, streams)
-    ref = euler_maruyama(lambda x: -x, 0.0, np.array([1.0]), g,
-                         [RngStream(2, 1)]).states[-1, 0]
-    se = noisy.states[-1].std(ddof=1) / math.sqrt(d)
-    assert abs(noisy.states[-1].mean() - ref) < 3 * se
+    noisy, _, _ = _ou_euler(1.0, 1.0, g, n, seed=4)
+    ref = _ou_euler(1.0, 1.0, g, 1)[0][0, -1]
+    se = noisy[:, -1].std(ddof=1) / math.sqrt(n)
+    assert abs(noisy[:, -1].mean() - ref) < 3 * se
 
 
 def test_euler_maruyama_deterministic_rerun():
     g = TimeGrid(0.0, 1.0, 0.01)
-    streams = [RngStream(42, 0), RngStream(42, 1)]
-    a = euler_maruyama(lambda x: -x, 1.0, np.array([1.0, 2.0]), g, streams)
-    b = euler_maruyama(lambda x: -x, 1.0, np.array([1.0, 2.0]), g, streams)
-    assert np.array_equal(a.states, b.states)
+    a = _ou_euler(1.0, 1.0, g, 2, seed=42)
+    b = _ou_euler(1.0, 1.0, g, 2, seed=42)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
 
 
 def test_path_sample_validation():
