@@ -327,7 +327,7 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
 def scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig, overflow):
     n_paths, length = ys.shape
     two_delta = 2.0 * delta
-    max_ev = tau_idx.shape[1]
+    capacity = tau_idx.shape[1]
     ay = np.abs(ys)
     for i in range(n_paths):
         a = ay[i]
@@ -343,7 +343,7 @@ def scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig, overflow):
                 break
             pos += int(hits[0])
             if nt == ns:
-                if nt >= max_ev:
+                if nt >= capacity:
                     overflow[i] = True
                     break
                 tau_idx[i, nt] = pos

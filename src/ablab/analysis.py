@@ -20,11 +20,32 @@ from scipy.special import erf, erfcx, erfi
 from . import _kernels
 from .limit import LimitParams, TestFunction, generator_apply, \
     limit_exact_reduce, limit_exact_terminal
-from .model import DTHETA_MAX, ModelParams, _run_rescaled, project_pi, \
-    rescaled_reduce
-from .sde import PathSample, RngStream, TimeGrid, normal_matrix
+from .model import ModelParams, project_pi, rescaled_reduce
+from .sde import PathSample, RngStream, TimeGrid
 
+# ---------------------------------------------------------------------------
+# pass thresholds, shared by the acceptance battery and the CLI
+# ---------------------------------------------------------------------------
+
+# A Monte Carlo estimate passes when it lies within Z_GATE standard errors
+# of its target, plus a slack where the target carries a known bias.
+Z_GATE = 3
+# Weak-convergence residuals and gaps at finite epsilon (criteria 7 and 9,
+# ``ablab martingale`` and ``ablab weak-gap``).
+WEAK_GAP_SLACK = 0.02
+# Finite-difference error of the PDE solution at the ``ablab pde`` probes.
+PDE_PROBE_SLACK = 2e-3
+# Factor by which crossing counts and durations may miss their oracles.
+CROSSING_SAFETY = 2.0
 KS_COEFF_1PCT = 1.6276  # sqrt(-ln(alpha/2)/2) at alpha = 0.01
+# Pass window of the log-log slope of E[X_t^2] against epsilon at
+# alpha = 0.1 (criterion 5 and ``ablab lemma1``).
+MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
+
+
+def z_threshold(std_error: float, slack: float = 0.0) -> float:
+    """Largest |estimate - target| that passes: Z_GATE * se + slack."""
+    return Z_GATE * std_error + slack
 
 
 def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
@@ -85,11 +106,6 @@ class ScalingFit:
         if len(eps) < 3 or not (np.diff(eps) < 0).all():
             raise ValueError("need >= 3 strictly decreasing epsilon values")
 
-    @property
-    def slope_ci95(self) -> tuple[float, float]:
-        return (self.slope - 1.96 * self.slope_se,
-                self.slope + 1.96 * self.slope_se)
-
     @classmethod
     def from_points(cls, epsilons, estimates, std_errors) -> "ScalingFit":
         lx = np.log(np.asarray(epsilons, dtype=np.float64))
@@ -112,57 +128,26 @@ class ScalingFit:
 # band-crossing stopping times
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StoppingRecord:
-    """Alternating first hits of |Y| = delta (taus) and |Y| = 2*delta
-    (sigmas), read discretely: first grid time at or past the level."""
-
-    taus: np.ndarray
-    sigmas: np.ndarray
-    n: int
-    delta: float
-
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        k = self.sigmas.size
-        if k > self.taus.size:
-            raise ValueError("each sigma needs a preceding tau")
-        prev_sigma = np.concatenate([[-np.inf], self.sigmas[:-1]]) \
-            if k else np.empty(0)
-        if k and not (self.taus[:k] >= prev_sigma).all():
-            raise ValueError("stopping times must interleave")
-        if k and not (self.sigmas >= self.taus[:k]).all():
-            raise ValueError("stopping times must interleave")
+# Most entries into the band |y| <= delta that one path may record.
+MAX_CROSSINGS = 2048
 
 
-def _scan_batch(ys: np.ndarray, delta: float, max_ev: int = 2048):
+def _scan_batch(ys: np.ndarray, delta: float):
+    """Alternating first hits of |y| <= delta (taus) and |y| >= 2*delta
+    (sigmas) along each row of ys, as grid indices.  A row with more than
+    MAX_CROSSINGS taus raises instead of being truncated."""
     n_paths = ys.shape[0]
-    tau_idx = np.zeros((n_paths, max_ev), dtype=np.int64)
-    sig_idx = np.zeros((n_paths, max_ev), dtype=np.int64)
+    tau_idx = np.zeros((n_paths, MAX_CROSSINGS), dtype=np.int64)
+    sig_idx = np.zeros((n_paths, MAX_CROSSINGS), dtype=np.int64)
     n_tau = np.zeros(n_paths, dtype=np.int64)
     n_sig = np.zeros(n_paths, dtype=np.int64)
     overflow = np.zeros(n_paths, dtype=bool)
     _kernels.scan_crossings(np.ascontiguousarray(ys, dtype=np.float64),
                             delta, tau_idx, sig_idx, n_tau, n_sig, overflow)
     if overflow.any():
-        raise RuntimeError("crossing buffer overflow; raise max_ev")
+        raise RuntimeError(f"{int(overflow.sum())} paths cross the band "
+                           f"more than {MAX_CROSSINGS} times")
     return tau_idx, sig_idx, n_tau, n_sig
-
-
-def detect_stopping_times(path: PathSample, delta: float,
-                          T: float | None = None) -> StoppingRecord:
-    """Read the alternating band-crossing times off one path."""
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    y = path.states[:, -1]
-    ts = path.grid.times()
-    horizon = path.grid.horizon if T is None else T
-    tau_idx, sig_idx, n_tau, n_sig = _scan_batch(y.reshape(1, -1), delta)
-    taus = ts[tau_idx[0, :n_tau[0]]]
-    sigmas = ts[sig_idx[0, :n_sig[0]]]
-    n = int(np.sum(sigmas <= horizon))
-    return StoppingRecord(taus=taus, sigmas=sigmas, n=n, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +160,7 @@ def min_time_for_moment(p: ModelParams) -> float:
 
 
 def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
-                    h: float = 1e-3, batch_size: int = 1024) -> StatReport:
+                    h: float = 1e-3) -> StatReport:
     """E[X_t^2] over replicas whose Y stayed >= delta up to t.
 
     Replicas violating the conditioning band are excluded and the exclusion
@@ -191,7 +176,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"x2": xs[:, -1] ** 2,
                                  "ok": (ys.min(axis=1) >= delta) & ~div},
-        batch_size=batch_size)
+        batch_size=1024)
     kept = out["x2"][out["ok"]]
     excl = 1.0 - kept.size / n
     if excl > 0.10:
@@ -224,17 +209,15 @@ def _trapezoid(w: np.ndarray, h: float) -> np.ndarray:
 
 
 def martingale_residual(p: ModelParams, f: TestFunction, T: float, n: int,
-                        master_seed: int, h: float = 1e-3,
-                        batch_size: int = 512,
-                        control_variate: bool = True) -> StatReport:
+                        master_seed: int, h: float = 1e-3) -> StatReport:
     """E[f(Y_T) - f(projected start) - int_0^T A f(Y_t) dt] on the
     perturbed system; the generator value is 0 wherever Y < 0.
 
-    With ``control_variate`` the path's own radius hypot(X, Y) serves as a
-    coupled control: it is exactly the limit process in law (the 1/eps
-    terms cancel in the radial equation), starts exactly at the projected
-    value, and its residual has mean 0, so subtracting it leaves the
-    estimand unchanged while cancelling nearly all shared noise.
+    The path's own radius hypot(X, Y) serves as a coupled control variate:
+    it is exactly the limit process in law (the 1/eps terms cancel in the
+    radial equation), starts exactly at the projected value, and its
+    residual has mean 0, so subtracting it leaves the estimand unchanged
+    while cancelling nearly all shared noise.
     """
     y_pi = project_pi((p.x0, p.y0))
     grid = TimeGrid(0.0, T, h)
@@ -242,24 +225,22 @@ def martingale_residual(p: ModelParams, f: TestFunction, T: float, n: int,
     def reduce_fn(ts, xs, ys, div):
         af = generator_apply(f, ys.ravel()).reshape(ys.shape)
         res = f(ys[:, -1]) - f(np.float64(y_pi)) - _trapezoid(af, h)
-        if control_variate:
-            rs = np.hypot(xs, ys)
-            af_c = generator_apply(f, rs.ravel()).reshape(rs.shape)
-            res = res - (f(rs[:, -1]) - f(np.float64(y_pi))
-                         - _trapezoid(af_c, h))
+        rs = np.hypot(xs, ys)
+        af_c = generator_apply(f, rs.ravel()).reshape(rs.shape)
+        res = res - (f(rs[:, -1]) - f(np.float64(y_pi))
+                     - _trapezoid(af_c, h))
         return {"res": res, "div": div}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_size)
+                          batch_size=512)
     return StatReport.from_samples(
         out["res"], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
-        y_pi=y_pi, diverged=int(out["div"].sum()),
-        control_variate=control_variate)
+        y_pi=y_pi, diverged=int(out["div"].sum()), control_variate=True)
 
 
 def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
-                              master_seed: int, h: float = 1e-3,
-                              batch_size: int = 2048) -> StatReport:
+                              master_seed: int,
+                              h: float = 1e-3) -> StatReport:
     """Control run: the residual on the exact limit sampler itself,
     which is a true martingale, so the estimate should sit at 0."""
     lp = LimitParams(y0=y0, horizon=T)
@@ -271,7 +252,7 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
         return {"res": res}
 
     out = limit_exact_reduce(lp, grid, master_seed, n, reduce_fn,
-                             batch_size=batch_size)
+                             batch_size=2048)
     return StatReport.from_samples(out["res"], y0=y0, f=f.name, T=T, h=h,
                                    seed=master_seed, process="limit_exact")
 
@@ -281,7 +262,7 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
 # ---------------------------------------------------------------------------
 
 def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
-                   h: float = 1e-3, batch_size: int = 1024) -> StatReport:
+                   h: float = 1e-3) -> StatReport:
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
     grid = TimeGrid(0.0, T, h)
@@ -293,7 +274,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
                                   dtype=np.float64)}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_size)
+                          batch_size=1024)
     return StatReport.from_samples(out["gap"], epsilon=p.epsilon, T=T, h=h,
                                    seed=master_seed)
 
@@ -311,44 +292,31 @@ class TerminalGapReport:
 
 
 def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
-                     master_seed: int, h: float = 1e-3,
-                     batch_size: int = 1024,
-                     coupled: bool = True) -> TerminalGapReport:
+                     master_seed: int,
+                     h: float = 1e-3) -> TerminalGapReport:
     """|E f(Y_T^eps) - E f(Y_T^limit)| with the limit started at the
     projected initial point, plus a two-sample KS of the terminal laws.
 
-    With ``coupled`` the gap is estimated as the per-replica difference
-    f(Y_T) - f(hypot(X_T, Y_T)): the path's radius is exactly the limit
-    process in law from exactly the projected start, so the estimand is
-    identical but almost all noise cancels.  The KS statistic always uses
-    an independent exact reference sample.
+    The gap is estimated as the per-replica difference
+    f(Y_T) - f(hypot(X_T, Y_T)), a coupling: the path's radius is exactly
+    the limit process in law from exactly the projected start, so the
+    estimand is identical but almost all noise cancels.  The KS statistic
+    uses an independent exact reference sample.
     """
     y_pi = project_pi((p.x0, p.y0))
     grid = TimeGrid(0.0, T, h)
 
     def reduce_fn(ts, xs, ys, div):
-        out = {"yT": ys[:, -1]}
-        if coupled:
-            rT = np.hypot(xs[:, -1], ys[:, -1])
-            out["diff"] = np.asarray(f(ys[:, -1]) - f(rT), dtype=np.float64)
-        return out
+        rT = np.hypot(xs[:, -1], ys[:, -1])
+        return {"yT": ys[:, -1],
+                "diff": np.asarray(f(ys[:, -1]) - f(rT), dtype=np.float64)}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_size)
+                          batch_size=1024)
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
-    if coupled:
-        rep = StatReport.from_samples(
-            out["diff"], epsilon=p.epsilon, f=f.name, T=T, h=h,
-            seed=master_seed, y_pi=y_pi, coupled=True)
-    else:
-        fe = np.asarray(f(out["yT"]), dtype=np.float64)
-        fl = np.asarray(f(ref), dtype=np.float64)
-        se = math.sqrt(fe.var(ddof=1) / n + fl.var(ddof=1) / n)
-        rep = StatReport(estimate=float(fe.mean() - fl.mean()),
-                         std_error=se, n_replicas=n,
-                         config={"epsilon": p.epsilon, "f": f.name, "T": T,
-                                 "h": h, "seed": master_seed, "y_pi": y_pi,
-                                 "coupled": False})
+    rep = StatReport.from_samples(
+        out["diff"], epsilon=p.epsilon, f=f.name, T=T, h=h,
+        seed=master_seed, y_pi=y_pi, coupled=True)
     return TerminalGapReport(gap=rep, ks_stat=ks_statistic(out["yT"], ref),
                              ks_critical=ks_critical_value(n, n), y_pi=y_pi)
 
@@ -462,6 +430,12 @@ class CrossingStats:
     delta: float
     bounds: dict
 
+    @property
+    def passed(self) -> bool:
+        """The count and both durations are within their oracle bounds."""
+        return bool(self.bounds["n_ok"] and self.bounds["sigma_minus_tau_ok"]
+                    and self.bounds["tau_minus_sigma_ok"])
+
     def to_dict(self) -> dict:
         return {
             "mean_n": self.mean_n.to_dict(),
@@ -478,10 +452,10 @@ class CrossingStats:
 
 
 def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
-                   h: float = 1e-3, safety: float = 2.0,
-                   batch_size: int = 512) -> CrossingStats:
+                   h: float = 1e-3) -> CrossingStats:
     """Up-crossing counts and durations at delta = eps^alpha, checked
-    against the OU exit-time quadrature oracles with a safety factor.
+    against the OU exit-time quadrature oracles within a factor of
+    CROSSING_SAFETY.
 
     Durations carry a +h slack in the bound checks: discrete reading
     overestimates each hitting time by at most one step.
@@ -518,7 +492,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
                 "ts_sum": ts_sum, "ts_cnt": ts_cnt, "deep": deep}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_size)
+                          batch_size=512)
     mean_n = StatReport.from_samples(
         out["n_up"], epsilon=p.epsilon, T=T, h=h, seed=master_seed,
         delta=delta, frac_zero=float((out["n_up"] == 0).mean()))
@@ -539,18 +513,18 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
         mean_ts = _duration_report(out["ts_sum"], out["ts_cnt"], n_ts)
     u_two = ou_exit_two_sided(delta)
     u_one = ou_exit_one_sided(delta)
+    n_bound = CROSSING_SAFETY * (4.0 / 3.0) * T / u_one
+    st_bound = CROSSING_SAFETY * (4.0 / 3.0) * u_two + h
+    ts_bound = u_one / CROSSING_SAFETY - h
     bounds = {
-        "n_bound": safety * (4.0 / 3.0) * T / u_one,
-        "n_ok": bool(mean_n.estimate
-                     <= safety * (4.0 / 3.0) * T / u_one),
-        "sigma_minus_tau_bound": safety * (4.0 / 3.0) * u_two + h,
+        "n_bound": n_bound,
+        "n_ok": bool(mean_n.estimate <= n_bound),
+        "sigma_minus_tau_bound": st_bound,
         "sigma_minus_tau_ok":
-            mean_st is None
-            or bool(mean_st.estimate <= safety * (4.0 / 3.0) * u_two + h),
-        "tau_minus_sigma_bound": u_one / safety - h,
+            mean_st is None or bool(mean_st.estimate <= st_bound),
+        "tau_minus_sigma_bound": ts_bound,
         "tau_minus_sigma_ok":
-            mean_ts is None
-            or bool(mean_ts.estimate >= u_one / safety - h),
+            mean_ts is None or bool(mean_ts.estimate >= ts_bound),
         "oracle_two_sided": u_two,
         "oracle_one_sided": u_one,
     }
@@ -567,8 +541,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
 # ---------------------------------------------------------------------------
 
 def excursion_probability(p: ModelParams, a: float, t: float, n: int,
-                          master_seed: int, h: float = 1e-3,
-                          batch_size: int = 1024) -> StatReport:
+                          master_seed: int, h: float = 1e-3) -> StatReport:
     """P(min of Y over the grid reaches -a before t)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
@@ -577,7 +550,7 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"hit": (ys.min(axis=1) <= -a)
                                  .astype(np.float64)},
-        batch_size=batch_size)
+        batch_size=1024)
     p_hat = float(out["hit"].mean())
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     return StatReport(estimate=p_hat, std_error=se, n_replicas=n,
@@ -626,59 +599,3 @@ def excursion_anatomy(path: PathSample, a: float) -> list[ExcursionRecord]:
         if ret is None:
             break
     return records
-
-
-# ---------------------------------------------------------------------------
-# residuals restricted to the away-from-origin windows
-# ---------------------------------------------------------------------------
-
-def window_residuals(p: ModelParams, f: TestFunction, T: float, n: int,
-                     master_seed: int, h: float = 1e-3,
-                     batch_size: int = 512) -> dict:
-    """Per-path sums over the away-from-band segments of (a) the generator
-    residual of f and (b) the drift-replacement integral
-    int (X^2/eps - 1/(2Y)) dt.  Both shrink with epsilon.
-
-    Segments run [sigma_{k-1}, tau_k], plus the truncated tail up to T when
-    the path ends outside the band: dropping the tail would condition on
-    hitting the band and bias the estimator away from 0 even for an exact
-    martingale.
-    """
-    delta = p.delta()
-    grid = TimeGrid(0.0, T, h)
-    inv_eps = 1.0 / p.epsilon
-
-    def reduce_fn(ts, xs, ys, div):
-        nb, length = ys.shape
-        tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
-        af = generator_apply(f, ys.ravel()).reshape(ys.shape)
-        res = np.zeros(nb)
-        rep = np.zeros(nb)
-        wins = np.zeros(nb)
-        for i in range(nb):
-            kt = int(n_tau[i])
-            ks = int(n_sig[i])
-            segments = [(0 if k == 0 else int(sig_idx[i, k - 1]),
-                         int(tau_idx[i, k])) for k in range(kt)]
-            if ks == kt:  # path ends outside the band
-                segments.append((int(sig_idx[i, ks - 1]) if ks else 0,
-                                 length - 1))
-            for lo, hi in segments:
-                if hi <= lo:
-                    continue
-                seg_af = af[i, lo:hi + 1]
-                res[i] += f(ys[i, hi]) - f(ys[i, lo]) \
-                    - h * (seg_af.sum() - 0.5 * (seg_af[0] + seg_af[-1]))
-                seg = xs[i, lo:hi + 1] ** 2 * inv_eps \
-                    - 0.5 / ys[i, lo:hi + 1]
-                rep[i] += h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-                wins[i] += 1
-        return {"res": res, "rep": rep, "wins": wins}
-
-    out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_size)
-    cfg = {"epsilon": p.epsilon, "f": f.name, "T": T, "h": h,
-           "seed": master_seed, "delta": delta,
-           "mean_windows": float(out["wins"].mean())}
-    return {"generator_residual": StatReport.from_samples(out["res"], **cfg),
-            "drift_replacement": StatReport.from_samples(out["rep"], **cfg)}

@@ -7,7 +7,6 @@ Exit codes: 0 all assertions in scope pass; 1 assertion failure;
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -15,23 +14,19 @@ import click
 import numpy as np
 
 from . import __version__
-from .acceptance import (MOMENT_SCALING_WINDOW,
-                         algebra_identity_battery, run_acceptance)
-from .analysis import (crossing_stats, excursion_anatomy,
+from .acceptance import algebra_identity_battery, run_acceptance
+from .analysis import (MOMENT_SCALING_WINDOW, PDE_PROBE_SLACK,
+                       WEAK_GAP_SLACK, crossing_stats, excursion_anatomy,
                        excursion_probability, martingale_residual,
                        martingale_residual_limit, terminal_law_gap,
-                       x_collapse_gap, x_second_moment_scaling)
-from .limit import (LimitParams, catalog, cos_square, gauss_bump,
-                    lorentzian, simulate_limit_em, simulate_limit_exact,
-                    square_fn)
+                       x_collapse_gap, x_second_moment_scaling, z_threshold)
+from .limit import (TEST_FUNCTIONS, LimitParams, simulate_limit_em,
+                    simulate_limit_exact)
 from .model import (ModelParams, project_pi, simulate_rescaled,
                     simulate_slowtime)
 from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
 from .reporting import path_to_csv, report_json, scaling_to_csv
 from .sde import RngStream, TimeGrid
-
-F_BY_NAME = {"exp": gauss_bump, "inv": lorentzian, "y2": square_fn,
-             "cos": cos_square}
 
 DEFAULTS = {
     "epsilon": 1e-3,
@@ -302,8 +297,7 @@ def crossings(config_path, **kw):
     p = _model_params(s)
     cs = crossing_stats(p, float(s["horizon"]), int(s["replicas"]),
                         int(s["seed"]), h=float(s["step"]))
-    passed = bool(cs.bounds["n_ok"] and cs.bounds["sigma_minus_tau_ok"]
-                  and cs.bounds["tau_minus_sigma_ok"])
+    passed = cs.passed
     _write_report(s, "crossings.json", report_json(
         "crossing_stats",
         {"epsilon": s["epsilon"], "alpha": s["alpha"], "T": s["horizon"],
@@ -317,14 +311,14 @@ def crossings(config_path, **kw):
 
 @main.command()
 @common_options
-@click.option("--f", "f_name", type=click.Choice(sorted(F_BY_NAME)),
+@click.option("--f", "f_name", type=click.Choice(sorted(TEST_FUNCTIONS)),
               default=None)
 def martingale(config_path, f_name, **kw):
     """Generator residual along the perturbed system, with the exact-limit
     control."""
     s = _settings(config_path, dict(kw, f=f_name))
     p = _model_params(s)
-    f = F_BY_NAME[s["f"]]()
+    f = TEST_FUNCTIONS[s["f"]]
     rep = martingale_residual(p, f, float(s["horizon"]),
                               int(s["replicas"]), int(s["seed"]),
                               h=float(s["step"]))
@@ -337,9 +331,9 @@ def martingale(config_path, f_name, **kw):
                    f"{rep.config['diverged']} of {s['replicas']} replicas "
                    "tripped the guard", err=True)
         sys.exit(3)
-    thresh = 3 * rep.std_error + 0.02
+    thresh = z_threshold(rep.std_error, WEAK_GAP_SLACK)
     passed = abs(rep.estimate) < thresh \
-        and abs(ctrl.estimate) < 3 * ctrl.std_error
+        and abs(ctrl.estimate) < z_threshold(ctrl.std_error)
     _write_report(s, "martingale.json", report_json(
         "martingale_residual",
         {"epsilon": s["epsilon"], "f": f.name, "T": s["horizon"],
@@ -354,19 +348,19 @@ def martingale(config_path, f_name, **kw):
 
 @main.command(name="weak-gap")
 @common_options
-@click.option("--f", "f_name", type=click.Choice(sorted(F_BY_NAME)),
+@click.option("--f", "f_name", type=click.Choice(sorted(TEST_FUNCTIONS)),
               default=None)
 def weak_gap(config_path, f_name, **kw):
     """Terminal-law and x-collapse gaps against the limit process."""
     s = _settings(config_path, dict(kw, f=f_name))
     p = _model_params(s)
-    f = F_BY_NAME[s["f"]]()
+    f = TEST_FUNCTIONS[s["f"]]
     tg = terminal_law_gap(p, f, float(s["horizon"]), int(s["replicas"]),
                           int(s["seed"]), h=float(s["step"]))
     cg = x_collapse_gap(p, lambda x, y: np.minimum(np.abs(x), 1.0),
                         float(s["horizon"]), int(s["replicas"]),
                         int(s["seed"]) + 1, h=float(s["step"]))
-    thresh = 3 * tg.gap.std_error + 0.02
+    thresh = z_threshold(tg.gap.std_error, WEAK_GAP_SLACK)
     passed = abs(tg.gap.estimate) < thresh
     _write_report(s, "weak_gap.json", report_json(
         "weak_gap",
@@ -428,7 +422,7 @@ def excursions(config_path, **kw):
 
 @main.command()
 @common_options
-@click.option("--initial", type=click.Choice(sorted(F_BY_NAME)),
+@click.option("--initial", type=click.Choice(sorted(TEST_FUNCTIONS)),
               default=None)
 @click.option("--t-final", "t_final", type=float, default=None)
 @click.option("--n-points", "n_points", type=int, default=None)
@@ -436,7 +430,7 @@ def pde(config_path, t_final, n_points, **kw):
     """Solve the limit Cauchy problem and cross-check it against the
     probabilistic representation."""
     s = _settings(config_path, dict(kw, t_final=t_final, n_points=n_points))
-    f = F_BY_NAME[s["initial"]]()
+    f = TEST_FUNCTIONS[s["initial"]]
     grid = Grid1D(n_points=int(s["n_points"]), t_final=float(s["t_final"]))
     sol = solve_limit_pde(f, grid)
     ys = grid.y_nodes()
@@ -457,7 +451,7 @@ def pde(config_path, t_final, n_points, **kw):
     for i, y in enumerate(probes):
         rep = feynman_kac_mc(float(y), float(s["t_final"]), f, 100_000,
                              int(s["seed"]) + i)
-        tol = 3 * rep.std_error + 2e-3
+        tol = z_threshold(rep.std_error, PDE_PROBE_SLACK)
         gap = abs(float(sol.at(float(s["t_final"]), y)) - rep.estimate)
         checks.append({"y": float(y), "pde": float(sol.at(
             float(s["t_final"]), y)), "mc": rep.estimate, "gap": gap,

@@ -11,13 +11,8 @@ closed-form; verification is by exact identities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
-
-from .model import flow_unperturbed
 
 
 @dataclass(frozen=True)
@@ -30,9 +25,6 @@ class GroupElement:
     def __post_init__(self):
         if not self.a > 0.0:
             raise ValueError("a must be positive")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -47,19 +39,12 @@ class AlgebraElement:
     xi2: float
     dual: bool = False
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.xi1, self.xi2], [0.0, 0.0]])
-
 
 class MomentumState(NamedTuple):
     """Angular momentum in the body; maps to the plane by (x, y) = (m2, -m1)."""
 
     m1: float
     m2: float
-
-
-def identity_element() -> GroupElement:
-    return GroupElement(1.0, 0.0)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -97,18 +82,6 @@ def coadjoint_bracket(xi: AlgebraElement,
     return AlgebraElement(-xi.xi2 * zeta.xi2, xi.xi1 * zeta.xi2, dual=True)
 
 
-def group_exp(xi: AlgebraElement, t: float = 1.0) -> GroupElement:
-    """exp(t xi) = [[e^{t xi1}, xi2 * (e^{t xi1} - 1)/xi1], [0, 1]],
-    with the xi1 -> 0 limit [[1, xi2 t], [0, 1]]."""
-    u = t * xi.xi1
-    if abs(u) < 1e-12:
-        # expm1(u)/xi1 -> t as xi1 -> 0
-        f = t if xi.xi1 == 0.0 else math.expm1(u) / xi.xi1
-    else:
-        f = math.expm1(u) / xi.xi1
-    return GroupElement(math.exp(u), xi.xi2 * f)
-
-
 def euler_arnold_rhs(m: MomentumState) -> MomentumState:
     """dM/dt = {M, M} = (-m2^2, m1*m2) for the identity inertia operator."""
     return MomentumState(-m.m2 * m.m2, m.m1 * m.m2)
@@ -116,23 +89,3 @@ def euler_arnold_rhs(m: MomentumState) -> MomentumState:
 
 def momentum_to_plane(m: MomentumState) -> tuple[float, float]:
     return (m.m2, -m.m1)
-
-
-def plane_to_momentum(x: float, y: float) -> MomentumState:
-    return MomentumState(-y, x)
-
-
-def kinetic_energy(m: MomentumState) -> float:
-    return 0.5 * (m.m1 * m.m1 + m.m2 * m.m2)
-
-
-def integrate_euler_arnold(m0: MomentumState, t: float,
-                           tol: float = 1e-10) -> MomentumState:
-    """Integrate the momentum equation for time t.
-
-    Under the exact map (x, y) = (m2, -m1) it is the planar conservative
-    flow, so this is ``model.flow_unperturbed`` in momentum coordinates;
-    tol bounds the relative drift of the energy, twice the kinetic energy.
-    """
-    return plane_to_momentum(*flow_unperturbed(momentum_to_plane(m0), t,
-                                               tol))

@@ -39,10 +39,8 @@ class TestFunction:
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
-    d3f: Callable[[np.ndarray], np.ndarray]
     df_over_y_limit0: float | None
     in_domain: bool
-    bounded_derivs3: bool
 
     def __call__(self, y):
         return self.f(y)
@@ -55,10 +53,8 @@ def gauss_bump() -> TestFunction:
         f=e,
         df=lambda y: -2.0 * y * e(y),
         d2f=lambda y: (4.0 * np.square(y) - 2.0) * e(y),
-        d3f=lambda y: (12.0 * y - 8.0 * y ** 3) * e(y),
         df_over_y_limit0=-2.0,
         in_domain=True,
-        bounded_derivs3=True,
     )
 
 
@@ -68,10 +64,8 @@ def lorentzian() -> TestFunction:
         f=lambda y: 1.0 / (1.0 + np.square(y)),
         df=lambda y: -2.0 * y / (1.0 + np.square(y)) ** 2,
         d2f=lambda y: (6.0 * np.square(y) - 2.0) / (1.0 + np.square(y)) ** 3,
-        d3f=lambda y: (24.0 * y - 24.0 * y ** 3) / (1.0 + np.square(y)) ** 4,
         df_over_y_limit0=-2.0,
         in_domain=True,
-        bounded_derivs3=True,
     )
 
 
@@ -82,10 +76,8 @@ def square_fn() -> TestFunction:
         f=lambda y: np.square(y),
         df=lambda y: 2.0 * y,
         d2f=lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=np.float64)),
-        d3f=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
         df_over_y_limit0=2.0,
         in_domain=True,
-        bounded_derivs3=False,
     )
 
 
@@ -96,43 +88,14 @@ def cos_square() -> TestFunction:
         df=lambda y: -2.0 * y * np.sin(np.square(y)),
         d2f=lambda y: -2.0 * np.sin(np.square(y))
         - 4.0 * np.square(y) * np.cos(np.square(y)),
-        d3f=lambda y: -12.0 * y * np.cos(np.square(y))
-        + 8.0 * y ** 3 * np.sin(np.square(y)),
         df_over_y_limit0=0.0,
         in_domain=True,
-        bounded_derivs3=False,
     )
 
 
-def constant_fn(c: float = 1.0) -> TestFunction:
-    z = lambda y: np.zeros_like(np.asarray(y, dtype=np.float64))
-    return TestFunction(
-        name=f"const({c})",
-        f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), c),
-        df=z, d2f=z, d3f=z,
-        df_over_y_limit0=0.0,
-        in_domain=True,
-        bounded_derivs3=True,
-    )
-
-
-def identity_fn() -> TestFunction:
-    # f'(0) = 1 != 0: not in the generator's domain
-    return TestFunction(
-        name="y",
-        f=lambda y: np.asarray(y, dtype=np.float64) + 0.0,
-        df=lambda y: np.ones_like(np.asarray(y, dtype=np.float64)),
-        d2f=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        d3f=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        df_over_y_limit0=None,
-        in_domain=False,
-        bounded_derivs3=True,
-    )
-
-
-def catalog() -> tuple[TestFunction, ...]:
-    """The shipped test functions; all satisfy f'(0) = 0."""
-    return (gauss_bump(), lorentzian(), square_fn(), cos_square())
+# The shipped test functions by CLI name; all satisfy f'(0) = 0.
+TEST_FUNCTIONS = {"exp": gauss_bump(), "inv": lorentzian(),
+                  "y2": square_fn(), "cos": cos_square()}
 
 
 @dataclass(frozen=True)
@@ -169,34 +132,6 @@ def generator_apply(f: TestFunction, y):
     return float(out[0]) if scalar else out
 
 
-@dataclass
-class DomainReport:
-    name: str
-    probe_points: np.ndarray
-    fprime_values: np.ndarray
-    ratio_values: np.ndarray
-    fprime_vanishes: bool
-    ratio_stabilizes: bool
-    ratio_estimate: float
-
-    @property
-    def passed(self) -> bool:
-        return self.fprime_vanishes and self.ratio_stabilizes
-
-
-def domain_check(f: TestFunction) -> DomainReport:
-    """Numerically probe whether f'(0+) = 0 and f'(y)/y has a limit."""
-    ys = 10.0 ** -np.arange(1, 7, dtype=np.float64)
-    fp = np.asarray(f.df(ys), dtype=np.float64)
-    ratio = fp / ys
-    vanishes = abs(fp[-1]) < 1e-4
-    stabilizes = abs(ratio[-1] - ratio[-2]) <= 1e-3 * max(1.0, abs(ratio[-1]))
-    return DomainReport(
-        name=f.name, probe_points=ys, fprime_values=fp, ratio_values=ratio,
-        fprime_vanishes=bool(vanishes), ratio_stabilizes=bool(stabilizes),
-        ratio_estimate=float(ratio[-1]))
-
-
 def _drift_coeffs(variant: str) -> tuple[float, float]:
     # d(Y^2) = (a - b Y^2) dt + 2|Y| dW
     if variant == "damped":
@@ -205,52 +140,22 @@ def _drift_coeffs(variant: str) -> tuple[float, float]:
 
 
 def simulate_limit_em(p: LimitParams, grid: TimeGrid,
-                      stream: RngStream | None,
-                      drift_only: bool = False) -> PathSample:
+                      stream: RngStream) -> PathSample:
     """Direct discretization, positivity-preserving.
 
     The square S = Y^2 satisfies dS = (a - b S) dt + 2 sqrt(S) dW with
     (a, b) = (2, 2) for the damped variant and (3, 0) without dissipation;
     S is stepped explicitly, reflecting rare negative excursions, and the
     path returned is sqrt(S) > 0.
-
-    ``drift_only`` integrates the noise-free Y-equation instead (the unit
-    of the S-drift coming from the quadratic variation is dropped with the
-    noise), e.g. dY = (1/(2Y) - Y) dt with fixed point 1/sqrt(2).
     """
-    if drift_only:
-        z = np.zeros((1, grid.n_steps))
-    elif stream is None:
-        raise ValueError("a noise stream is required unless drift_only")
-    else:
-        z = stream.normals(grid.n_steps).reshape(1, -1)
+    z = stream.normals(grid.n_steps).reshape(1, -1)
     ys = np.empty((1, grid.n_steps + 1))
     a, b = _drift_coeffs(p.variant)
-    if drift_only:
-        a -= 1.0
     _kernels.limit_sq_em(p.y0, a, b, grid.step, z, ys)
-    seed = -1 if stream is None else stream.master_seed
-    ids = () if stream is None else (stream.stream_id,)
     return PathSample(grid=grid, states=ys[0].reshape(-1, 1),
-                      master_seed=seed, stream_ids=ids,
+                      master_seed=stream.master_seed,
+                      stream_ids=(stream.stream_id,),
                       scheme=f"limit_sq_em_{p.variant}")
-
-
-def limit_em_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,
-                    n_replicas: int, reduce_fn, stream_base: int = 0,
-                    batch_size: int = 2048) -> dict:
-    """Batched replicas of the direct scheme; reduce_fn(times, ys) -> dict."""
-    ts = grid.times()
-    a, b = _drift_coeffs(p.variant)
-    chunks = []
-    for b0 in range(0, n_replicas, batch_size):
-        nb = min(batch_size, n_replicas - b0)
-        ids = stream_base + np.arange(b0, b0 + nb, dtype=np.uint64)
-        z = normal_matrix(master_seed, ids, grid.n_steps)
-        ys = np.empty((nb, grid.n_steps + 1))
-        _kernels.limit_sq_em(p.y0, a, b, grid.step, z, ys)
-        chunks.append(reduce_fn(ts, ys))
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
 def _exact_step_coeffs(h: float) -> tuple[float, float]:

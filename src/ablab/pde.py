@@ -172,8 +172,7 @@ def feynman_kac_mc(y: float, t: float, f: TestFunction, n: int,
 
 
 def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
-                 master_seed: int, h: float = 5e-4,
-                 batch_size: int = 1024) -> StatReport:
+                 master_seed: int, h: float = 5e-4) -> StatReport:
     """E_{(x,y)} f2(X_t, Y_t) on the fast-slow system.
 
     As epsilon shrinks this approaches the limit solution evaluated at the
@@ -186,7 +185,7 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {
             "val": np.asarray(f2(xs[:, -1], ys[:, -1]), dtype=np.float64)},
-        batch_size=batch_size)
+        batch_size=1024)
     return StatReport.from_samples(out["val"], x0=x, y0=y, t=t,
                                    epsilon=p.epsilon, h=h, seed=master_seed,
                                    y_pi=project_pi((x, y)))

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab.analysis import (CrossingStats, ScalingFit, StatReport,
-                            StoppingRecord, crossing_stats,
-                            detect_stopping_times, excursion_anatomy,
+from ablab import limit
+from ablab.analysis import (MAX_CROSSINGS, ScalingFit, StatReport,
+                            _scan_batch, crossing_stats, excursion_anatomy,
                             excursion_probability, ks_critical_value,
                             ks_statistic, martingale_residual,
-                            martingale_residual_limit, min_time_for_moment,
-                            ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
-                            terminal_law_gap, window_residuals,
-                            x_collapse_gap, x_second_moment,
-                            x_second_moment_scaling)
-from ablab.limit import constant_fn, gauss_bump, lorentzian
+                            martingale_residual_limit, ou_exit_mc,
+                            ou_exit_one_sided, ou_exit_two_sided,
+                            terminal_law_gap, x_collapse_gap,
+                            x_second_moment, x_second_moment_scaling)
+from ablab.limit import gauss_bump
 from ablab.model import ModelParams
-from ablab.sde import PathSample, RngStream, TimeGrid
+from ablab.sde import PathSample, TimeGrid
 
 
 def scan_oracle(y, delta):
@@ -33,59 +32,68 @@ def scan_oracle(y, delta):
     return taus, sigmas
 
 
-def _path_from_y(y, step=0.1):
-    y = np.asarray(y, dtype=np.float64)
-    grid = TimeGrid(0.0, step * (len(y) - 1), step)
-    return PathSample(grid=grid, states=y.reshape(-1, 1), master_seed=0,
-                      stream_ids=(0,), scheme="synthetic")
+def scan_rows(rows, delta):
+    """Run _scan_batch on the rows as one batch, padding them to one length
+    with a value inside the band's gap (delta < |y| < 2 delta), which
+    starts no crossing.  Returns (taus, sigmas) index lists per row."""
+    length = max(len(r) for r in rows)
+    ys = np.full((len(rows), length), 1.5 * delta)
+    for i, r in enumerate(rows):
+        ys[i, :len(r)] = r
+    tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
+    return [(tau_idx[i, :n_tau[i]].tolist(), sig_idx[i, :n_sig[i]].tolist())
+            for i in range(len(rows))]
+
+
+def assert_rows_match_oracle(rows, delta):
+    for row, got in zip(rows, scan_rows(rows, delta)):
+        assert got == scan_oracle(row, delta)
 
 
 def test_detect_constant_path_no_crossings():
-    rec = detect_stopping_times(_path_from_y(np.full(50, 0.9)), delta=0.3)
-    assert rec.n == 0 and rec.taus.size == 0 and rec.sigmas.size == 0
+    rows = [np.full(50, 0.9), np.full(50, -0.9), np.full(50, 0.61)]
+    assert scan_rows(rows, delta=0.3) == [([], [])] * 3
 
 
 def test_detect_sawtooth_known_indices():
     delta = 0.3
     y = np.array([1.0, 0.8, 0.25, 0.1, 0.4, 0.7, 0.9, 0.2, 0.5])
-    rec = detect_stopping_times(_path_from_y(y), delta=delta)
-    # tau at index 2 (|y|<=0.3), sigma at index 5 (|y|>=0.6), tau at 7
-    assert np.allclose(rec.taus, [0.2, 0.7])
-    assert np.allclose(rec.sigmas, [0.5])
-    assert rec.n == 1
+    # tau at index 2 (|y|<=0.3), sigma at index 5 (|y|>=0.6), tau at 7;
+    # the same path mirrored, and a constant row, in the same batch
+    got = scan_rows([y, -y, np.full(9, 0.9)], delta)
+    assert got == [([2, 7], [5]), ([2, 7], [5]), ([], [])]
 
 
 def test_detect_matches_scan_oracle_on_brownian_path():
     rng = np.random.default_rng(42)
-    y = np.cumsum(math.sqrt(1e-3) * rng.standard_normal(10_000)) + 1.0
-    path = _path_from_y(y, step=1e-3)
-    rec = detect_stopping_times(path, delta=0.5)
-    taus, sigmas = scan_oracle(y, 0.5)
-    assert np.array_equal(rec.taus, path.grid.times()[taus])
-    assert np.array_equal(rec.sigmas, path.grid.times()[sigmas])
-    assert rec.n == len(sigmas)
+    rows = [np.cumsum(math.sqrt(1e-3) * rng.standard_normal(10_000)) + y0
+            for y0 in (1.0, 0.0, -0.7, 2.5)]
+    assert_rows_match_oracle(rows, 0.5)
+    # each row's reading does not depend on the rows batched with it
+    for row in rows:
+        assert scan_rows([row], 0.5) == [scan_oracle(row, 0.5)]
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2,
-                max_size=120),
+@given(st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2,
+                         max_size=120), min_size=1, max_size=4),
        st.floats(0.05, 1.0))
-def test_stopping_record_interleaving_property(ys, delta):
-    path = _path_from_y(np.asarray(ys))
-    rec = detect_stopping_times(path, delta=delta)  # validates on build
-    taus, sigmas = scan_oracle(np.asarray(ys), delta)
-    assert rec.taus.size == len(taus) and rec.sigmas.size == len(sigmas)
-    k = rec.sigmas.size
-    assert (rec.sigmas >= rec.taus[:k]).all()
+def test_stopping_record_interleaving_property(rows, delta):
+    for taus, sigmas in scan_rows(rows, delta):
+        assert len(taus) - 1 <= len(sigmas) <= len(taus)
+        assert all(t < s for t, s in zip(taus, sigmas))
+        assert all(s < t for s, t in zip(sigmas, taus[1:]))
+    assert_rows_match_oracle(rows, delta)
 
 
-def test_stopping_record_validation():
-    with pytest.raises(ValueError):
-        StoppingRecord(taus=np.array([1.0]), sigmas=np.array([0.5]),
-                       n=1, delta=0.1)
-    with pytest.raises(ValueError):
-        StoppingRecord(taus=np.array([]), sigmas=np.array([1.0]),
-                       n=1, delta=0.1)
+def test_scan_batch_raises_past_max_crossings():
+    delta = 0.3
+    zigzag = np.tile([0.0, 1.0], MAX_CROSSINGS)  # MAX_CROSSINGS taus
+    (taus, sigmas), = scan_rows([zigzag], delta)
+    assert len(taus) == MAX_CROSSINGS == len(sigmas)
+    one_more = np.append(zigzag, 0.0)
+    with pytest.raises(RuntimeError, match="more than 2048"):
+        scan_rows([np.full(9, 0.9), one_more], delta)
 
 
 def test_stat_report_basics():
@@ -132,7 +140,12 @@ def test_x_second_moment_scaling_slope():
 
 def test_martingale_residual_constant_function_is_zero():
     p = ModelParams(epsilon=0.1, x0=0.0, y0=2.0)
-    rep = martingale_residual(p, constant_fn(3.0), 0.5, 100, 14, h=1e-2)
+    zero = lambda y: np.zeros_like(np.asarray(y, dtype=np.float64))
+    const = limit.TestFunction(
+        name="const(3.0)",
+        f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 3.0),
+        df=zero, d2f=zero, df_over_y_limit0=0.0, in_domain=True)
+    rep = martingale_residual(p, const, 0.5, 100, 14, h=1e-2)
     assert abs(rep.estimate) < 1e-13 and rep.std_error < 1e-13
 
 
@@ -271,24 +284,11 @@ def test_excursion_anatomy_synthetic():
 
 def test_excursion_anatomy_no_dips_empty():
     y = np.linspace(1.0, 2.0, 10)
-    path = _path_from_y(y)
     states = np.column_stack([np.zeros(10), y])
-    path = PathSample(grid=path.grid, states=states, master_seed=0,
+    path = PathSample(grid=TimeGrid(0.0, 0.1 * 9, 0.1), states=states,
+                      master_seed=0,
                       stream_ids=(0, 1), scheme="synthetic")
     assert excursion_anatomy(path, a=0.5) == []
-
-
-def test_window_residuals_shrink_with_epsilon():
-    f = gauss_bump()
-    w1 = window_residuals(ModelParams(epsilon=0.1, x0=0.0, y0=2.0),
-                          f, 2.0, 2000, 28, h=1e-3)
-    w2 = window_residuals(ModelParams(epsilon=0.01, x0=0.0, y0=2.0),
-                          f, 2.0, 2000, 28, h=1e-3)
-    r1 = w1["generator_residual"]
-    r2 = w2["generator_residual"]
-    assert abs(r2.estimate) < abs(r1.estimate) + 3 * (r1.std_error
-                                                      + r2.std_error)
-    assert np.isfinite(w2["drift_replacement"].estimate)
 
 
 def test_ks_helpers():

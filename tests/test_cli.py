@@ -1,17 +1,79 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ablab.acceptance import criterion_moment_scaling
+from ablab.analysis import WEAK_GAP_SLACK, z_threshold
 from ablab.cli import main
+
+
+def run(args, out=None):
+    if out is not None:
+        args = [*args, "--out", str(out)]
+    return CliRunner().invoke(main, args)
 
 
 def test_lemma1_passes_by_the_criterion_5_window(tmp_path):
     window = criterion_moment_scaling(42).details["window"]
-    result = CliRunner().invoke(main, ["lemma1", "--replicas", "64",
-                                       "--out", str(tmp_path)])
+    result = run(["lemma1", "--replicas", "64"], tmp_path)
     report = json.loads((tmp_path / "xmoment_scaling.json").read_text())
     assert report["threshold"] == window
     lo, hi = window
     assert report["passed"] == (lo <= report["estimate"] <= hi)
+    assert result.exit_code == (0 if report["passed"] else 1)
+
+
+def test_config_errors_exit_2(tmp_path):
+    bad_key = tmp_path / "bad.cfg"
+    bad_key.write_text("epsilon = 1e-3\nepsilonn = 1e-2\n")
+    result = run(["project", "--config", str(bad_key)])
+    assert result.exit_code == 2
+    assert "unknown key 'epsilonn'" in result.output
+    result = run(["project", "--config", str(tmp_path / "missing.cfg")])
+    assert result.exit_code == 2
+    assert "cannot read config file" in result.output
+    result = run(["lemma1", "--epsilons", "0.1,0.01"], tmp_path)
+    assert result.exit_code == 2
+    assert not (tmp_path / "xmoment_scaling.json").exists()
+
+
+def test_project_prints_the_projected_start():
+    result = run(["project", "--x", "3", "--y", "4"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "5.0"
+
+
+def test_simulate_euler_divergence_exits_3(tmp_path):
+    result = run(["simulate", "--scheme", "euler", "--epsilon", "1e-4",
+                  "--step", "0.01"], tmp_path)
+    assert result.exit_code == 3
+    assert "divergence guard tripped" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_euler_arnold_exits_0(tmp_path):
+    result = run(["euler-arnold"], tmp_path)
+    assert result.exit_code == 0
+    report = json.loads((tmp_path / "euler_arnold.json").read_text())
+    assert report["passed"] and report["estimate"] == 0
+
+
+def _martingale_rule(report):
+    ctrl = report["params"]["control"]
+    return abs(ctrl["estimate"]) < z_threshold(ctrl["std_error"])
+
+
+@pytest.mark.parametrize("command, report_name, extra_rule", [
+    ("martingale", "martingale.json", _martingale_rule),
+    ("weak-gap", "weak_gap.json", lambda report: True),
+])
+def test_weak_gap_reports_follow_the_threshold_table(tmp_path, command,
+                                                     report_name, extra_rule):
+    result = run([command, "--replicas", "64"], tmp_path)
+    report = json.loads((tmp_path / report_name).read_text())
+    thresh = z_threshold(report["std_error"], WEAK_GAP_SLACK)
+    assert report["threshold"] == thresh
+    assert report["passed"] == (abs(report["estimate"]) < thresh
+                                and extra_rule(report))
     assert result.exit_code == (0 if report["passed"] else 1)

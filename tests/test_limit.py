@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
+from ablab import _kernels, limit
 from ablab.analysis import ks_critical_value, ks_statistic
-from ablab.limit import (LimitParams, catalog, constant_fn, cos_square,
-                         domain_check, expected_square, gauss_bump,
-                         generator_apply, identity_fn, limit_em_reduce,
-                         limit_exact_reduce, limit_exact_terminal, lorentzian,
+from ablab.limit import (TEST_FUNCTIONS, LimitParams, _drift_coeffs,
+                         expected_square, gauss_bump, generator_apply,
+                         limit_exact_reduce, limit_exact_terminal,
                          simulate_limit_em, simulate_limit_exact, square_fn,
                          stationary_mean, stationary_square_cdf)
-from ablab.sde import RngStream, TimeGrid
+from ablab.sde import RngStream, TimeGrid, normal_matrix
 
 
 def ks_one_sample(samples, cdf):
@@ -23,6 +23,21 @@ def ks_one_sample(samples, cdf):
     return max(up, dn)
 
 
+def em_reduce(p, grid, master_seed, n, reduce_fn, batch_size=2048):
+    """Replicas of the direct scheme behind ``simulate --system limit-em``,
+    replica i on stream i; reduce_fn(times, ys) -> dict of arrays."""
+    a, b = _drift_coeffs(p.variant)
+    chunks = []
+    for b0 in range(0, n, batch_size):
+        nb = min(batch_size, n - b0)
+        ids = np.arange(b0, b0 + nb, dtype=np.uint64)
+        z = normal_matrix(master_seed, ids, grid.n_steps)
+        ys = np.empty((nb, grid.n_steps + 1))
+        _kernels.limit_sq_em(p.y0, a, b, grid.step, z, ys)
+        chunks.append(reduce_fn(grid.times(), ys))
+    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+
+
 def test_generator_on_square_fn():
     f = square_fn()
     assert generator_apply(f, 1.0) == 0.0
@@ -32,13 +47,19 @@ def test_generator_on_square_fn():
 
 
 def test_generator_zero_below_origin():
-    for f in catalog():
+    for f in TEST_FUNCTIONS.values():
         assert generator_apply(f, -1.0) == 0.0
 
 
 def test_generator_rejects_bad_function_at_origin():
+    # f(y) = y: f'(0) = 1 != 0, so f is not in the generator's domain
+    one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
+    identity = limit.TestFunction(
+        name="y", f=lambda y: np.asarray(y, dtype=np.float64), df=one,
+        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None, in_domain=False)
+    assert generator_apply(identity, 1.0) == 0.5 / 1.0 - 1.0
     with pytest.raises(ValueError):
-        generator_apply(identity_fn(), 0.0)
+        generator_apply(identity, 0.0)
 
 
 def test_generator_vectorized_matches_scalar():
@@ -55,30 +76,17 @@ def test_derivative_evaluators_match_finite_differences():
     # central differences at scattered points
     eps = 1e-5
     ys = np.array([0.1, 0.7, 1.3, 2.4])
-    for f in catalog():
+    for f in TEST_FUNCTIONS.values():
         fd1 = (f(ys + eps) - f(ys - eps)) / (2 * eps)
         fd2 = (f(ys + eps) - 2 * f(ys) + f(ys - eps)) / eps ** 2
-        fd3 = (f.df(ys + eps) - 2 * f.df(ys) + f.df(ys - eps)) / eps ** 2
         assert np.allclose(f.df(ys), fd1, rtol=1e-6, atol=1e-6), f.name
         assert np.allclose(f.d2f(ys), fd2, rtol=1e-4, atol=1e-4), f.name
-        assert np.allclose(f.d3f(ys), fd3, rtol=1e-4, atol=1e-4), f.name
-
-
-def test_domain_check_catalog():
-    rep = domain_check(gauss_bump())
-    assert rep.passed and rep.ratio_estimate == pytest.approx(-2.0, abs=1e-6)
-    rep = domain_check(lorentzian())
-    assert rep.passed and rep.ratio_estimate == pytest.approx(-2.0, abs=1e-6)
-    rep = domain_check(identity_fn())
-    assert not rep.passed and not rep.fprime_vanishes
-    rep = domain_check(cos_square())
-    assert rep.passed and rep.ratio_estimate == pytest.approx(0.0, abs=1e-6)
 
 
 def test_domain_flag_consistency():
     # in-domain functions have f'(y)/y bounded near 0
     ys = 10.0 ** -np.arange(1, 7)
-    for f in catalog():
+    for f in TEST_FUNCTIONS.values():
         ratios = f.df(ys) / ys
         assert np.isfinite(ratios).all() and np.abs(ratios).max() < 10.0
 
@@ -91,17 +99,13 @@ def test_limit_params_validation():
 
 
 def test_em_drift_only_fixed_point():
-    p = LimitParams(y0=1.0, horizon=10.0)
+    # Without noise the quadratic-variation unit of the S-drift goes too:
+    # dS = (1 - 2S) dt is dY = (1/(2Y) - Y) dt, fixed point 1/sqrt(2).
     grid = TimeGrid(0.0, 10.0, 1e-4)
-    path = simulate_limit_em(p, grid, None, drift_only=True)
-    assert path.states[-1, 0] == pytest.approx(1.0 / math.sqrt(2.0),
-                                               abs=1e-4)
-
-
-def test_em_requires_stream_when_noisy():
-    p = LimitParams(y0=1.0)
-    with pytest.raises(ValueError):
-        simulate_limit_em(p, TimeGrid(0.0, 1.0, 0.1), None)
+    ys = np.empty((1, grid.n_steps + 1))
+    _kernels.limit_sq_em(1.0, 1.0, 2.0, grid.step,
+                         np.zeros((1, grid.n_steps)), ys)
+    assert ys[0, -1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
 
 
 def test_em_path_stays_positive():
@@ -114,8 +118,8 @@ def test_em_path_stays_positive():
 def test_em_second_moment_matches_closed_form():
     p = LimitParams(y0=2.0, horizon=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    out = limit_em_reduce(p, grid, 17, 5000,
-                          lambda ts, ys: {"y2": ys[:, -1] ** 2})
+    out = em_reduce(p, grid, 17, 5000,
+                    lambda ts, ys: {"y2": ys[:, -1] ** 2})
     target = expected_square(2.0, 1.0)
     se = out["y2"].std(ddof=1) / math.sqrt(out["y2"].size)
     assert abs(out["y2"].mean() - target) < 3 * se + 0.02
@@ -152,7 +156,7 @@ def test_sampler_agreement_em_vs_exact():
     n = 10_000
     p = LimitParams(y0=1.0, horizon=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-4)
-    em = limit_em_reduce(p, grid, 21, n, lambda ts, ys: {"yT": ys[:, -1]})
+    em = em_reduce(p, grid, 21, n, lambda ts, ys: {"yT": ys[:, -1]})
     ex = limit_exact_terminal(1.0, [1.0], n, 22)[:, 0]
     assert ks_statistic(em["yT"], ex) < ks_critical_value(n, n)
 
@@ -223,10 +227,10 @@ def test_inaccessibility_dip_fraction(small_start_paths):
 
 
 def test_martingale_property_of_generator():
-    # E[f(Y_T) - f(y0) - int A f] = 0 for bounded-derivative catalog
-    # functions on the exact sampler
+    # E[f(Y_T) - f(y0) - int A f] = 0 on the exact sampler, for the test
+    # functions with bounded derivatives
     from ablab.analysis import martingale_residual_limit
-    for f in [f for f in catalog() if f.bounded_derivs3]:
+    for f in (TEST_FUNCTIONS["exp"], TEST_FUNCTIONS["inv"]):
         rep = martingale_residual_limit(1.5, f, 1.0, 30_000, 55, h=1e-3)
         assert abs(rep.estimate) < 3 * rep.std_error, f.name
 
@@ -235,14 +239,18 @@ def test_no_dissipation_growth():
     # E[Y_t^2] = y0^2 + 3t for the variant without damping
     p = LimitParams(y0=1.0, variant="no_dissipation", horizon=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    out = limit_em_reduce(p, grid, 66, 20_000,
-                          lambda ts, ys: {"y2": ys[:, -1] ** 2})
+    out = em_reduce(p, grid, 66, 20_000,
+                    lambda ts, ys: {"y2": ys[:, -1] ** 2})
     target = expected_square(1.0, 1.0, variant="no_dissipation")
     se = out["y2"].std(ddof=1) / math.sqrt(out["y2"].size)
     assert abs(out["y2"].mean() - target) < 3 * se
 
 
 def test_constant_function_helpers():
-    c = constant_fn(2.5)
+    zero = lambda y: np.zeros_like(np.asarray(y, dtype=np.float64))
+    c = limit.TestFunction(
+        name="const(2.5)",
+        f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 2.5),
+        df=zero, d2f=zero, df_over_y_limit0=0.0, in_domain=True)
     assert float(c(np.float64(0.3))) == 2.5
-    assert generator_apply(c, 1.0) == 0.0
+    assert (generator_apply(c, np.array([-1.0, 0.0, 1.0])) == 0.0).all()

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ablab.limit import constant_fn, expected_square, gauss_bump, square_fn
+from ablab import limit
+from ablab.limit import expected_square, gauss_bump, square_fn
 from ablab.model import ModelParams, project_pi
 from ablab.pde import Grid1D, cauchy_2d_mc, feynman_kac_mc, solve_limit_pde
+
+
+def constant_fn(c):
+    zero = lambda y: np.zeros_like(np.asarray(y, dtype=np.float64))
+    return limit.TestFunction(
+        name=f"const({c})",
+        f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), c),
+        df=zero, d2f=zero, df_over_y_limit0=0.0, in_domain=True)
 
 
 def closed_form_square(t, y):
