@@ -18,20 +18,19 @@ from . import __version__, euler_arnold as ea
 from .analysis import (KS_COEFF_1PCT, MOMENT_SCALING_WINDOW,
                        WEAK_GAP_SLACK, Z_GATE, crossing_stats,
                        excursion_anatomy, excursion_probability,
-                       ks_critical_value, ks_statistic, martingale_residual,
-                       martingale_residual_limit, ou_exit_mc,
-                       ou_exit_one_sided, ou_exit_two_sided,
+                       ks_critical_value, ks_statistic,
+                       martingale_residual_limit, martingale_residuals,
+                       ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
                        terminal_law_gap, x_collapse_gap,
                        x_second_moment_scaling, z_threshold)
 from .limit import (expected_square, gauss_bump, limit_exact_terminal,
                     lorentzian, square_fn, stationary_mean,
                     stationary_square_cdf)
 from .model import (ModelParams, flow_unperturbed, project_pi,
-                    project_pi_flow, rescaled_reduce, simulate_rescaled,
-                    unperturbed_rhs)
+                    project_pi_flow, rescaled_reduce, unperturbed_rhs)
 from .pde import Grid1D, cauchy_2d_mc, solve_limit_pde
 from .reporting import _jsonable
-from .sde import RngStream, TimeGrid
+from .sde import TimeGrid
 
 
 @dataclass
@@ -178,13 +177,13 @@ def criterion_weak_convergence(seed: int) -> CriterionResult:
     ladder = (0.1, 0.01, 0.001)
     details = {}
     ok = True
-    for f in (gauss_bump(), lorentzian()):
-        vals = []
-        for eps in ladder:
-            rep = martingale_residual(
-                ModelParams(epsilon=eps, x0=0.0, y0=2.0), f, 1.0, 20_000,
-                _seed(seed, 71), h=1e-3)
-            vals.append(rep)
+    # both test functions read the same paths: one pass per epsilon
+    fs = (gauss_bump(), lorentzian())
+    rungs = [martingale_residuals(ModelParams(epsilon=eps, x0=0.0, y0=2.0),
+                                  fs, 1.0, 20_000, _seed(seed, 71), h=1e-3)
+             for eps in ladder]
+    for k, f in enumerate(fs):
+        vals = [reps[k] for reps in rungs]
         mags = [abs(r.estimate) for r in vals]
         fin = vals[-1]
         thresh = z_threshold(fin.std_error, WEAK_GAP_SLACK)
@@ -252,12 +251,10 @@ def criterion_metastability(seed: int) -> CriterionResult:
     # anatomy at eps = 0.2
     p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0, horizon=20.0)
     grid = TimeGrid(0.0, 20.0, 1e-3)
-    records = []
-    for i in range(30):
-        path = simulate_rescaled(p, grid,
-                                 (RngStream(_seed(seed, 82), 2 * i),
-                                  RngStream(_seed(seed, 82), 2 * i + 1)))
-        records.extend(excursion_anatomy(path, a=0.25))
+    paths = rescaled_reduce(p, grid, _seed(seed, 82), 30,
+                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
+    records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
+                                a=0.25)
     rec_ok = len(records) > 0
     max_x = sorted(r.max_abs_x for r in records)
     details = {"ladder": [r.to_dict() for r in probs],

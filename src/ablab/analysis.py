@@ -18,10 +18,10 @@ from scipy import integrate
 from scipy.special import erf, erfcx, erfi
 
 from . import _kernels
-from .limit import LimitParams, TestFunction, generator_apply, \
-    limit_exact_reduce, limit_exact_terminal
+from .limit import LimitParams, TestFunction, _exact_step_coeffs, \
+    generator_apply, limit_exact_reduce, limit_exact_terminal
 from .model import ModelParams, project_pi, rescaled_reduce
-from .sde import PathSample, RngStream, TimeGrid
+from .sde import RngStream, TimeGrid
 
 # ---------------------------------------------------------------------------
 # pass thresholds, shared by the acceptance battery and the CLI
@@ -208,10 +208,12 @@ def _trapezoid(w: np.ndarray, h: float) -> np.ndarray:
     return h * (w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1]))
 
 
-def martingale_residual(p: ModelParams, f: TestFunction, T: float, n: int,
-                        master_seed: int, h: float = 1e-3) -> StatReport:
+def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
+                         T: float, n: int, master_seed: int,
+                         h: float = 1e-3) -> list[StatReport]:
     """E[f(Y_T) - f(projected start) - int_0^T A f(Y_t) dt] on the
-    perturbed system; the generator value is 0 wherever Y < 0.
+    perturbed system, for each f of ``fs`` on the same paths; the generator
+    value is 0 wherever Y < 0.
 
     The path's own radius hypot(X, Y) serves as a coupled control variate:
     it is exactly the limit process in law (the 1/eps terms cancel in the
@@ -223,19 +225,29 @@ def martingale_residual(p: ModelParams, f: TestFunction, T: float, n: int,
     grid = TimeGrid(0.0, T, h)
 
     def reduce_fn(ts, xs, ys, div):
-        af = generator_apply(f, ys.ravel()).reshape(ys.shape)
-        res = f(ys[:, -1]) - f(np.float64(y_pi)) - _trapezoid(af, h)
         rs = np.hypot(xs, ys)
-        af_c = generator_apply(f, rs.ravel()).reshape(rs.shape)
-        res = res - (f(rs[:, -1]) - f(np.float64(y_pi))
-                     - _trapezoid(af_c, h))
-        return {"res": res, "div": div}
+        residuals = {"div": div}
+        for k, f in enumerate(fs):
+            af = generator_apply(f, ys.ravel()).reshape(ys.shape)
+            res = f(ys[:, -1]) - f(np.float64(y_pi)) - _trapezoid(af, h)
+            af_c = generator_apply(f, rs.ravel()).reshape(rs.shape)
+            residuals[k] = res - (f(rs[:, -1]) - f(np.float64(y_pi))
+                                  - _trapezoid(af_c, h))
+        return residuals
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
                           batch_size=512)
-    return StatReport.from_samples(
-        out["res"], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
-        y_pi=y_pi, diverged=int(out["div"].sum()), control_variate=True)
+    diverged = int(out["div"].sum())
+    return [StatReport.from_samples(
+        out[k], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
+        y_pi=y_pi, diverged=diverged, control_variate=True)
+        for k, f in enumerate(fs)]
+
+
+def martingale_residual(p: ModelParams, f: TestFunction, T: float, n: int,
+                        master_seed: int, h: float = 1e-3) -> StatReport:
+    """``martingale_residuals`` for one test function."""
+    return martingale_residuals(p, (f,), T, n, master_seed, h)[0]
 
 
 def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
@@ -386,8 +398,7 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
         h = scale / 300.0
     if t_max is None:
         t_max = 60.0 * scale
-    decay = math.exp(-h)
-    sd = math.sqrt(-math.expm1(-2.0 * h) / 2.0)
+    decay, sd = _exact_step_coeffs(h)
 
     x = np.full(n, x0, dtype=np.float64)
     t = np.zeros(n)
@@ -566,36 +577,36 @@ class ExcursionRecord:
     min_y: float
 
 
-def excursion_anatomy(path: PathSample, a: float) -> list[ExcursionRecord]:
-    """Dips of Y below -a: entry time, time of return above +a, and the
-    largest |X| seen in between (the excursions hug the y-axis)."""
+def excursion_anatomy(ts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                      a: float) -> list[ExcursionRecord]:
+    """Dips of Y below -a along each row of (xs, ys) on the times ts, in
+    row order: entry time, time of return above +a, and the largest |X|
+    seen in between (the excursions hug the y-axis)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
-    ts = path.grid.times()
-    x = path.states[:, 0]
-    y = path.states[:, -1]
     records: list[ExcursionRecord] = []
-    i = 0
-    length = y.size
-    while i < length:
-        below = np.nonzero(y[i:] <= -a)[0]
-        if below.size == 0:
-            break
-        start = i + int(below[0])
-        back = np.nonzero(y[start:] >= a)[0]
-        if back.size == 0:
-            end = length - 1
-            ret = None
-        else:
-            end = start + int(back[0])
-            ret = float(ts[end])
-        seg_x = x[start:end + 1]
-        seg_y = y[start:end + 1]
-        records.append(ExcursionRecord(
-            entry_time=float(ts[start]), return_time=ret,
-            max_abs_x=float(np.abs(seg_x).max()),
-            min_y=float(seg_y.min())))
-        i = end + 1
-        if ret is None:
-            break
+    for x, y in zip(xs, ys):
+        i = 0
+        length = y.size
+        while i < length:
+            below = np.nonzero(y[i:] <= -a)[0]
+            if below.size == 0:
+                break
+            start = i + int(below[0])
+            back = np.nonzero(y[start:] >= a)[0]
+            if back.size == 0:
+                end = length - 1
+                ret = None
+            else:
+                end = start + int(back[0])
+                ret = float(ts[end])
+            seg_x = x[start:end + 1]
+            seg_y = y[start:end + 1]
+            records.append(ExcursionRecord(
+                entry_time=float(ts[start]), return_time=ret,
+                max_abs_x=float(np.abs(seg_x).max()),
+                min_y=float(seg_y.min())))
+            i = end + 1
+            if ret is None:
+                break
     return records

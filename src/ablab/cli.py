@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -20,13 +21,12 @@ from .analysis import (MOMENT_SCALING_WINDOW, PDE_PROBE_SLACK,
                        excursion_probability, martingale_residual,
                        martingale_residual_limit, terminal_law_gap,
                        x_collapse_gap, x_second_moment_scaling, z_threshold)
-from .limit import (TEST_FUNCTIONS, LimitParams, simulate_limit_em,
-                    simulate_limit_exact)
-from .model import (ModelParams, project_pi, simulate_rescaled,
-                    simulate_slowtime)
+from .limit import TEST_FUNCTIONS, LimitParams, _em_advance, _exact_advance
+from .model import (ModelParams, _rescaled_advance, _slowtime_advance,
+                    project_pi, replica_reduce, rescaled_reduce)
 from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
 from .reporting import path_to_csv, report_json, scaling_to_csv
-from .sde import RngStream, TimeGrid
+from .sde import PathSample, TimeGrid
 
 DEFAULTS = {
     "epsilon": 1e-3,
@@ -198,6 +198,37 @@ def main():
     damped radial Bessel limit."""
 
 
+def _system_advance(s: dict, grid: TimeGrid):
+    """The advance that ``simulate --system`` runs, its scheme label and
+    the streams it reads."""
+    system = s["system"]
+    if system == "rescaled":
+        return (partial(_rescaled_advance, _model_params(s), grid,
+                        s["scheme"]), f"rescaled_{s['scheme']}", (0, 1))
+    if system == "slowtime":
+        return (partial(_slowtime_advance, _model_params(s), grid),
+                "slowtime_euler", (0, 1))
+    y0, horizon = float(s["y0"]), float(s["horizon"])
+    if system == "limit-em":
+        variant = "damped" if s["variant"] == "dissipative" \
+            else "no_dissipation"
+        lp = LimitParams(y0=y0, variant=variant, horizon=horizon)
+        # the direct scheme reads z1 only
+        return (partial(_em_advance, lp, grid), f"limit_sq_em_{variant}",
+                (0,))
+    return (partial(_exact_advance, LimitParams(y0=y0, horizon=horizon),
+                    grid), "limit_exact_ou2d", (0, 1))
+
+
+def _path_columns(ts, *arrays) -> dict:
+    """``reduce_fn`` of ``simulate``: the float arrays an advance returns
+    are the state columns; its bool array, if any, flags divergence."""
+    cols = [a for a in arrays if a.dtype != bool]
+    flags = [a for a in arrays if a.dtype == bool]
+    return {"states": np.stack(cols, axis=-1),
+            "div": flags[0] if flags else np.zeros(len(cols[0]), dtype=bool)}
+
+
 @main.command()
 @common_options
 @click.option("--system", type=click.Choice(
@@ -207,36 +238,23 @@ def main():
 @click.option("--polar", is_flag=True, default=False,
               help="append radius/angle columns to 2-d paths")
 def simulate(config_path, polar, **kw):
-    """Simulate one path and export it."""
+    """Simulate one path and export it: replica 0 of the batch driver,
+    which reads streams (seed, 0) and (seed, 1)."""
     s = _settings(config_path, kw)
     grid = TimeGrid(0.0, float(s["horizon"]), float(s["step"]))
     seed = int(s["seed"])
-    system = s["system"]
-    if system == "rescaled":
-        p = _model_params(s)
-        path = simulate_rescaled(p, grid, (RngStream(seed, 0),
-                                           RngStream(seed, 1)),
-                                 scheme=s["scheme"])
-    elif system == "slowtime":
-        p = _model_params(s)
-        path = simulate_slowtime(p, grid, (RngStream(seed, 0),
-                                           RngStream(seed, 1)))
-    elif system == "limit-em":
-        lp = LimitParams(y0=float(s["y0"]),
-                         variant="damped" if s["variant"] == "dissipative"
-                         else "no_dissipation",
-                         horizon=float(s["horizon"]))
-        path = simulate_limit_em(lp, grid, RngStream(seed, 0))
-    else:
-        lp = LimitParams(y0=float(s["y0"]), horizon=float(s["horizon"]))
-        path = simulate_limit_exact(lp, grid, (RngStream(seed, 0),
-                                               RngStream(seed, 1)))
+    advance, scheme, stream_ids = _system_advance(s, grid)
+    first = replica_reduce(advance, grid, seed, 1, _path_columns,
+                           batch_size=1)
+    path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
+                      stream_ids=stream_ids, scheme=scheme,
+                      diverged=bool(first["div"][0]))
     if path.diverged:
         click.echo("divergence guard tripped: step too large for this "
                    "stiffness (reduce --step or use the splitting scheme)",
                    err=True)
         sys.exit(3)
-    name = f"path_{system}_seed{seed}.{s['format']}"
+    name = f"path_{s['system']}_seed{seed}.{s['format']}"
     out = _out_dir(s) / name
     if s["format"] == "csv":
         with open(out, "w") as fh:
@@ -278,10 +296,10 @@ def lemma1(config_path, **kw):
     passed = lo <= fit.slope <= hi
     with open(_out_dir(s) / "xmoment_scaling.csv", "w") as fh:
         scaling_to_csv(fit, fh, seed=s["seed"], config={"alpha": s["alpha"],
-                                                        "t": s["t"]})
+                                                        "t": t})
     _write_report(s, "xmoment_scaling.json", report_json(
         "x_second_moment_scaling",
-        {"epsilons": eps, "alpha": s["alpha"], "t": s["t"],
+        {"epsilons": eps, "alpha": s["alpha"], "t": t,
          "replicas": s["replicas"]},
         fit.slope, fit.slope_se, int(s["replicas"]), passed,
         [lo, hi], s["seed"]))
@@ -401,12 +419,10 @@ def excursions(config_path, **kw):
                     variant=s["variant"], x0=float(s["x0"]),
                     y0=float(s["y0"]), horizon=t)
     grid = TimeGrid(0.0, t, float(s["step"]))
-    records = []
-    for i in range(20):
-        path = simulate_rescaled(p, grid,
-                                 (RngStream(int(s["seed"]) + 7, 2 * i),
-                                  RngStream(int(s["seed"]) + 7, 2 * i + 1)))
-        records.extend(excursion_anatomy(path, a=a / 2.0))
+    paths = rescaled_reduce(p, grid, int(s["seed"]) + 7, 20,
+                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
+    records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
+                                a=a / 2.0)
     _write_report(s, "excursions.json", report_json(
         "excursion_probability",
         {"a": a, "t": t, "epsilons": eps,

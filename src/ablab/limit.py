@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
-from .sde import PathSample, RngStream, TimeGrid, normal_matrix
+from .model import replica_reduce
+from .sde import TimeGrid, normal_matrix
 
 VARIANTS = ("damped", "no_dissipation")
 
@@ -139,23 +141,19 @@ def _drift_coeffs(variant: str) -> tuple[float, float]:
     return 3.0, 0.0
 
 
-def simulate_limit_em(p: LimitParams, grid: TimeGrid,
-                      stream: RngStream) -> PathSample:
-    """Direct discretization, positivity-preserving.
+def _em_advance(p: LimitParams, grid: TimeGrid, z1, z2):
+    """Direct discretization, positivity-preserving: (ys,) from one batch
+    of draws.  It reads z1 only.
 
     The square S = Y^2 satisfies dS = (a - b S) dt + 2 sqrt(S) dW with
     (a, b) = (2, 2) for the damped variant and (3, 0) without dissipation;
     S is stepped explicitly, reflecting rare negative excursions, and the
     path returned is sqrt(S) > 0.
     """
-    z = stream.normals(grid.n_steps).reshape(1, -1)
-    ys = np.empty((1, grid.n_steps + 1))
+    ys = np.empty((z1.shape[0], grid.n_steps + 1))
     a, b = _drift_coeffs(p.variant)
-    _kernels.limit_sq_em(p.y0, a, b, grid.step, z, ys)
-    return PathSample(grid=grid, states=ys[0].reshape(-1, 1),
-                      master_seed=stream.master_seed,
-                      stream_ids=(stream.stream_id,),
-                      scheme=f"limit_sq_em_{p.variant}")
+    _kernels.limit_sq_em(p.y0, a, b, grid.step, z1, ys)
+    return (ys,)
 
 
 def _exact_step_coeffs(h: float) -> tuple[float, float]:
@@ -164,58 +162,42 @@ def _exact_step_coeffs(h: float) -> tuple[float, float]:
     return decay, sd
 
 
-def simulate_limit_exact(p: LimitParams, grid: TimeGrid,
-                         streams: tuple[RngStream, RngStream]) -> PathSample:
-    """Exact-in-law sampler: radius of a 2-d OU process dZ = -Z dt + dW.
+def _exact_advance(p: LimitParams, grid: TimeGrid, z1, z2):
+    """Exact-in-law sampler, the radius of a 2-d OU process dZ = -Z dt + dW:
+    (rs,) from one batch of draws.
 
     Gaussian transitions are sampled coordinate-wise from Z0 = (0, y0), so
     the path law at the grid times carries no discretization bias.  The
     damped variant only.
     """
-    if p.variant != "damped":
-        raise ValueError("exact sampler exists for the damped variant only")
-    s1, s2 = streams
-    z1 = s1.normals(grid.n_steps).reshape(1, -1)
-    z2 = s2.normals(grid.n_steps).reshape(1, -1)
-    rs = np.empty((1, grid.n_steps + 1))
+    rs = np.empty((z1.shape[0], grid.n_steps + 1))
     decay, sd = _exact_step_coeffs(grid.step)
     _kernels.ou2d_radius(p.y0, decay, sd, z1, z2, rs)
-    return PathSample(grid=grid, states=rs[0].reshape(-1, 1),
-                      master_seed=s1.master_seed,
-                      stream_ids=(s1.stream_id, s2.stream_id),
-                      scheme="limit_exact_ou2d")
+    return (rs,)
 
 
 def limit_exact_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,
-                       n_replicas: int, reduce_fn, stream_base: int = 0,
+                       n_replicas: int, reduce_fn,
                        batch_size: int = 2048) -> dict:
+    """``replica_reduce`` over the exact sampler; ``reduce_fn(times, rs)``."""
     if p.variant != "damped":
         raise ValueError("exact sampler exists for the damped variant only")
-    ts = grid.times()
-    decay, sd = _exact_step_coeffs(grid.step)
-    chunks = []
-    for b0 in range(0, n_replicas, batch_size):
-        nb = min(batch_size, n_replicas - b0)
-        ids = stream_base + 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
-        z1 = normal_matrix(master_seed, ids, grid.n_steps)
-        z2 = normal_matrix(master_seed, ids + 1, grid.n_steps)
-        rs = np.empty((nb, grid.n_steps + 1))
-        _kernels.ou2d_radius(p.y0, decay, sd, z1, z2, rs)
-        chunks.append(reduce_fn(ts, rs))
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    return replica_reduce(partial(_exact_advance, p, grid), grid,
+                          master_seed, n_replicas, reduce_fn, batch_size)
 
 
-def limit_exact_terminal(y0: float, times, n: int, master_seed: int,
-                         stream_base: int = 0) -> np.ndarray:
+def limit_exact_terminal(y0: float, times, n: int,
+                         master_seed: int) -> np.ndarray:
     """Exact draws of the damped radial process at the given times.
 
     Jumps the underlying 2-d OU process through the strictly increasing
     ``times`` in single exact transitions; returns shape (n, len(times)).
+    Draw i reads the streams of replica i of ``replica_reduce``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if not (np.diff(times) > 0.0).all() or times[0] <= 0.0:
         raise ValueError("times must be strictly increasing and positive")
-    ids = stream_base + 2 * np.arange(n, dtype=np.uint64)
+    ids = 2 * np.arange(n, dtype=np.uint64)
     z1 = normal_matrix(master_seed, ids, len(times))
     z2 = normal_matrix(master_seed, ids + 1, len(times))
     u = np.zeros(n)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import _kernels
-from .sde import DEFAULT_GUARD, PathSample, RngStream, TimeGrid, normal_matrix
+from .sde import DEFAULT_GUARD, PathSample, TimeGrid, normal_matrix
 
 VARIANTS = ("dissipative", "no_dissipation")
 
@@ -120,46 +121,41 @@ def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:
     return flow_unperturbed(s0, t, tol).y
 
 
-def _run_rescaled(p: ModelParams, grid: TimeGrid, z1, z2, scheme, guard,
-                  dtheta_max):
-    n_paths, n_steps = z1.shape
-    xs = np.empty((n_paths, n_steps + 1))
-    ys = np.empty((n_paths, n_steps + 1))
-    div = np.zeros(n_paths, dtype=bool)
-    if scheme == "splitting":
-        _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
-                                grid.step, dtheta_max, guard, z1, z2,
-                                xs, ys, div)
-    elif scheme == "euler":
-        _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
-                                grid.step, guard, z1, z2, xs, ys, div)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return xs, ys, div
+def replica_reduce(advance, grid: TimeGrid, master_seed: int,
+                   n_replicas: int, reduce_fn, batch_size: int) -> dict:
+    """Run replicas of one system in batches, reducing each batch to small
+    arrays.  Every simulated path in the package comes from here.
 
-
-def rescaled_path_from_normals(p: ModelParams, grid: TimeGrid,
-                               z1: np.ndarray, z2: np.ndarray,
-                               scheme: str = "splitting",
-                               guard: float = DEFAULT_GUARD):
-    """Single path driven by caller-supplied N(0,1) draws.
-
-    Entry point for synthetic-noise experiments (zeroed streams, mirrored
-    streams).  Returns (states, diverged).
+    Replica i reads streams 2i and 2i + 1 of ``master_seed``: one row each
+    of ``normal_matrix``, a pure function of the stream and the grid.
+    ``advance(z1, z2)`` turns a batch of such rows (first axis = replica)
+    into a tuple of arrays, and ``reduce_fn(times, *arrays)`` returns a dict
+    of arrays with the replica axis first.  Results are concatenated in
+    replica order, so they do not depend on the batch size, and a single
+    path is replica 0.
     """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
-    if z1.shape[1] != grid.n_steps or z2.shape[1] != grid.n_steps:
-        raise ValueError("need one draw per step and coordinate")
-    xs, ys, div = _run_rescaled(p, grid, z1, z2, scheme, guard, DTHETA_MAX)
-    return np.column_stack([xs[0], ys[0]]), bool(div[0])
+    ts = grid.times()
+    chunks: list[dict] = []
+    for b0 in range(0, n_replicas, batch_size):
+        nb = min(batch_size, n_replicas - b0)
+        ids = 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
+        z1 = normal_matrix(master_seed, ids, grid.n_steps)
+        z2 = normal_matrix(master_seed, ids + 1, grid.n_steps)
+        chunks.append(reduce_fn(ts, *advance(z1, z2)))
+    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def simulate_rescaled(p: ModelParams, grid: TimeGrid,
-                      streams: tuple[RngStream, RngStream],
-                      scheme: str = "splitting",
-                      guard: float = DEFAULT_GUARD) -> PathSample:
-    """One path of the fast-slow system (X, Y) with unit additive noise.
+def _planar_outputs(n_paths: int, grid: TimeGrid):
+    """What a planar kernel writes: xs, ys (one row per path) and the
+    diverged flags."""
+    return (np.empty((n_paths, grid.n_steps + 1)),
+            np.empty((n_paths, grid.n_steps + 1)),
+            np.zeros(n_paths, dtype=bool))
+
+
+def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, z1, z2):
+    """The fast-slow system (X, Y) with unit additive noise: (xs, ys,
+    diverged) from one batch of draws.
 
     Default scheme: per step, X advances by an exact OU substep with the
     rate Y/eps + damping frozen (removing the stiffness of the X-equation),
@@ -168,72 +164,38 @@ def simulate_rescaled(p: ModelParams, grid: TimeGrid,
     part of the step is subdivided so near-deterministic sweeps from the
     unstable half-axis to the stable one stay on their energy shell.
     """
-    s1, s2 = streams
-    z1 = s1.normals(grid.n_steps)
-    z2 = s2.normals(grid.n_steps)
-    states, diverged = rescaled_path_from_normals(p, grid, z1, z2, scheme,
-                                                  guard)
-    return PathSample(grid=grid, states=states, master_seed=s1.master_seed,
-                      stream_ids=(s1.stream_id, s2.stream_id),
-                      scheme=f"rescaled_{scheme}", diverged=diverged)
+    out = _planar_outputs(z1.shape[0], grid)
+    if scheme == "splitting":
+        _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
+                                grid.step, DTHETA_MAX, DEFAULT_GUARD, z1, z2,
+                                *out)
+    elif scheme == "euler":
+        _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
+                                grid.step, DEFAULT_GUARD, z1, z2, *out)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return out
 
 
 def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
                     n_replicas: int,
                     reduce_fn: Callable[[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray], dict],
-                    scheme: str = "splitting", stream_base: int = 0,
-                    batch_size: int = 1024,
-                    guard: float = DEFAULT_GUARD) -> dict:
-    """Run replicas in seeded batches, reducing each batch to small arrays.
-
-    ``reduce_fn(times, xs, ys, diverged)`` receives one batch (first axis =
-    replica) and returns a dict of arrays with the replica axis first;
-    results are concatenated in replica order.  Replica i always consumes
-    streams (stream_base + 2i, stream_base + 2i + 1), so estimates do not
-    depend on the batch size.
-    """
-    ts = grid.times()
-    chunks: list[dict] = []
-    for b0 in range(0, n_replicas, batch_size):
-        nb = min(batch_size, n_replicas - b0)
-        ids = stream_base + 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
-        z1 = normal_matrix(master_seed, ids, grid.n_steps)
-        z2 = normal_matrix(master_seed, ids + 1, grid.n_steps)
-        xs, ys, div = _run_rescaled(p, grid, z1, z2, scheme, guard,
-                                    DTHETA_MAX)
-        chunks.append(reduce_fn(ts, xs, ys, div))
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+                    scheme: str = "splitting",
+                    batch_size: int = 1024) -> dict:
+    """``replica_reduce`` over the fast-slow system;
+    ``reduce_fn(times, xs, ys, diverged)``."""
+    return replica_reduce(partial(_rescaled_advance, p, grid, scheme), grid,
+                          master_seed, n_replicas, reduce_fn, batch_size)
 
 
-def slowtime_path_from_normals(p: ModelParams, grid: TimeGrid, z1, z2,
-                               guard: float = DEFAULT_GUARD):
-    """Single slow-time path driven by caller-supplied N(0,1) draws.
-
-    Returns (states, diverged).
-    """
-    z1 = np.asarray(z1, dtype=np.float64).reshape(1, -1)
-    z2 = np.asarray(z2, dtype=np.float64).reshape(1, -1)
-    if z1.shape[1] != grid.n_steps or z2.shape[1] != grid.n_steps:
-        raise ValueError("need one draw per step and coordinate")
-    xs = np.empty((1, grid.n_steps + 1))
-    ys = np.empty((1, grid.n_steps + 1))
-    div = np.zeros(1, dtype=bool)
+def _slowtime_advance(p: ModelParams, grid: TimeGrid, z1, z2):
+    """The original slow-time system, noise amplitude sqrt(eps): (xs, ys,
+    diverged) from one batch of draws."""
+    out = _planar_outputs(z1.shape[0], grid)
     _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
-                            guard, z1, z2, xs, ys, div)
-    return np.column_stack([xs[0], ys[0]]), bool(div[0])
-
-
-def simulate_slowtime(p: ModelParams, grid: TimeGrid,
-                      streams: tuple[RngStream, RngStream],
-                      guard: float = DEFAULT_GUARD) -> PathSample:
-    """One path of the original slow-time system, noise amplitude sqrt(eps)."""
-    s1, s2 = streams
-    states, diverged = slowtime_path_from_normals(
-        p, grid, s1.normals(grid.n_steps), s2.normals(grid.n_steps), guard)
-    return PathSample(grid=grid, states=states, master_seed=s1.master_seed,
-                      stream_ids=(s1.stream_id, s2.stream_id),
-                      scheme="slowtime_euler", diverged=diverged)
+                            DEFAULT_GUARD, z1, z2, *out)
+    return out
 
 
 def to_polar(path: PathSample) -> PathSample:

@@ -29,17 +29,15 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def normals(self, n: int) -> np.ndarray:
-        return self.generator().standard_normal(n)
-
 
 def normal_matrix(master_seed: int, stream_ids: np.ndarray | list[int],
                   n: int) -> np.ndarray:
     """Stack independent N(0,1) rows, one stream per row.
 
-    Row ``i`` equals ``RngStream(master_seed, stream_ids[i]).normals(n)``
-    bit for bit: it is a pure function of ``(master_seed, stream_ids[i])``
-    and ``n``, whatever the batch.  Philox is counter-based, so a stream is
+    Row ``i`` equals ``standard_normal(n)`` from
+    ``RngStream(master_seed, stream_ids[i]).generator()`` bit for bit: it
+    is a pure function of ``(master_seed, stream_ids[i])`` and ``n``,
+    whatever the batch.  Philox is counter-based, so a stream is
     only a key and a counter; one bit generator is re-keyed per row, which
     is far cheaper than constructing one per row.
     """
@@ -100,9 +98,6 @@ class PathSample:
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
-        if self.states.shape[0] == 1 and self.grid.n_steps > 0 \
-                and self.states.shape[1] == self.grid.n_steps + 1:
-            self.states = self.states.T
         if self.states.shape[0] != self.grid.n_steps + 1:
             raise ValueError("states length must equal n_steps + 1")
         if not self.diverged and not np.isfinite(self.states).all():

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ablab import limit
-from ablab.analysis import (MAX_CROSSINGS, ScalingFit, StatReport,
-                            _scan_batch, crossing_stats, excursion_anatomy,
+from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
+                            ScalingFit, StatReport, _scan_batch,
+                            crossing_stats, excursion_anatomy,
                             excursion_probability, ks_critical_value,
                             ks_statistic, martingale_residual,
-                            martingale_residual_limit, ou_exit_mc,
-                            ou_exit_one_sided, ou_exit_two_sided,
+                            martingale_residual_limit, martingale_residuals,
+                            ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
                             terminal_law_gap, x_collapse_gap,
                             x_second_moment, x_second_moment_scaling)
 from ablab.limit import gauss_bump
-from ablab.model import ModelParams
-from ablab.sde import PathSample, TimeGrid
+from ablab.model import ModelParams, _rescaled_advance, rescaled_reduce
+from ablab.sde import TimeGrid, normal_matrix
 
 
 def scan_oracle(y, delta):
@@ -135,7 +136,8 @@ def test_x_second_moment_out_of_asymptotics_control():
 def test_x_second_moment_scaling_slope():
     eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
     fit = x_second_moment_scaling(eps, 0.1, 0.2, 2000, 13, h=1e-3)
-    assert 0.75 <= fit.slope <= 1.05
+    lo, hi = MOMENT_SCALING_WINDOW
+    assert lo <= fit.slope <= hi
 
 
 def test_martingale_residual_constant_function_is_zero():
@@ -271,10 +273,8 @@ def test_excursion_probability_decreases_with_epsilon():
 def test_excursion_anatomy_synthetic():
     y = np.array([1.0, 0.5, -0.1, -0.6, -0.4, 0.2, 0.9, 0.8])
     x = np.array([0.0, 0.1, 0.2, 0.05, -0.3, 0.1, 0.0, 0.0])
-    grid = TimeGrid(0.0, 0.7, 0.1)
-    path = PathSample(grid=grid, states=np.column_stack([x, y]),
-                      master_seed=0, stream_ids=(0, 1), scheme="synthetic")
-    recs = excursion_anatomy(path, a=0.5)
+    ts = TimeGrid(0.0, 0.7, 0.1).times()
+    recs = excursion_anatomy(ts, x[None], y[None], a=0.5)
     assert len(recs) == 1
     assert recs[0].entry_time == pytest.approx(0.3)
     assert recs[0].return_time == pytest.approx(0.6)
@@ -284,11 +284,40 @@ def test_excursion_anatomy_synthetic():
 
 def test_excursion_anatomy_no_dips_empty():
     y = np.linspace(1.0, 2.0, 10)
-    states = np.column_stack([np.zeros(10), y])
-    path = PathSample(grid=TimeGrid(0.0, 0.1 * 9, 0.1), states=states,
-                      master_seed=0,
-                      stream_ids=(0, 1), scheme="synthetic")
-    assert excursion_anatomy(path, a=0.5) == []
+    ts = TimeGrid(0.0, 0.1 * 9, 0.1).times()
+    assert excursion_anatomy(ts, np.zeros((1, 10)), y[None], a=0.5) == []
+
+
+def test_batched_anatomy_equals_per_path_records():
+    # criterion 8 reads the anatomy off one batch of the driver; it must
+    # give the records of the paths simulated one at a time on their own
+    # streams (2i, 2i + 1), in path order
+    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0, horizon=5.0)
+    grid = TimeGrid(0.0, 5.0, 1e-3)
+    ts = grid.times()
+    n, seed = 6, 82
+    paths = rescaled_reduce(p, grid, seed, n,
+                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
+    batch = excursion_anatomy(ts, paths["xs"], paths["ys"], a=0.25)
+    per_path = []
+    for i in range(n):
+        xs, ys, _ = _rescaled_advance(
+            p, grid, "splitting",
+            normal_matrix(seed, [2 * i], grid.n_steps),
+            normal_matrix(seed, [2 * i + 1], grid.n_steps))
+        per_path.append(excursion_anatomy(ts, xs, ys, a=0.25))
+    assert sum(len(recs) > 0 for recs in per_path) >= 2
+    assert batch == [rec for recs in per_path for rec in recs]
+
+
+def test_fused_residuals_equal_single_function_calls():
+    # one pass over the paths serves every test function, byte for byte
+    p = ModelParams(epsilon=0.05, x0=0.3, y0=1.5)
+    fs = (gauss_bump(), limit.lorentzian(), limit.cos_square())
+    fused = martingale_residuals(p, fs, 0.2, 64, 17, h=1e-2)
+    alone = [martingale_residual(p, f, 0.2, 64, 17, h=1e-2) for f in fs]
+    assert [r.to_dict() for r in fused] == [r.to_dict() for r in alone]
+    assert len({r.estimate for r in fused}) == len(fs)
 
 
 def test_ks_helpers():

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from ablab.acceptance import criterion_moment_scaling
 from ablab.analysis import WEAK_GAP_SLACK, z_threshold
+from ablab import __version__
 from ablab.cli import main
 
 
@@ -18,6 +20,10 @@ def test_lemma1_passes_by_the_criterion_5_window(tmp_path):
     window = criterion_moment_scaling(42).details["window"]
     result = run(["lemma1", "--replicas", "64"], tmp_path)
     report = json.loads((tmp_path / "xmoment_scaling.json").read_text())
+    # without --t it runs at t = 0.2, and both reports say so
+    assert report["params"]["t"] == 0.2
+    header = (tmp_path / "xmoment_scaling.csv").read_text().splitlines()[0]
+    assert "t=0.2" in header.split()
     assert report["threshold"] == window
     lo, hi = window
     assert report["passed"] == (lo <= report["estimate"] <= hi)
@@ -50,6 +56,48 @@ def test_simulate_euler_divergence_exits_3(tmp_path):
     assert result.exit_code == 3
     assert "divergence guard tripped" in result.output
     assert list(tmp_path.iterdir()) == []
+
+
+GOLDEN = Path(__file__).parent / "data" / "simulate"
+GOLDEN_VERSION = "0.1.0"  # the package version the golden files carry
+
+
+@pytest.mark.parametrize("case, args", [
+    ("rescaled.csv", ["--system", "rescaled"]),
+    ("rescaled.json", ["--system", "rescaled", "--format", "json"]),
+    ("rescaled_euler.json", ["--system", "rescaled", "--scheme", "euler",
+                             "--format", "json"]),
+    ("rescaled_polar.csv", ["--system", "rescaled", "--polar"]),
+    ("slowtime.csv", ["--system", "slowtime"]),
+    ("slowtime.json", ["--system", "slowtime", "--format", "json"]),
+    ("limit-em.csv", ["--system", "limit-em"]),
+    ("limit-em.json", ["--system", "limit-em", "--format", "json"]),
+    ("limit-em_nodiss.json", ["--system", "limit-em", "--variant",
+                              "no-dissipation", "--format", "json"]),
+    ("limit-exact.csv", ["--system", "limit-exact"]),
+    ("limit-exact.json", ["--system", "limit-exact", "--format", "json"]),
+])
+def test_simulate_writes_the_golden_path(tmp_path, case, args):
+    # the golden files were written by the per-system single-path
+    # simulators that replica 0 of the batch driver replaced
+    result = run(["simulate", "--seed", "7", "--horizon", "0.01", "--step",
+                  "0.001", "--epsilon", "0.01", *args], tmp_path)
+    assert result.exit_code == 0, result.output
+    system = args[1]
+    fmt = case.rsplit(".", 1)[1]
+    written = (tmp_path / f"path_{system}_seed7.{fmt}").read_text()
+    golden = (GOLDEN / case).read_text()
+    if fmt == "json":
+        doc, want = json.loads(written), json.loads(golden)
+        assert doc.pop("version") == __version__
+        assert want.pop("version") == GOLDEN_VERSION
+        assert doc == want
+    else:
+        meta, body = written.split("\n", 1)
+        want_meta, want_body = golden.split("\n", 1)
+        assert meta == want_meta.replace(f"ablab={GOLDEN_VERSION}",
+                                         f"ablab={__version__}")
+        assert body == want_body
 
 
 def test_euler_arnold_exits_0(tmp_path):

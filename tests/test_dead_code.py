@@ -1,10 +1,14 @@
-"""Every public function and class of the package has a shipped caller.
+"""Every public function, class, method and property of the package has a
+shipped caller.
 
 Code whose only caller is its own test is deleted, unless it is an
 independent oracle, and then it lives in the test file.  A reference counts
-when it comes from another top-level statement of ``src/ablab`` or from
-``benchmarks/``; references from ``tests/`` do not.  Click commands are
+when it comes from another top-level statement or class member of
+``src/ablab``, or from ``benchmarks/``; references from ``tests/`` do not.
+A class's own members do not keep the class alive.  Click commands are
 exempt: the command line calls them.  An import alone is not a use.
+Methods are matched by name, so a name that any shipped code reads as an
+attribute keeps every method of that name alive.
 """
 
 import ast
@@ -15,13 +19,14 @@ PACKAGE = ROOT / "src" / "ablab"
 SHIPPED = [*PACKAGE.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
 
 
-def _names_used(node) -> set[str]:
+def _names_used(nodes) -> set[str]:
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
     return names
 
 
@@ -39,21 +44,44 @@ def _is_public_definition(stmt) -> bool:
         and not stmt.name.startswith("_") and not _is_click_command(stmt)
 
 
-def test_every_public_definition_has_a_shipped_caller():
-    statements = [(path, stmt, _names_used(stmt)) for path in SHIPPED
-                  for stmt in ast.parse(path.read_text()).body]
+def _units(tree):
+    """(definition, owner, names it uses) for each top-level statement and
+    each member of a top-level class.  A class unit covers its header and
+    its non-definition members (fields); each method is a unit of its own,
+    owned by the class."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield stmt, None, _names_used([stmt])
+            continue
+        members = [m for m in stmt.body
+                   if isinstance(m, (ast.FunctionDef, ast.ClassDef))]
+        header = [*stmt.decorator_list, *stmt.bases, *stmt.keywords,
+                  *(m for m in stmt.body if m not in members)]
+        yield stmt, None, _names_used(header)
+        for member in members:
+            yield member, stmt, _names_used([member])
+
+
+def _dead_definitions():
+    units = [(path, node, owner, names) for path in SHIPPED
+             for node, owner, names in _units(ast.parse(path.read_text()))]
     dead = []
     while True:
         # a name that only dead code uses is dead too
-        live = [(stmt, names) for _, stmt, names in statements
-                if stmt not in dead]
-        newly = [stmt for path, stmt, _ in statements
-                 if path.parent == PACKAGE and stmt not in dead
-                 and _is_public_definition(stmt)
-                 and not any(stmt.name in names for other, names in live
-                             if other is not stmt)]
+        live = [(node, owner, names) for _, node, owner, names in units
+                if node not in dead and owner not in dead]
+        newly = [node for path, node, owner, _ in units
+                 if path.parent == PACKAGE and node not in dead
+                 and owner not in dead and _is_public_definition(node)
+                 and not any(node.name in names for other, other_owner,
+                             names in live
+                             if other is not node and other_owner is not node)]
         if not newly:
-            break
+            return dead
         dead += newly
+
+
+def test_every_public_definition_has_a_shipped_caller():
+    dead = _dead_definitions()
     assert not dead, "only tests (or nothing) use: " + ", ".join(
-        f"{stmt.name} (line {stmt.lineno})" for stmt in dead)
+        f"{node.name} (line {node.lineno})" for node in dead)

@@ -1,17 +1,18 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from ablab import _kernels, limit
+from ablab import _kernels, limit, model
 from ablab.analysis import ks_critical_value, ks_statistic
-from ablab.limit import (TEST_FUNCTIONS, LimitParams, _drift_coeffs,
+from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                          expected_square, gauss_bump, generator_apply,
-                         limit_exact_reduce, limit_exact_terminal,
-                         simulate_limit_em, simulate_limit_exact, square_fn,
+                         limit_exact_reduce, limit_exact_terminal, square_fn,
                          stationary_mean, stationary_square_cdf)
-from ablab.sde import RngStream, TimeGrid, normal_matrix
+from ablab.model import replica_reduce
+from ablab.sde import TimeGrid, normal_matrix
 
 
 def ks_one_sample(samples, cdf):
@@ -26,15 +27,11 @@ def ks_one_sample(samples, cdf):
 def em_reduce(p, grid, master_seed, n, reduce_fn, batch_size=2048):
     """Replicas of the direct scheme behind ``simulate --system limit-em``,
     replica i on stream i; reduce_fn(times, ys) -> dict of arrays."""
-    a, b = _drift_coeffs(p.variant)
     chunks = []
     for b0 in range(0, n, batch_size):
-        nb = min(batch_size, n - b0)
-        ids = np.arange(b0, b0 + nb, dtype=np.uint64)
+        ids = np.arange(b0, min(b0 + batch_size, n), dtype=np.uint64)
         z = normal_matrix(master_seed, ids, grid.n_steps)
-        ys = np.empty((nb, grid.n_steps + 1))
-        _kernels.limit_sq_em(p.y0, a, b, grid.step, z, ys)
-        chunks.append(reduce_fn(grid.times(), ys))
+        chunks.append(reduce_fn(grid.times(), *_em_advance(p, grid, z, None)))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
@@ -111,8 +108,9 @@ def test_em_drift_only_fixed_point():
 def test_em_path_stays_positive():
     p = LimitParams(y0=0.05, horizon=2.0)
     grid = TimeGrid(0.0, 2.0, 1e-4)
-    path = simulate_limit_em(p, grid, RngStream(3, 0))
-    assert (path.states > 0.0).all()
+    out = replica_reduce(partial(_em_advance, p, grid), grid, 3, 1,
+                         lambda ts, ys: {"ys": ys}, batch_size=1)
+    assert (out["ys"] > 0.0).all()
 
 
 def test_em_second_moment_matches_closed_form():
@@ -133,11 +131,16 @@ def test_exact_sampler_moments_and_agreement_with_em():
     assert abs((ref ** 2).mean() - target) < 3 * se
 
 
-def test_exact_sampler_rejects_no_dissipation():
+def test_exact_sampler_rejects_no_dissipation(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("noise drawn for a rejected variant")
+
+    monkeypatch.setattr(model, "normal_matrix", no_draws)
     p = LimitParams(y0=1.0, variant="no_dissipation")
-    with pytest.raises(ValueError):
-        simulate_limit_exact(p, TimeGrid(0.0, 1.0, 0.1),
-                             (RngStream(0, 0), RngStream(0, 1)))
+    for n_replicas in (0, 2):
+        with pytest.raises(ValueError, match="damped variant only"):
+            limit_exact_reduce(p, TimeGrid(0.0, 1.0, 0.1), 0, n_replicas,
+                               lambda ts, rs: {"rs": rs})
 
 
 def test_exact_transitions_compose():

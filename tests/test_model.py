@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from ablab.analysis import ks_critical_value, ks_statistic
 from ablab.limit import limit_exact_terminal
-from ablab.model import (ModelParams, State2, energy, flow_unperturbed,
-                         project_pi, project_pi_flow,
-                         rescaled_path_from_normals, rescaled_reduce,
-                         simulate_rescaled, simulate_slowtime,
-                         slowtime_path_from_normals, to_polar, unperturbed_rhs)
-from ablab.sde import RngStream, TimeGrid
+from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
+                         energy, flow_unperturbed, project_pi,
+                         project_pi_flow, replica_reduce, rescaled_reduce,
+                         to_polar, unperturbed_rhs)
+from ablab.limit import (LimitParams, _em_advance, _exact_advance,
+                         limit_exact_reduce)
+from ablab.sde import PathSample, TimeGrid, normal_matrix
 
 
 def test_unperturbed_rhs_values():
@@ -75,14 +77,28 @@ def test_projection_consistency_random_starts():
 STEP = TimeGrid(0.0, 0.25, 0.25)
 
 
+def _rows(*zs):
+    """Each draw sequence as a one-row batch."""
+    return [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in zs]
+
+
+def _rescaled_path(p, grid, z1, z2, scheme="splitting"):
+    xs, ys, div = _rescaled_advance(p, grid, scheme, *_rows(z1, z2))
+    return np.column_stack([xs[0], ys[0]]), bool(div[0])
+
+
+def _slowtime_path(p, grid, z1, z2):
+    xs, ys, div = _slowtime_advance(p, grid, *_rows(z1, z2))
+    return np.column_stack([xs[0], ys[0]]), bool(div[0])
+
+
 def _rescaled_step(p, z=(0.0, 0.0)):
-    states, _ = rescaled_path_from_normals(p, STEP, [z[0]], [z[1]],
-                                           scheme="euler")
+    states, _ = _rescaled_path(p, STEP, [z[0]], [z[1]], scheme="euler")
     return tuple(states[1])
 
 
 def _slowtime_step(p, z=(0.0, 0.0)):
-    states, _ = slowtime_path_from_normals(p, STEP, [z[0]], [z[1]])
+    states, _ = _slowtime_path(p, STEP, [z[0]], [z[1]])
     return tuple(states[1])
 
 
@@ -114,15 +130,6 @@ def test_slowtime_drift_values():
     assert _slowtime_step(p, (1.0, -1.0)) == (0.25, -0.25)
 
 
-def test_path_from_normals_needs_one_draw_per_step():
-    p = ModelParams(epsilon=0.1)
-    grid = TimeGrid(0.0, 1.0, 0.1)
-    for run in (rescaled_path_from_normals, slowtime_path_from_normals):
-        for n in (grid.n_steps - 1, grid.n_steps + 1):
-            with pytest.raises(ValueError):
-                run(p, grid, np.zeros(n), np.zeros(grid.n_steps))
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(epsilon=0.0)
@@ -151,7 +158,7 @@ def test_rescaled_drift_only_projects_then_decays():
     p = ModelParams(epsilon=eps, x0=3.0, y0=4.0)
     grid = TimeGrid(0.0, 1.0, 1e-4)
     z = np.zeros(grid.n_steps)
-    states, div = rescaled_path_from_normals(p, grid, z, z)
+    states, div = _rescaled_path(p, grid, z, z)
     assert not div
     assert abs(states[-1, 0]) < 1e-6
     assert abs(states[-1, 1] - 5.0 * math.exp(-1.0)) < eps
@@ -160,10 +167,11 @@ def test_rescaled_drift_only_projects_then_decays():
 def test_rescaled_deterministic_rerun():
     p = ModelParams(epsilon=0.05)
     grid = TimeGrid(0.0, 0.5, 1e-3)
-    streams = (RngStream(5, 0), RngStream(5, 1))
-    a = simulate_rescaled(p, grid, streams)
-    b = simulate_rescaled(p, grid, streams)
-    assert np.array_equal(a.states, b.states)
+    keep = lambda ts, xs, ys, div: {"xs": xs, "ys": ys}
+    a = rescaled_reduce(p, grid, 5, 3, keep)
+    b = rescaled_reduce(p, grid, 5, 3, keep)
+    for k in ("xs", "ys"):
+        assert np.array_equal(a[k], b[k])
 
 
 def test_rescaled_mirror_equivariance():
@@ -174,8 +182,8 @@ def test_rescaled_mirror_equivariance():
     z2 = rng.standard_normal(grid.n_steps)
     p = ModelParams(epsilon=0.02, x0=0.7, y0=1.2)
     pm = ModelParams(epsilon=0.02, x0=-0.7, y0=1.2)
-    a, _ = rescaled_path_from_normals(p, grid, z1, z2)
-    b, _ = rescaled_path_from_normals(pm, grid, -z1, z2)
+    a, _ = _rescaled_path(p, grid, z1, z2)
+    b, _ = _rescaled_path(pm, grid, -z1, z2)
     assert np.array_equal(a[:, 0], -b[:, 0])
     assert np.array_equal(a[:, 1], b[:, 1])
 
@@ -189,9 +197,9 @@ def test_time_change_identity():
     rng = np.random.default_rng(7)
     z1 = rng.standard_normal(g_res.n_steps)
     z2 = rng.standard_normal(g_res.n_steps)
-    st_res, _ = rescaled_path_from_normals(p, g_res, z1, z2, scheme="euler")
+    st_res, _ = _rescaled_path(p, g_res, z1, z2, scheme="euler")
     g_slow = TimeGrid(0.0, 1.0 / eps, h / eps)
-    st_slow, _ = slowtime_path_from_normals(p, g_slow, z1, z2)
+    st_slow, _ = _slowtime_path(p, g_slow, z1, z2)
     assert np.allclose(st_res, st_slow, rtol=1e-10, atol=1e-12)
 
 
@@ -200,7 +208,7 @@ def test_slowtime_drift_only_exponential_decay():
     p = ModelParams(epsilon=0.1, x0=0.0, y0=2.0)
     grid = TimeGrid(0.0, 5.0, 1e-3)
     z = np.zeros(grid.n_steps)
-    states, _ = slowtime_path_from_normals(p, grid, z, z)
+    states, _ = _slowtime_path(p, grid, z, z)
     assert abs(states[-1, 1] - 2.0 * math.exp(-0.5)) < 1e-3
     assert states[-1, 0] == 0.0
 
@@ -237,7 +245,6 @@ def test_radial_identity_any_epsilon():
 def test_to_polar_values():
     grid = TimeGrid(0.0, 1.0, 0.5)
     states = np.array([[0.0, 2.0], [1.0, 1.0], [-1.0, 1.0]])
-    from ablab.sde import PathSample
     p = PathSample(grid=grid, states=states, master_seed=0, stream_ids=(0, 1),
                    scheme="synthetic")
     pol = to_polar(p)
@@ -248,7 +255,6 @@ def test_to_polar_values():
 
 
 def test_to_polar_origin_flagged():
-    from ablab.sde import PathSample
     grid = TimeGrid(0.0, 1.0, 0.5)
     states = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
     p = PathSample(grid=grid, states=states, master_seed=0, stream_ids=(0, 1),
@@ -269,9 +275,74 @@ def test_flow_energy_conservation_property(e, phi, t):
 
 
 def test_simulate_slowtime_runs_and_reruns_identically():
+    # replica 0 of the driver, as ``ablab simulate --system slowtime``
     p = ModelParams(epsilon=0.5, x0=0.1, y0=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-2)
-    a = simulate_slowtime(p, grid, (RngStream(6, 0), RngStream(6, 1)))
-    b = simulate_slowtime(p, grid, (RngStream(6, 0), RngStream(6, 1)))
-    assert np.array_equal(a.states, b.states)
-    assert a.scheme == "slowtime_euler"
+    keep = lambda ts, xs, ys, div: {"xs": xs, "ys": ys}
+    runs = [replica_reduce(partial(_slowtime_advance, p, grid), grid, 6, 1,
+                           keep, batch_size=1) for _ in range(2)]
+    for k in ("xs", "ys"):
+        assert np.array_equal(runs[0][k], runs[1][k])
+    assert np.isfinite(runs[0]["xs"]).all()
+
+
+# ---------------------------------------------------------------------------
+# the replica driver: replica i reads streams 2i and 2i + 1, whatever the
+# batch, and a single path is replica 0
+# ---------------------------------------------------------------------------
+
+DRIVER_SEED = 19
+DRIVER_GRID = TimeGrid(0.0, 0.05, 1e-3)
+_P = ModelParams(epsilon=0.05, x0=0.3, y0=1.0)
+_LP = LimitParams(y0=1.0)
+SYSTEMS = {
+    "rescaled": partial(_rescaled_advance, _P, DRIVER_GRID, "splitting"),
+    "rescaled_euler": partial(_rescaled_advance, _P, DRIVER_GRID, "euler"),
+    "slowtime": partial(_slowtime_advance, _P, DRIVER_GRID),
+    "limit-em": partial(_em_advance, LimitParams(y0=1.0,
+                                                 variant="no_dissipation"),
+                        DRIVER_GRID),
+    "limit-exact": partial(_exact_advance, _LP, DRIVER_GRID),
+}
+
+
+def _keep(ts, *arrays):
+    assert np.array_equal(ts, DRIVER_GRID.times())
+    return dict(enumerate(arrays))
+
+
+def _assert_replicas_read_their_own_streams(advance, out, n):
+    """Row i of out is the system run alone on streams 2i and 2i + 1."""
+    steps = DRIVER_GRID.n_steps
+    for i in range(n):
+        alone = advance(normal_matrix(DRIVER_SEED, [2 * i], steps),
+                        normal_matrix(DRIVER_SEED, [2 * i + 1], steps))
+        assert len(alone) == len(out)
+        for k, arr in enumerate(alone):
+            assert np.array_equal(arr[0], out[k][i]), (i, k)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_single_path_is_row_0_of_a_batch(system):
+    advance = SYSTEMS[system]
+    one = replica_reduce(advance, DRIVER_GRID, DRIVER_SEED, 1, _keep,
+                         batch_size=1)
+    many = replica_reduce(advance, DRIVER_GRID, DRIVER_SEED, 5, _keep,
+                          batch_size=5)
+    assert one.keys() == many.keys()
+    for k in one:
+        assert one[k].shape[0] == 1 and many[k].shape[0] == 5
+        assert np.array_equal(one[k][0], many[k][0])
+    _assert_replicas_read_their_own_streams(advance, many, 5)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+def test_reduce_rows_do_not_depend_on_batch_size(batch_size):
+    n = 20
+    out = rescaled_reduce(_P, DRIVER_GRID, DRIVER_SEED, n, _keep,
+                          batch_size=batch_size)
+    _assert_replicas_read_their_own_streams(SYSTEMS["rescaled"], out, n)
+    out = limit_exact_reduce(_LP, DRIVER_GRID, DRIVER_SEED, n, _keep,
+                             batch_size=batch_size)
+    _assert_replicas_read_their_own_streams(SYSTEMS["limit-exact"], out, n)
+

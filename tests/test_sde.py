@@ -24,10 +24,16 @@ def test_grid_covers_horizon():
     assert TimeGrid(0.0, 1.0, 0.1).n_steps == 10
 
 
+def stream_normals(master_seed, stream_id, n):
+    """The oracle of ``normal_matrix``: n draws from a freshly constructed
+    generator of one stream."""
+    return RngStream(master_seed, stream_id).generator().standard_normal(n)
+
+
 def test_streams_independent():
     n = 200_000
-    a = RngStream(5, 0).normals(n)
-    b = RngStream(5, 1).normals(n)
+    a = stream_normals(5, 0, n)
+    b = stream_normals(5, 1, n)
     corr = np.dot(a, b) / n
     assert abs(corr) < 4.0 / math.sqrt(n)
 
@@ -43,7 +49,7 @@ def test_normal_matrix_rows_match_single_streams(seed, n):
     z = normal_matrix(seed, MATRIX_IDS, n)
     assert z.shape == (len(MATRIX_IDS), n)
     for row, sid in zip(z, MATRIX_IDS):
-        assert np.array_equal(row, RngStream(seed, sid).normals(n))
+        assert np.array_equal(row, stream_normals(seed, sid, n))
 
 
 def test_normal_matrix_empty_ids():
@@ -102,7 +108,7 @@ def test_exact_ou_step_stiff_mean_factor():
 @pytest.mark.parametrize("h", [1.0e-3, 1.0])
 def test_exact_ou_step_moments(lam, h):
     n = 100_000
-    z = RngStream(23, int(lam) * 7 + int(h * 10)).normals(n)
+    z = stream_normals(23, int(lam) * 7 + int(h * 10), n)
     x0 = 0.8
     samples = _exact_ou_steps(x0, lam, h, z)
     u = lam * h
