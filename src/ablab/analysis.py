@@ -85,10 +85,6 @@ class StatReport:
                    std_error=float(samples.std(ddof=1) / math.sqrt(n)),
                    n_replicas=n, config=config)
 
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "std_error": self.std_error,
-                "n_replicas": self.n_replicas, "config": self.config}
-
 
 @dataclass
 class ScalingFit:
@@ -117,11 +113,6 @@ class ScalingFit:
         slope_se = float(math.sqrt(np.sum((w * rel) ** 2)))
         return cls(list(map(float, epsilons)), list(map(float, estimates)),
                    list(map(float, std_errors)), slope, slope_se, intercept)
-
-    def to_dict(self) -> dict:
-        return {"epsilons": self.epsilons, "estimates": self.estimates,
-                "std_errors": self.std_errors, "slope": self.slope,
-                "slope_se": self.slope_se, "intercept": self.intercept}
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +179,12 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
 
 
 def x_second_moment_scaling(epsilons, alpha: float, t: float, n: int,
-                            master_seed: int, x0: float = 0.0,
-                            y0: float = 2.0, h: float = 1e-3) -> ScalingFit:
-    """Log-log scaling of E[X_t^2] against epsilon at fixed alpha."""
+                            master_seed: int, h: float = 1e-3) -> ScalingFit:
+    """Log-log scaling of E[X_t^2] against epsilon at fixed alpha, from
+    ModelParams' default start (0, 2)."""
     estimates, ses = [], []
     for i, eps in enumerate(epsilons):
-        p = ModelParams(epsilon=eps, alpha=alpha, x0=x0, y0=y0, horizon=t)
+        p = ModelParams(epsilon=eps, alpha=alpha, horizon=t)
         rep = x_second_moment(p, t, n, master_seed + i, h=h)
         estimates.append(rep.estimate)
         ses.append(rep.std_error)
@@ -298,10 +289,6 @@ class TerminalGapReport:
     ks_critical: float
     y_pi: float
 
-    def to_dict(self) -> dict:
-        return {"gap": self.gap.to_dict(), "ks_stat": self.ks_stat,
-                "ks_critical": self.ks_critical, "y_pi": self.y_pi}
-
 
 def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
                      master_seed: int,
@@ -378,8 +365,7 @@ def ou_exit_one_sided(delta: float) -> float:
 
 
 def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
-               h: float | None = None, chunk: int = 512,
-               t_max: float | None = None) -> StatReport:
+               h: float | None = None, chunk: int = 512) -> StatReport:
     """Simulation oracle for the exit times, with Brownian-bridge crossing
     detection between grid points to kill the O(sqrt(h)) hitting bias.
 
@@ -396,8 +382,7 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
         raise ValueError("mode must be 'two_sided' or 'one_sided'")
     if h is None:
         h = scale / 300.0
-    if t_max is None:
-        t_max = 60.0 * scale
+    t_max = 60.0 * scale
     decay, sd = _exact_step_coeffs(h)
 
     x = np.full(n, x0, dtype=np.float64)
@@ -446,20 +431,6 @@ class CrossingStats:
         """The count and both durations are within their oracle bounds."""
         return bool(self.bounds["n_ok"] and self.bounds["sigma_minus_tau_ok"]
                     and self.bounds["tau_minus_sigma_ok"])
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_n": self.mean_n.to_dict(),
-            "mean_sigma_minus_tau":
-                None if self.mean_sigma_minus_tau is None
-                else self.mean_sigma_minus_tau.to_dict(),
-            "mean_tau_minus_sigma":
-                None if self.mean_tau_minus_sigma is None
-                else self.mean_tau_minus_sigma.to_dict(),
-            "deep_dip_rate": self.deep_dip_rate,
-            "delta": self.delta,
-            "bounds": self.bounds,
-        }
 
 
 def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,

@@ -1,5 +1,11 @@
 """Batch orchestration: configure, run, and report every experiment.
 
+Every setting is declared once, in ``SETTINGS``, and each subcommand takes
+only the settings it reads.  A flat ``key = value`` file given with
+``--config`` may set any setting of the table, so one file can serve every
+subcommand.  The command line beats the file, and the file beats the
+table's default.
+
 Exit codes: 0 all assertions in scope pass; 1 assertion failure;
 2 configuration error; 3 divergence-dominated run.
 """
@@ -8,8 +14,10 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import partial
+from dataclasses import fields
+from functools import partial, wraps
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -21,104 +29,118 @@ from .analysis import (MOMENT_SCALING_WINDOW, PDE_PROBE_SLACK,
                        excursion_probability, martingale_residual,
                        martingale_residual_limit, terminal_law_gap,
                        x_collapse_gap, x_second_moment_scaling, z_threshold)
-from .limit import TEST_FUNCTIONS, LimitParams, _em_advance, _exact_advance
-from .model import (ModelParams, _rescaled_advance, _slowtime_advance,
-                    project_pi, replica_reduce, rescaled_reduce)
+from .limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
+                    limit_exact_reduce)
+from .model import (ModelParams, _slowtime_advance, project_pi,
+                    replica_reduce, rescaled_reduce)
 from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
 from .reporting import path_to_csv, report_json, scaling_to_csv
 from .sde import PathSample, TimeGrid
 
-DEFAULTS = {
-    "epsilon": 1e-3,
-    "alpha": 0.1,
-    "x0": 0.0,
-    "y0": 2.0,
-    "horizon": 1.0,
-    "step": 1e-3,
-    "replicas": 10_000,
-    "seed": 42,
-    "variant": "dissipative",
-    "out": ".",
-    "format": "csv",
-    # command-specific
-    "system": "rescaled",
-    "scheme": "splitting",
-    "polar": False,
-    "x": 0.0,
-    "y": 0.0,
-    "t": None,
-    "epsilons": "",
-    "f": "exp",
-    "a": 0.5,
-    "delta": 0.1,
-    "initial": "exp",
-    "t_final": 1.0,
-    "n_points": 601,
+# Each setting's click option: ``--name`` with "_" written as "-".  ``t``
+# has no table default: the commands that read it give their own.
+SETTINGS = {
+    "epsilon": dict(type=float, default=1e-3),
+    "alpha": dict(type=float, default=0.1),
+    "x0": dict(type=float, default=0.0),
+    "y0": dict(type=float, default=2.0),
+    "horizon": dict(type=float, default=1.0),
+    "step": dict(type=float, default=1e-3),
+    "replicas": dict(type=int, default=10_000),
+    "seed": dict(type=int, default=42),
+    "variant": dict(type=click.Choice(["dissipative", "no-dissipation"]),
+                    default="dissipative",
+                    callback=lambda ctx, param, v: v.replace("-", "_")),
+    "out": dict(type=str, default=".", help="output directory"),
+    "format": dict(type=click.Choice(["csv", "json"]), default="csv"),
+    "system": dict(type=click.Choice(["rescaled", "slowtime", "limit-em",
+                                      "limit-exact"]), default="rescaled"),
+    "scheme": dict(type=click.Choice(["splitting", "euler"]),
+                   default="splitting"),
+    "polar": dict(is_flag=True, default=False,
+                  help="append radius/angle columns to 2-d paths"),
+    "x": dict(type=float, default=0.0),
+    "y": dict(type=float, default=0.0),
+    "t": dict(type=float, help="time horizon"),
+    "epsilons": dict(type=str, default="",
+                     help="comma-separated decreasing ladder"),
+    "f": dict(type=click.Choice(sorted(TEST_FUNCTIONS)), default="exp"),
+    "a": dict(type=float, default=0.5,
+              help="excursion depth below the unstable half-axis"),
+    "initial": dict(type=click.Choice(sorted(TEST_FUNCTIONS)),
+                    default="exp"),
+    "t_final": dict(type=float, default=1.0),
+    "n_points": dict(type=int, default=601),
 }
 
-
-class ConfigError(Exception):
-    pass
-
-
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+# The settings of every Monte Carlo command.
+MONTE_CARLO = ("step", "replicas", "seed", "out")
 
 
-def load_config(path: str | None) -> dict:
-    """Flat key = value text; '#' starts a comment; unknown keys are hard
-    errors (silent typos in epsilon/alpha invalidate experiments)."""
+def _config_error(message) -> NoReturn:
+    click.echo(f"config error: {message}", err=True)
+    sys.exit(2)
+
+
+def _load_config(ctx, param, path):
+    """Eager ``--config`` callback: the file's values become the command's
+    defaults, which click converts and checks as it does the command line.
+
+    The file is flat ``key = value`` text and '#' starts a comment.  Keys
+    outside ``SETTINGS`` are errors (silent typos in epsilon/alpha
+    invalidate experiments); keys the command does not read are ignored.
+    """
     if path is None:
-        return {}
-    cfg = {}
+        return
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
+        _config_error(f"cannot read config file {path}: {e}")
+    cfg = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            _config_error(f"{path}:{lineno}: expected key = value")
         key, raw = body.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg[key] = _parse_value(raw)
-    return cfg
+        if key not in SETTINGS:
+            _config_error(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = raw.strip()
+    ctx.default_map = cfg
 
 
-def _settings(config_path, overrides: dict) -> dict:
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
-    merged = dict(DEFAULTS)
-    merged.update(cfg)
-    merged.update({("format" if k == "format_" else k): v
-                   for k, v in overrides.items() if v is not None})
-    if merged["variant"] not in ("dissipative", "no-dissipation",
-                                 "no_dissipation"):
-        click.echo(f"config error: bad variant {merged['variant']!r}",
-                   err=True)
-        sys.exit(2)
-    merged["variant"] = merged["variant"].replace("-", "_")
-    if merged.get("fresh_seed"):
-        merged["seed"] = int(np.random.SeedSequence().entropy % 2 ** 31)
-        click.echo(f"fresh seed: {merged['seed']}")
-    return merged
+def reads(*names, **defaults):
+    """Give a command ``--config`` and the options of the settings it
+    reads, with ``--fresh-seed`` beside ``--seed``.  ``defaults`` replaces
+    the table's default for this command.  The command receives the
+    settings as keyword arguments."""
+    def decorate(cmd):
+        @wraps(cmd)
+        def run(fresh_seed=False, **s):
+            if fresh_seed:
+                s["seed"] = int(np.random.SeedSequence().entropy % 2 ** 31)
+                click.echo(f"fresh seed: {s['seed']}")
+            return cmd(**s)
+
+        options = [click.option("--config", type=str, is_eager=True,
+                                expose_value=False, callback=_load_config,
+                                help="flat key = value config file")]
+        for name in names:
+            spec = dict(SETTINGS[name])
+            if name in defaults:
+                spec["default"] = defaults[name]
+            options.append(click.option("--" + name.replace("_", "-"),
+                                        name, **spec))
+        if "seed" in names:
+            options.append(click.option(
+                "--fresh-seed", is_flag=True,
+                help="replace the fixed default seed with new entropy"))
+        for option in reversed(options):
+            run = option(run)
+        return run
+    return decorate
 
 
 def _out_dir(s: dict) -> Path:
@@ -127,29 +149,25 @@ def _out_dir(s: dict) -> Path:
     return out
 
 
-def _model_params(s: dict) -> ModelParams:
+def _model_params(s: dict, **fixed) -> ModelParams:
+    """The model from the settings a command reads; the fields it does not
+    read keep ``ModelParams``' defaults."""
+    given = {f.name: s[f.name] for f in fields(ModelParams) if f.name in s}
     try:
-        return ModelParams(epsilon=float(s["epsilon"]),
-                           alpha=float(s["alpha"]), variant=s["variant"],
-                           x0=float(s["x0"]), y0=float(s["y0"]),
-                           horizon=float(s["horizon"]))
+        return ModelParams(**dict(given, **fixed))
     except ValueError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+        _config_error(e)
 
 
 def _epsilon_ladder(s: dict, default: list[float]) -> list[float]:
     if not s["epsilons"]:
         return default
     try:
-        eps = [float(v) for v in str(s["epsilons"]).split(",") if v.strip()]
+        eps = [float(v) for v in s["epsilons"].split(",") if v.strip()]
     except ValueError:
-        click.echo(f"config error: bad epsilons {s['epsilons']!r}", err=True)
-        sys.exit(2)
+        _config_error(f"bad epsilons {s['epsilons']!r}")
     if len(eps) < 3 or not all(a > b for a, b in zip(eps, eps[1:])):
-        click.echo("config error: epsilons must be >= 3 decreasing values",
-                   err=True)
-        sys.exit(2)
+        _config_error("epsilons must be >= 3 decreasing values")
     return eps
 
 
@@ -164,33 +182,6 @@ def _finish(passed: bool) -> None:
     sys.exit(0 if passed else 1)
 
 
-def common_options(fn):
-    for opt in reversed([
-        click.option("--config", "config_path", type=str, default=None,
-                     help="flat key = value config file"),
-        click.option("--epsilon", type=float, default=None),
-        click.option("--alpha", type=float, default=None),
-        click.option("--x0", type=float, default=None),
-        click.option("--y0", type=float, default=None),
-        click.option("--horizon", type=float, default=None),
-        click.option("--step", type=float, default=None),
-        click.option("--replicas", type=int, default=None),
-        click.option("--seed", type=int, default=None),
-        click.option("--variant",
-                     type=click.Choice(["dissipative", "no-dissipation"]),
-                     default=None),
-        click.option("--out", type=str, default=None,
-                     help="output directory"),
-        click.option("--format", "format_",
-                     type=click.Choice(["csv", "json"]), default=None),
-        click.option("--fresh-seed", "fresh_seed", is_flag=True,
-                     default=False,
-                     help="replace the fixed default seed with new entropy"),
-    ]):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -198,26 +189,26 @@ def main():
     damped radial Bessel limit."""
 
 
-def _system_advance(s: dict, grid: TimeGrid):
-    """The advance that ``simulate --system`` runs, its scheme label and
-    the streams it reads."""
+def _system_reduce(s: dict, grid: TimeGrid):
+    """The batch-driver binding that ``simulate --system`` runs, as
+    ``run(master_seed, n_replicas, reduce_fn, batch_size=...)``, with its
+    scheme label and the streams it reads."""
     system = s["system"]
     if system == "rescaled":
-        return (partial(_rescaled_advance, _model_params(s), grid,
-                        s["scheme"]), f"rescaled_{s['scheme']}", (0, 1))
+        return (partial(rescaled_reduce, _model_params(s), grid,
+                        scheme=s["scheme"]), f"rescaled_{s['scheme']}",
+                (0, 1))
     if system == "slowtime":
-        return (partial(_slowtime_advance, _model_params(s), grid),
-                "slowtime_euler", (0, 1))
-    y0, horizon = float(s["y0"]), float(s["horizon"])
+        return (partial(replica_reduce, partial(_slowtime_advance,
+                                                _model_params(s), grid),
+                        grid), "slowtime_euler", (0, 1))
+    variant = "damped" if s["variant"] == "dissipative" else "no_dissipation"
+    lp = LimitParams(y0=s["y0"], variant=variant, horizon=s["horizon"])
     if system == "limit-em":
-        variant = "damped" if s["variant"] == "dissipative" \
-            else "no_dissipation"
-        lp = LimitParams(y0=y0, variant=variant, horizon=horizon)
         # the direct scheme reads z1 only
-        return (partial(_em_advance, lp, grid), f"limit_sq_em_{variant}",
-                (0,))
-    return (partial(_exact_advance, LimitParams(y0=y0, horizon=horizon),
-                    grid), "limit_exact_ou2d", (0, 1))
+        return (partial(replica_reduce, partial(_em_advance, lp, grid),
+                        grid), f"limit_sq_em_{variant}", (0,))
+    return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d", (0, 1)
 
 
 def _path_columns(ts, *arrays) -> dict:
@@ -230,22 +221,18 @@ def _path_columns(ts, *arrays) -> dict:
 
 
 @main.command()
-@common_options
-@click.option("--system", type=click.Choice(
-    ["rescaled", "slowtime", "limit-em", "limit-exact"]), default=None)
-@click.option("--scheme", type=click.Choice(["splitting", "euler"]),
-              default=None)
-@click.option("--polar", is_flag=True, default=False,
-              help="append radius/angle columns to 2-d paths")
-def simulate(config_path, polar, **kw):
+@reads("system", "scheme", "epsilon", "x0", "y0", "horizon", "variant",
+       "step", "seed", "out", "format", "polar")
+def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
     which reads streams (seed, 0) and (seed, 1)."""
-    s = _settings(config_path, kw)
-    grid = TimeGrid(0.0, float(s["horizon"]), float(s["step"]))
-    seed = int(s["seed"])
-    advance, scheme, stream_ids = _system_advance(s, grid)
-    first = replica_reduce(advance, grid, seed, 1, _path_columns,
-                           batch_size=1)
+    grid = TimeGrid(0.0, s["horizon"], s["step"])
+    seed = s["seed"]
+    try:
+        run, scheme, stream_ids = _system_reduce(s, grid)
+        first = run(seed, 1, _path_columns, batch_size=1)
+    except ValueError as e:
+        _config_error(e)
     path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
                       stream_ids=stream_ids, scheme=scheme,
                       diverged=bool(first["div"][0]))
@@ -258,7 +245,7 @@ def simulate(config_path, polar, **kw):
     out = _out_dir(s) / name
     if s["format"] == "csv":
         with open(out, "w") as fh:
-            path_to_csv(path, fh, polar=bool(s["polar"] or polar))
+            path_to_csv(path, fh, polar=s["polar"])
     else:
         doc = {"version": __version__, "seed": seed, "scheme": path.scheme,
                "times": path.grid.times().tolist(),
@@ -269,82 +256,65 @@ def simulate(config_path, polar, **kw):
 
 
 @main.command()
-@common_options
-@click.option("--x", type=float, default=None)
-@click.option("--y", type=float, default=None)
-def project(config_path, **kw):
+@reads("x", "y")
+def project(x, y):
     """Print the projected start value on the stable half-axis."""
-    s = _settings(config_path, kw)
-    click.echo(project_pi((float(s["x"]), float(s["y"]))))
+    click.echo(project_pi((x, y)))
     _finish(True)
 
 
 @main.command()
-@common_options
-@click.option("--epsilons", type=str, default=None,
-              help="comma-separated decreasing ladder")
-@click.option("--t", type=float, default=None)
-def lemma1(config_path, **kw):
+@reads("epsilons", "t", "alpha", *MONTE_CARLO, t=0.2)
+def lemma1(**s):
     """Scaling of the fast coordinate's second moment against epsilon."""
-    s = _settings(config_path, kw)
     eps = _epsilon_ladder(s, [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5])
-    t = float(s["t"]) if s["t"] is not None else 0.2
-    fit = x_second_moment_scaling(eps, float(s["alpha"]), t,
-                                  int(s["replicas"]), int(s["seed"]),
-                                  h=float(s["step"]))
+    fit = x_second_moment_scaling(eps, s["alpha"], s["t"], s["replicas"],
+                                  s["seed"], h=s["step"])
     lo, hi = MOMENT_SCALING_WINDOW
     passed = lo <= fit.slope <= hi
     with open(_out_dir(s) / "xmoment_scaling.csv", "w") as fh:
-        scaling_to_csv(fit, fh, seed=s["seed"], config={"alpha": s["alpha"],
-                                                        "t": t})
+        scaling_to_csv(fit, fh, seed=s["seed"],
+                       config={"alpha": s["alpha"], "t": s["t"]})
     _write_report(s, "xmoment_scaling.json", report_json(
         "x_second_moment_scaling",
-        {"epsilons": eps, "alpha": s["alpha"], "t": t,
+        {"epsilons": eps, "alpha": s["alpha"], "t": s["t"],
          "replicas": s["replicas"]},
-        fit.slope, fit.slope_se, int(s["replicas"]), passed,
-        [lo, hi], s["seed"]))
+        fit.slope, fit.slope_se, s["replicas"], passed, [lo, hi],
+        s["seed"]))
     click.echo(f"slope = {fit.slope:.4f} (target window [{lo:g}, {hi:g}])")
     _finish(passed)
 
 
 @main.command()
-@common_options
-def crossings(config_path, **kw):
+@reads("epsilon", "alpha", "x0", "y0", "horizon", "variant", *MONTE_CARLO)
+def crossings(**s):
     """Band-crossing statistics against the exit-time oracles."""
-    s = _settings(config_path, kw)
-    p = _model_params(s)
-    cs = crossing_stats(p, float(s["horizon"]), int(s["replicas"]),
-                        int(s["seed"]), h=float(s["step"]))
-    passed = cs.passed
+    cs = crossing_stats(_model_params(s), s["horizon"], s["replicas"],
+                        s["seed"], h=s["step"])
     _write_report(s, "crossings.json", report_json(
         "crossing_stats",
         {"epsilon": s["epsilon"], "alpha": s["alpha"], "T": s["horizon"],
-         "replicas": s["replicas"], "stats": cs.to_dict()},
-        cs.mean_n.estimate, cs.mean_n.std_error, int(s["replicas"]),
-        passed, cs.bounds["n_bound"], s["seed"]))
+         "replicas": s["replicas"], "stats": cs},
+        cs.mean_n.estimate, cs.mean_n.std_error, s["replicas"], cs.passed,
+        cs.bounds["n_bound"], s["seed"]))
     click.echo(f"mean up-crossings = {cs.mean_n.estimate:.3f} "
                f"(bound {cs.bounds['n_bound']:.3f})")
-    _finish(passed)
+    _finish(cs.passed)
 
 
 @main.command()
-@common_options
-@click.option("--f", "f_name", type=click.Choice(sorted(TEST_FUNCTIONS)),
-              default=None)
-def martingale(config_path, f_name, **kw):
+@reads("epsilon", "x0", "y0", "horizon", "variant", "f", *MONTE_CARLO)
+def martingale(**s):
     """Generator residual along the perturbed system, with the exact-limit
     control."""
-    s = _settings(config_path, dict(kw, f=f_name))
     p = _model_params(s)
     f = TEST_FUNCTIONS[s["f"]]
-    rep = martingale_residual(p, f, float(s["horizon"]),
-                              int(s["replicas"]), int(s["seed"]),
-                              h=float(s["step"]))
+    rep = martingale_residual(p, f, s["horizon"], s["replicas"], s["seed"],
+                              h=s["step"])
     ctrl = martingale_residual_limit(project_pi((p.x0, p.y0)), f,
-                                     float(s["horizon"]),
-                                     int(s["replicas"]), int(s["seed"]) + 1,
-                                     h=float(s["step"]))
-    if rep.config.get("diverged", 0) > 0.5 * int(s["replicas"]):
+                                     s["horizon"], s["replicas"],
+                                     s["seed"] + 1, h=s["step"])
+    if rep.config.get("diverged", 0) > 0.5 * s["replicas"]:
         click.echo("divergence-dominated run: "
                    f"{rep.config['diverged']} of {s['replicas']} replicas "
                    "tripped the guard", err=True)
@@ -355,7 +325,7 @@ def martingale(config_path, f_name, **kw):
     _write_report(s, "martingale.json", report_json(
         "martingale_residual",
         {"epsilon": s["epsilon"], "f": f.name, "T": s["horizon"],
-         "control": ctrl.to_dict()},
+         "control": ctrl},
         rep.estimate, rep.std_error, rep.n_replicas, passed, thresh,
         s["seed"]))
     click.echo(f"residual = {rep.estimate:+.5f} +- {rep.std_error:.5f} "
@@ -365,25 +335,22 @@ def martingale(config_path, f_name, **kw):
 
 
 @main.command(name="weak-gap")
-@common_options
-@click.option("--f", "f_name", type=click.Choice(sorted(TEST_FUNCTIONS)),
-              default=None)
-def weak_gap(config_path, f_name, **kw):
+@reads("epsilon", "x0", "y0", "horizon", "variant", "f", *MONTE_CARLO)
+def weak_gap(**s):
     """Terminal-law and x-collapse gaps against the limit process."""
-    s = _settings(config_path, dict(kw, f=f_name))
     p = _model_params(s)
     f = TEST_FUNCTIONS[s["f"]]
-    tg = terminal_law_gap(p, f, float(s["horizon"]), int(s["replicas"]),
-                          int(s["seed"]), h=float(s["step"]))
+    tg = terminal_law_gap(p, f, s["horizon"], s["replicas"], s["seed"],
+                          h=s["step"])
     cg = x_collapse_gap(p, lambda x, y: np.minimum(np.abs(x), 1.0),
-                        float(s["horizon"]), int(s["replicas"]),
-                        int(s["seed"]) + 1, h=float(s["step"]))
+                        s["horizon"], s["replicas"], s["seed"] + 1,
+                        h=s["step"])
     thresh = z_threshold(tg.gap.std_error, WEAK_GAP_SLACK)
     passed = abs(tg.gap.estimate) < thresh
     _write_report(s, "weak_gap.json", report_json(
         "weak_gap",
         {"epsilon": s["epsilon"], "f": f.name, "T": s["horizon"],
-         "terminal": tg.to_dict(), "collapse": cg.to_dict()},
+         "terminal": tg, "collapse": cg},
         tg.gap.estimate, tg.gap.std_error, tg.gap.n_replicas, passed,
         thresh, s["seed"]))
     click.echo(f"terminal gap = {tg.gap.estimate:+.5f} "
@@ -393,43 +360,29 @@ def weak_gap(config_path, f_name, **kw):
 
 
 @main.command()
-@common_options
-@click.option("--a", type=float, default=None,
-              help="excursion depth below the unstable half-axis")
-@click.option("--t", type=float, default=None, help="time horizon")
-@click.option("--epsilons", type=str, default=None)
-def excursions(config_path, **kw):
+@reads("epsilons", "a", "t", "x0", "y0", "variant", *MONTE_CARLO, t=5.0)
+def excursions(**s):
     """Deep-excursion probabilities over an epsilon ladder, with anatomy
     records at the largest epsilon."""
-    s = _settings(config_path, kw)
     eps = _epsilon_ladder(s, [0.2, 0.1, 0.05])
-    a = float(s["a"])
-    t = float(s["t"]) if s["t"] else 5.0
-    reps = []
-    for e in eps:
-        p = ModelParams(epsilon=e, alpha=float(s["alpha"]),
-                        variant=s["variant"], x0=float(s["x0"]),
-                        y0=float(s["y0"]), horizon=t)
-        reps.append(excursion_probability(p, a, t, int(s["replicas"]),
-                                          int(s["seed"]),
-                                          h=float(s["step"])))
+    a, t = s["a"], s["t"]
+    reps = [excursion_probability(_model_params(s, epsilon=e, horizon=t), a,
+                                  t, s["replicas"], s["seed"], h=s["step"])
+            for e in eps]
     vals = [r.estimate for r in reps]
     passed = all(u > v for u, v in zip(vals, vals[1:]))
-    p = ModelParams(epsilon=eps[0], alpha=float(s["alpha"]),
-                    variant=s["variant"], x0=float(s["x0"]),
-                    y0=float(s["y0"]), horizon=t)
-    grid = TimeGrid(0.0, t, float(s["step"]))
-    paths = rescaled_reduce(p, grid, int(s["seed"]) + 7, 20,
+    grid = TimeGrid(0.0, t, s["step"])
+    paths = rescaled_reduce(_model_params(s, epsilon=eps[0], horizon=t),
+                            grid, s["seed"] + 7, 20,
                             lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
     records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
                                 a=a / 2.0)
     _write_report(s, "excursions.json", report_json(
         "excursion_probability",
-        {"a": a, "t": t, "epsilons": eps,
-         "ladder": [r.to_dict() for r in reps],
+        {"a": a, "t": t, "epsilons": eps, "ladder": reps,
          "n_anatomy_records": len(records),
          "anatomy_max_abs_x": [r.max_abs_x for r in records[:50]]},
-        vals[-1], reps[-1].std_error, int(s["replicas"]), passed, None,
+        vals[-1], reps[-1].std_error, s["replicas"], passed, None,
         s["seed"]))
     click.echo("p(ladder) = " + ", ".join(f"{v:.4f}" for v in vals)
                + ("  (decreasing)" if passed else "  (NOT decreasing)"))
@@ -437,21 +390,16 @@ def excursions(config_path, **kw):
 
 
 @main.command()
-@common_options
-@click.option("--initial", type=click.Choice(sorted(TEST_FUNCTIONS)),
-              default=None)
-@click.option("--t-final", "t_final", type=float, default=None)
-@click.option("--n-points", "n_points", type=int, default=None)
-def pde(config_path, t_final, n_points, **kw):
+@reads("initial", "t_final", "n_points", "seed", "out")
+def pde(**s):
     """Solve the limit Cauchy problem and cross-check it against the
     probabilistic representation."""
-    s = _settings(config_path, dict(kw, t_final=t_final, n_points=n_points))
     f = TEST_FUNCTIONS[s["initial"]]
-    grid = Grid1D(n_points=int(s["n_points"]), t_final=float(s["t_final"]))
+    t_final = s["t_final"]
+    grid = Grid1D(n_points=s["n_points"], t_final=t_final)
     sol = solve_limit_pde(f, grid)
     ys = grid.y_nodes()
-    out = _out_dir(s)
-    csv_path = out / "pde_solution.csv"
+    csv_path = _out_dir(s) / "pde_solution.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"# ablab={__version__} seed={s['seed']} "
                  f"initial={f.name} n_points={grid.n_points} "
@@ -465,31 +413,28 @@ def pde(config_path, t_final, n_points, **kw):
     checks = []
     passed = True
     for i, y in enumerate(probes):
-        rep = feynman_kac_mc(float(y), float(s["t_final"]), f, 100_000,
-                             int(s["seed"]) + i)
+        rep = feynman_kac_mc(float(y), t_final, f, 100_000, s["seed"] + i)
         tol = z_threshold(rep.std_error, PDE_PROBE_SLACK)
-        gap = abs(float(sol.at(float(s["t_final"]), y)) - rep.estimate)
-        checks.append({"y": float(y), "pde": float(sol.at(
-            float(s["t_final"]), y)), "mc": rep.estimate, "gap": gap,
-            "tol": tol})
+        u = float(sol.at(t_final, y))
+        gap = abs(u - rep.estimate)
+        checks.append({"y": float(y), "pde": u, "mc": rep.estimate,
+                       "gap": gap, "tol": tol})
         passed = passed and gap < tol
     _write_report(s, "pde_probes.json", report_json(
         "solve_limit_pde",
-        {"initial": f.name, "t_final": s["t_final"],
-         "n_points": s["n_points"], "probes": checks,
-         "max_principle": [sol.u_min, sol.u_max],
+        {"initial": f.name, "t_final": t_final, "n_points": s["n_points"],
+         "probes": checks, "max_principle": [sol.u_min, sol.u_max],
          "constant_drift_per_step": sol.constant_drift_per_step},
         None, None, len(checks), passed, None, s["seed"]))
     _finish(passed)
 
 
 @main.command(name="euler-arnold")
-@common_options
-def euler_arnold_cmd(config_path, **kw):
+@reads("seed", "out")
+def euler_arnold_cmd(**s):
     """Verify the affine-group structural identities and the momentum-
     equation equivalence."""
-    s = _settings(config_path, kw)
-    viol = algebra_identity_battery(int(s["seed"]))
+    viol = algebra_identity_battery(s["seed"])
     total = sum(viol.values())
     _write_report(s, "euler_arnold.json", report_json(
         "algebra_identity_battery", {"violations": viol}, total, None,
@@ -502,11 +447,10 @@ def euler_arnold_cmd(config_path, **kw):
 
 
 @main.command()
-@common_options
-def acceptance(config_path, **kw):
+@reads("seed", "out")
+def acceptance(**s):
     """Run the full acceptance battery and write the JSON report."""
-    s = _settings(config_path, kw)
-    results, payload = run_acceptance(int(s["seed"]))
+    results, payload = run_acceptance(s["seed"])
     path = _out_dir(s) / "acceptance.json"
     path.write_text(payload)
     for r in results:

@@ -204,7 +204,7 @@ def to_polar(path: PathSample) -> PathSample:
     Folding the angle across the y-axis uses the mirror symmetry of the
     system, so theta = +pi/2 is the stable half-axis and -pi/2 the unstable
     one.  At the origin the angle is undefined; such samples carry the
-    previous angle and are flagged.
+    previous angle (0 at the first sample).
     """
     if path.states.shape[1] != 2:
         raise ValueError("to_polar needs a 2-d path")
@@ -212,14 +212,10 @@ def to_polar(path: PathSample) -> PathSample:
     y = path.states[:, 1]
     r = np.hypot(x, y)
     theta = np.arctan2(y, np.abs(x))
-    flags = r == 0.0
-    if flags.any():
-        idx = np.nonzero(flags)[0]
-        for i in idx:
-            theta[i] = theta[i - 1] if i > 0 else 0.0
+    for i in np.nonzero(r == 0.0)[0]:
+        theta[i] = theta[i - 1] if i > 0 else 0.0
     return PathSample(grid=path.grid, states=np.column_stack([r, theta]),
                       master_seed=path.master_seed,
                       stream_ids=path.stream_ids,
                       scheme=f"polar({path.scheme})",
-                      diverged=path.diverged,
-                      flags=flags if flags.any() else None)
+                      diverged=path.diverged)

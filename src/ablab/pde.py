@@ -87,7 +87,7 @@ class PDESolution:
         return np.interp(np.asarray(y, dtype=np.float64), ys, self.u[k])
 
 
-def solve_limit_pde(f: TestFunction | np.ndarray, grid: Grid1D,
+def solve_limit_pde(f: TestFunction, grid: Grid1D,
                     snapshot_times=None) -> PDESolution:
     """Explicit finite differences for the limit Cauchy problem.
 
@@ -99,14 +99,7 @@ def solve_limit_pde(f: TestFunction | np.ndarray, grid: Grid1D,
     ys = grid.y_nodes()
     dy = grid.dy
     dt = grid.dt
-    if isinstance(f, TestFunction):
-        u = np.asarray(f(ys), dtype=np.float64).copy()
-        name = f.name
-    else:
-        u = np.asarray(f, dtype=np.float64).copy()
-        if u.shape != ys.shape:
-            raise ValueError("initial data must match the grid")
-        name = "array"
+    u = np.asarray(f(ys), dtype=np.float64).copy()
     if snapshot_times is None:
         snapshot_times = [grid.t_final]
     snapshot_times = sorted(float(t) for t in snapshot_times)
@@ -154,7 +147,7 @@ def solve_limit_pde(f: TestFunction | np.ndarray, grid: Grid1D,
 
     times = np.asarray(snapshot_times)
     u_hist = np.stack(snaps) if snaps else np.empty((0, ys.size))
-    return PDESolution(grid=grid, times=times, u=u_hist, initial=name,
+    return PDESolution(grid=grid, times=times, u=u_hist, initial=f.name,
                        u_min=u_min, u_max=u_max,
                        constant_drift_per_step=drift_const)
 
@@ -162,10 +155,6 @@ def solve_limit_pde(f: TestFunction | np.ndarray, grid: Grid1D,
 def feynman_kac_mc(y: float, t: float, f: TestFunction, n: int,
                    master_seed: int) -> StatReport:
     """E_y f(Y_t) by the exact limit sampler (single exact transition)."""
-    if t == 0.0:
-        return StatReport(estimate=float(f(np.float64(y))), std_error=0.0,
-                          n_replicas=n, config={"y0": y, "t": 0.0,
-                                                "f": f.name})
     samples = limit_exact_terminal(y, [t], n, master_seed)[:, 0]
     return StatReport.from_samples(f(samples), y0=y, t=t, f=f.name,
                                    seed=master_seed)

@@ -8,6 +8,7 @@ reruns with the same seed produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from typing import IO
 
 import numpy as np
@@ -68,6 +69,10 @@ def scaling_to_csv(fit: ScalingFit, out: IO[str], seed=None,
 
 
 def _jsonable(obj):
+    """Plain JSON values from arrays, numpy scalars, containers and
+    dataclass instances (a dict of their fields)."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

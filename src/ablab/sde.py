@@ -94,7 +94,6 @@ class PathSample:
     stream_ids: tuple[int, ...]
     scheme: str
     diverged: bool = False
-    flags: np.ndarray | None = None  # per-sample quality flags, if any
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))

@@ -316,7 +316,7 @@ def test_fused_residuals_equal_single_function_calls():
     fs = (gauss_bump(), limit.lorentzian(), limit.cos_square())
     fused = martingale_residuals(p, fs, 0.2, 64, 17, h=1e-2)
     alone = [martingale_residual(p, f, 0.2, 64, 17, h=1e-2) for f in fs]
-    assert [r.to_dict() for r in fused] == [r.to_dict() for r in alone]
+    assert fused == alone
     assert len({r.estimate for r in fused}) == len(fs)
 
 

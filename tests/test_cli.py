@@ -125,3 +125,120 @@ def test_weak_gap_reports_follow_the_threshold_table(tmp_path, command,
     assert report["passed"] == (abs(report["estimate"]) < thresh
                                 and extra_rule(report))
     assert result.exit_code == (0 if report["passed"] else 1)
+
+
+def test_simulate_limit_exact_rejects_no_dissipation(tmp_path):
+    # the exact sampler exists for the damped variant only
+    result = run(["simulate", "--system", "limit-exact", "--variant",
+                  "no-dissipation", "--horizon", "0.01"], tmp_path)
+    assert result.exit_code == 2
+    assert "damped variant only" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli"
+
+
+def _with_version(golden: str) -> str:
+    return golden.replace(f'"version": "{GOLDEN_VERSION}"',
+                          f'"version": "{__version__}"').replace(
+        f"ablab={GOLDEN_VERSION}", f"ablab={__version__}")
+
+
+@pytest.mark.parametrize("command, files", [
+    ("lemma1", ["xmoment_scaling.csv", "xmoment_scaling.json"]),
+    ("crossings", ["crossings.json"]),
+    ("martingale", ["martingale.json"]),
+    ("weak-gap", ["weak_gap.json"]),
+    ("excursions", ["excursions.json"]),
+    ("euler-arnold", ["euler_arnold.json"]),
+])
+def test_report_commands_write_the_golden_reports(tmp_path, command, files):
+    # the golden files and printed lines were written while every command
+    # still took the same shared options
+    args = [command] if command == "euler-arnold" \
+        else [command, "--replicas", "32"]
+    result = run(args, tmp_path)
+    assert result.exit_code == 0, result.output
+    assert result.output.replace(str(tmp_path), "OUT") \
+        == (CLI_GOLDEN / f"{command}.stdout").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    for name in files:
+        assert (tmp_path / name).read_text() \
+            == _with_version((CLI_GOLDEN / name).read_text())
+
+
+# Each command takes --config plus the settings it reads.
+OPTIONS = {
+    "simulate": {"config", "system", "scheme", "epsilon", "x0", "y0",
+                 "horizon", "variant", "step", "seed", "out", "format",
+                 "polar", "fresh-seed"},
+    "project": {"config", "x", "y"},
+    "lemma1": {"config", "epsilons", "t", "alpha", "step", "replicas",
+               "seed", "out", "fresh-seed"},
+    "crossings": {"config", "epsilon", "alpha", "x0", "y0", "horizon",
+                  "variant", "step", "replicas", "seed", "out",
+                  "fresh-seed"},
+    "martingale": {"config", "epsilon", "x0", "y0", "horizon", "variant",
+                   "f", "step", "replicas", "seed", "out", "fresh-seed"},
+    "weak-gap": {"config", "epsilon", "x0", "y0", "horizon", "variant", "f",
+                 "step", "replicas", "seed", "out", "fresh-seed"},
+    "excursions": {"config", "epsilons", "a", "t", "x0", "y0", "variant",
+                   "step", "replicas", "seed", "out", "fresh-seed"},
+    "pde": {"config", "initial", "t-final", "n-points", "seed", "out",
+            "fresh-seed"},
+    "euler-arnold": {"config", "seed", "out", "fresh-seed"},
+    "acceptance": {"config", "seed", "out", "fresh-seed"},
+}
+# The options every command used to take, whether it read them or not.
+SHARED_BEFORE = ("epsilon", "alpha", "x0", "y0", "horizon", "step",
+                 "replicas", "seed", "variant", "out", "format", "fresh-seed")
+REMOVED = [(command, option) for command, options in OPTIONS.items()
+           for option in SHARED_BEFORE if option not in options]
+
+
+def test_each_command_takes_only_the_settings_it_reads():
+    taken = {name: {opt[2:] for param in cmd.params if param.name != "help"
+                    for opt in param.opts}
+             for name, cmd in main.commands.items()}
+    assert taken == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 89
+    assert len(REMOVED) == 56
+
+
+@pytest.mark.parametrize("command, option", REMOVED)
+def test_an_option_the_command_does_not_read_exits_2(command, option):
+    result = run([command, f"--{option}"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert f"--{option}" in result.output
+
+
+def test_config_precedence(tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    # one file serves every command: project ignores replicas and polar
+    cfg.write_text("x = 3\ny = 4  # start\nreplicas = 5\npolar = true\n")
+    assert run(["project", "--config", str(cfg)]).output == "5.0\n"
+    assert run(["project", "--config", str(cfg), "--y", "0"]).output \
+        == "3.0\n"
+    assert run(["project", "--y", "0", "--config", str(cfg)]).output \
+        == "3.0\n"
+    cfg.write_text("delta = 0.1\n")
+    result = run(["project", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "unknown key 'delta'" in result.output
+
+
+def test_polar_from_a_config_file_writes_the_polar_columns(tmp_path):
+    cfg = tmp_path / "polar.cfg"
+    cfg.write_text("polar = true\nseed = 7\nhorizon = 0.01\n"
+                   "step = 0.001\nepsilon = 0.01\n")
+    out = tmp_path / "out"
+    result = run(["simulate", "--config", str(cfg)], out)
+    assert result.exit_code == 0, result.output
+    meta, body = (out / "path_rescaled_seed7.csv").read_text().split("\n", 1)
+    want_meta, want_body = (GOLDEN / "rescaled_polar.csv").read_text() \
+        .split("\n", 1)
+    assert meta == want_meta.replace(f"ablab={GOLDEN_VERSION}",
+                                     f"ablab={__version__}")
+    assert body == want_body

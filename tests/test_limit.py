@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import ncx2
 
 from ablab import _kernels, limit, model
-from ablab.analysis import ks_critical_value, ks_statistic
+from ablab.analysis import KS_COEFF_1PCT, ks_critical_value, ks_statistic
 from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                          expected_square, gauss_bump, generator_apply,
                          limit_exact_reduce, limit_exact_terminal, square_fn,
@@ -169,7 +169,7 @@ def test_stationary_law_and_mean():
     n = 10_000
     ys = limit_exact_terminal(1.0, [10.0], n, 33)[:, 0]
     stat = ks_one_sample(ys ** 2, stationary_square_cdf)
-    assert stat < 1.6276 / math.sqrt(n)
+    assert stat < KS_COEFF_1PCT / math.sqrt(n)
     se = ys.std(ddof=1) / math.sqrt(n)
     assert abs(ys.mean() - stationary_mean()) < 3 * se
 

@@ -1,3 +1,4 @@
+import io
 import math
 from functools import partial
 
@@ -10,9 +11,10 @@ from ablab.limit import limit_exact_terminal
 from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
                          energy, flow_unperturbed, project_pi,
                          project_pi_flow, replica_reduce, rescaled_reduce,
-                         to_polar, unperturbed_rhs)
+                         unperturbed_rhs)
 from ablab.limit import (LimitParams, _em_advance, _exact_advance,
                          limit_exact_reduce)
+from ablab.reporting import path_to_csv
 from ablab.sde import PathSample, TimeGrid, normal_matrix
 
 
@@ -242,26 +244,32 @@ def test_radial_identity_any_epsilon():
     assert ks_statistic(out["rT"], ref) < ks_critical_value(n, n)
 
 
-def test_to_polar_values():
+def _polar_csv_columns(states):
+    """The r and theta columns that the polar CSV writes for a path."""
     grid = TimeGrid(0.0, 1.0, 0.5)
-    states = np.array([[0.0, 2.0], [1.0, 1.0], [-1.0, 1.0]])
-    p = PathSample(grid=grid, states=states, master_seed=0, stream_ids=(0, 1),
-                   scheme="synthetic")
-    pol = to_polar(p)
-    assert np.allclose(pol.states[:, 0], [2.0, math.sqrt(2), math.sqrt(2)])
-    assert np.allclose(pol.states[:, 1],
-                       [math.pi / 2, math.pi / 4, math.pi / 4])
-    assert pol.flags is None
+    p = PathSample(grid=grid, states=np.array(states), master_seed=0,
+                   stream_ids=(0, 1), scheme="synthetic")
+    buf = io.StringIO()
+    path_to_csv(p, buf, polar=True)
+    header, *rows = buf.getvalue().splitlines()[1:]
+    assert header == "t,x,y,r,theta"
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return table[:, 3], table[:, 4]
+
+
+def test_to_polar_values():
+    r, theta = _polar_csv_columns([[0.0, 2.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert np.allclose(r, [2.0, math.sqrt(2), math.sqrt(2)])
+    assert np.allclose(theta, [math.pi / 2, math.pi / 4, math.pi / 4])
 
 
 def test_to_polar_origin_flagged():
-    grid = TimeGrid(0.0, 1.0, 0.5)
-    states = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    p = PathSample(grid=grid, states=states, master_seed=0, stream_ids=(0, 1),
-                   scheme="synthetic")
-    pol = to_polar(p)
-    assert pol.flags is not None and pol.flags[1] and not pol.flags[0]
-    assert pol.states[1, 1] == pol.states[0, 1]  # carried forward
+    # the angle is undefined at the origin: the previous one is carried
+    # forward, and 0 stands in at the first sample
+    r, theta = _polar_csv_columns([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    assert r[1] == 0.0 and theta[1] == theta[0]
+    r, theta = _polar_csv_columns([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert theta[0] == 0.0 and theta[2] == theta[1] == math.pi / 2
 
 
 @settings(max_examples=15, deadline=None)

@@ -87,8 +87,9 @@ def test_pde_matches_probabilistic_representation():
 
 
 def test_feynman_kac_trivial_cases():
-    rep = feynman_kac_mc(2.0, 0.0, gauss_bump(), 100, 1)
-    assert rep.estimate == math.exp(-4.0) and rep.std_error == 0.0
+    # t = 0 is no transition of the sampler
+    with pytest.raises(ValueError):
+        feynman_kac_mc(2.0, 0.0, gauss_bump(), 100, 1)
     rep = feynman_kac_mc(2.0, 1.0, constant_fn(1.0), 5000, 2)
     assert rep.estimate == 1.0 and rep.std_error == 0.0
 
