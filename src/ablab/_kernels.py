@@ -242,13 +242,16 @@ def limit_sq_em(y0, a_drift, b_drift, h, z, ys):
 # ---------------------------------------------------------------------------
 
 def ou2d_radius(y0, decay, sd, z1, z2, rs):
+    # decay and sd: one value per step, or one value for every step
     n_paths, n_steps = z1.shape
+    decay = np.broadcast_to(decay, n_steps)
+    sd = np.broadcast_to(sd, n_steps)
     u = np.zeros(n_paths, dtype=np.float64)
     v = np.full(n_paths, y0, dtype=np.float64)
     rs[:, 0] = abs(y0)
     for k in range(n_steps):
-        u = u * decay + sd * z1[:, k]
-        v = v * decay + sd * z2[:, k]
+        u = u * decay[k] + sd[k] * z1[:, k]
+        v = v * decay[k] + sd[k] * z2[:, k]
         rs[:, k + 1] = np.hypot(u, v)
 
 

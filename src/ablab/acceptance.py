@@ -287,8 +287,8 @@ def criterion_cauchy_corollary(seed: int) -> CriterionResult:
     return CriterionResult(9, "limit Cauchy problem", bool(ok), details)
 
 
-def _ulp_ok(a: float, b: float, scale: float, n_ulp: float = 8.0) -> bool:
-    return abs(a - b) <= n_ulp * np.spacing(max(abs(scale), 1e-300))
+def _ulp_ok(a: float, b: float, scale: float) -> bool:
+    return abs(a - b) <= 8.0 * np.spacing(max(abs(scale), 1e-300))
 
 
 def algebra_identity_battery(seed: int) -> dict:

@@ -48,9 +48,9 @@ def z_threshold(std_error: float, slack: float = 0.0) -> float:
     return Z_GATE * std_error + slack
 
 
-def ks_critical_value(n: int, m: int, alpha: float = 0.01) -> float:
-    """Two-sample Kolmogorov-Smirnov critical value (asymptotic)."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+def ks_critical_value(n: int, m: int) -> float:
+    """Two-sample Kolmogorov-Smirnov critical value (asymptotic), 1% level."""
+    c = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
     return c * math.sqrt((n + m) / (n * m))
 
 
@@ -199,6 +199,12 @@ def _trapezoid(w: np.ndarray, h: float) -> np.ndarray:
     return h * (w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1]))
 
 
+def _residual(f: TestFunction, ys: np.ndarray, y_start: float, h: float):
+    """f(Y_T) - f(y_start) - trapezoid of A f on steps h, row by row."""
+    af = generator_apply(f, ys.ravel()).reshape(ys.shape)
+    return f(ys[:, -1]) - f(np.float64(y_start)) - _trapezoid(af, h)
+
+
 def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
                          T: float, n: int, master_seed: int,
                          h: float = 1e-3) -> list[StatReport]:
@@ -219,11 +225,8 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
         rs = np.hypot(xs, ys)
         residuals = {"div": div}
         for k, f in enumerate(fs):
-            af = generator_apply(f, ys.ravel()).reshape(ys.shape)
-            res = f(ys[:, -1]) - f(np.float64(y_pi)) - _trapezoid(af, h)
-            af_c = generator_apply(f, rs.ravel()).reshape(rs.shape)
-            residuals[k] = res - (f(rs[:, -1]) - f(np.float64(y_pi))
-                                  - _trapezoid(af_c, h))
+            residuals[k] = _residual(f, ys, y_pi, h) \
+                - _residual(f, rs, y_pi, h)
         return residuals
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
@@ -250,9 +253,7 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
     grid = TimeGrid(0.0, T, h)
 
     def reduce_fn(ts, rs):
-        af = generator_apply(f, rs.ravel()).reshape(rs.shape)
-        res = f(rs[:, -1]) - f(np.float64(y0)) - _trapezoid(af, h)
-        return {"res": res}
+        return {"res": _residual(f, rs, y0, h)}
 
     out = limit_exact_reduce(lp, grid, master_seed, n, reduce_fn,
                              batch_size=2048)

@@ -115,14 +115,17 @@ def reads(*names, **defaults):
     """Give a command ``--config`` and the options of the settings it
     reads, with ``--fresh-seed`` beside ``--seed``.  ``defaults`` replaces
     the table's default for this command.  The command receives the
-    settings as keyword arguments."""
+    settings as keyword arguments; its ``ValueError`` is a config error."""
     def decorate(cmd):
         @wraps(cmd)
         def run(fresh_seed=False, **s):
             if fresh_seed:
                 s["seed"] = int(np.random.SeedSequence().entropy % 2 ** 31)
                 click.echo(f"fresh seed: {s['seed']}")
-            return cmd(**s)
+            try:
+                return cmd(**s)
+            except ValueError as e:
+                _config_error(e)
 
         options = [click.option("--config", type=str, is_eager=True,
                                 expose_value=False, callback=_load_config,
@@ -153,10 +156,7 @@ def _model_params(s: dict, **fixed) -> ModelParams:
     """The model from the settings a command reads; the fields it does not
     read keep ``ModelParams``' defaults."""
     given = {f.name: s[f.name] for f in fields(ModelParams) if f.name in s}
-    try:
-        return ModelParams(**dict(given, **fixed))
-    except ValueError as e:
-        _config_error(e)
+    return ModelParams(**dict(given, **fixed))
 
 
 def _epsilon_ladder(s: dict, default: list[float]) -> list[float]:
@@ -201,13 +201,13 @@ def _system_reduce(s: dict, grid: TimeGrid):
     if system == "slowtime":
         return (partial(replica_reduce, partial(_slowtime_advance,
                                                 _model_params(s), grid),
-                        grid), "slowtime_euler", (0, 1))
+                        grid.times()), "slowtime_euler", (0, 1))
     variant = "damped" if s["variant"] == "dissipative" else "no_dissipation"
     lp = LimitParams(y0=s["y0"], variant=variant, horizon=s["horizon"])
     if system == "limit-em":
         # the direct scheme reads z1 only
         return (partial(replica_reduce, partial(_em_advance, lp, grid),
-                        grid), f"limit_sq_em_{variant}", (0,))
+                        grid.times()), f"limit_sq_em_{variant}", (0,))
     return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d", (0, 1)
 
 
@@ -228,11 +228,8 @@ def simulate(**s):
     which reads streams (seed, 0) and (seed, 1)."""
     grid = TimeGrid(0.0, s["horizon"], s["step"])
     seed = s["seed"]
-    try:
-        run, scheme, stream_ids = _system_reduce(s, grid)
-        first = run(seed, 1, _path_columns, batch_size=1)
-    except ValueError as e:
-        _config_error(e)
+    run, scheme, stream_ids = _system_reduce(s, grid)
+    first = run(seed, 1, _path_columns, batch_size=1)
     path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
                       stream_ids=stream_ids, scheme=scheme,
                       diverged=bool(first["div"][0]))

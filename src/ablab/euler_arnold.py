@@ -29,7 +29,7 @@ class GroupElement:
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """The matrix [[xi1, xi2], [0, 0]]; ``dual`` marks covectors.
+    """The matrix [[xi1, xi2], [0, 0]], or a covector of the dual.
 
     The pairing is Euclidean, (xi, eta) = xi1*eta1 + xi2*eta2, which is
     what identifies the algebra with its dual.
@@ -37,7 +37,6 @@ class AlgebraElement:
 
     xi1: float
     xi2: float
-    dual: bool = False
 
 
 class MomentumState(NamedTuple):
@@ -67,7 +66,7 @@ def ad_g(g: GroupElement, eta: AlgebraElement) -> AlgebraElement:
 
 def coad_g(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
     """Coadjoint action, the pairing dual of ad_g: (xi1 - b*xi2, a*xi2)."""
-    return AlgebraElement(xi.xi1 - g.b * xi.xi2, g.a * xi.xi2, dual=True)
+    return AlgebraElement(xi.xi1 - g.b * xi.xi2, g.a * xi.xi2)
 
 
 def bracket(xi: AlgebraElement, eta: AlgebraElement) -> AlgebraElement:
@@ -79,7 +78,7 @@ def coadjoint_bracket(xi: AlgebraElement,
                       zeta: AlgebraElement) -> AlgebraElement:
     """{xi, zeta} = (-xi2*zeta2, xi1*zeta2), dual to the bracket:
     ({xi, zeta}, eta) = (zeta, [xi, eta])."""
-    return AlgebraElement(-xi.xi2 * zeta.xi2, xi.xi1 * zeta.xi2, dual=True)
+    return AlgebraElement(-xi.xi2 * zeta.xi2, xi.xi1 * zeta.xi2)
 
 
 def euler_arnold_rhs(m: MomentumState) -> MomentumState:

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _kernels
 from .model import replica_reduce
-from .sde import TimeGrid, normal_matrix
+# not called here: the benchmark tracer wraps normal_matrix by this name
+from .sde import TimeGrid, normal_matrix  # noqa: F401
 
 VARIANTS = ("damped", "no_dissipation")
 
@@ -115,6 +116,11 @@ class LimitParams:
             raise ValueError("horizon must be positive")
 
 
+def radial_drift(y):
+    """The drift 1/(2y) - y of the damped limit at y > 0."""
+    return 0.5 / y - y
+
+
 def generator_apply(f: TestFunction, y):
     """A f at y: the displayed formula for y > 0, its limit at 0, 0 below."""
     arr = np.asarray(y, dtype=np.float64)
@@ -124,7 +130,7 @@ def generator_apply(f: TestFunction, y):
     pos = arr > 0.0
     if pos.any():
         yp = arr[pos]
-        out[pos] = 0.5 * f.d2f(yp) + (0.5 / yp - yp) * f.df(yp)
+        out[pos] = 0.5 * f.d2f(yp) + radial_drift(yp) * f.df(yp)
     zero = arr == 0.0
     if zero.any():
         if not f.in_domain or f.df_over_y_limit0 is None:
@@ -162,17 +168,12 @@ def _exact_step_coeffs(h: float) -> tuple[float, float]:
     return decay, sd
 
 
-def _exact_advance(p: LimitParams, grid: TimeGrid, z1, z2):
-    """Exact-in-law sampler, the radius of a 2-d OU process dZ = -Z dt + dW:
-    (rs,) from one batch of draws.
-
-    Gaussian transitions are sampled coordinate-wise from Z0 = (0, y0), so
-    the path law at the grid times carries no discretization bias.  The
-    damped variant only.
-    """
-    rs = np.empty((z1.shape[0], grid.n_steps + 1))
-    decay, sd = _exact_step_coeffs(grid.step)
-    _kernels.ou2d_radius(p.y0, decay, sd, z1, z2, rs)
+def _exact_advance(y0: float, decay, sd, z1, z2):
+    """Exact-in-law sampler: (rs,) from one batch of draws, the radius of
+    the 2-d OU process dZ = -Z dt + dW from Z0 = (0, y0), stepped by exact
+    Gaussian transitions with ``(decay, sd)`` per step or for every step."""
+    rs = np.empty((z1.shape[0], z1.shape[1] + 1))
+    _kernels.ou2d_radius(y0, decay, sd, z1, z2, rs)
     return (rs,)
 
 
@@ -182,8 +183,9 @@ def limit_exact_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,
     """``replica_reduce`` over the exact sampler; ``reduce_fn(times, rs)``."""
     if p.variant != "damped":
         raise ValueError("exact sampler exists for the damped variant only")
-    return replica_reduce(partial(_exact_advance, p, grid), grid,
-                          master_seed, n_replicas, reduce_fn, batch_size)
+    advance = partial(_exact_advance, p.y0, *_exact_step_coeffs(grid.step))
+    return replica_reduce(advance, grid.times(), master_seed, n_replicas,
+                          reduce_fn, batch_size)
 
 
 def limit_exact_terminal(y0: float, times, n: int,
@@ -192,25 +194,17 @@ def limit_exact_terminal(y0: float, times, n: int,
 
     Jumps the underlying 2-d OU process through the strictly increasing
     ``times`` in single exact transitions; returns shape (n, len(times)).
-    Draw i reads the streams of replica i of ``replica_reduce``.
+    Draw i is replica i of ``replica_reduce``, in one batch.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if not (np.diff(times) > 0.0).all() or times[0] <= 0.0:
         raise ValueError("times must be strictly increasing and positive")
-    ids = 2 * np.arange(n, dtype=np.uint64)
-    z1 = normal_matrix(master_seed, ids, len(times))
-    z2 = normal_matrix(master_seed, ids + 1, len(times))
-    u = np.zeros(n)
-    v = np.full(n, y0, dtype=np.float64)
-    out = np.empty((n, len(times)))
-    t_prev = 0.0
-    for j, t in enumerate(times):
-        decay, sd = _exact_step_coeffs(t - t_prev)
-        u = u * decay + sd * z1[:, j]
-        v = v * decay + sd * z2[:, j]
-        out[:, j] = np.hypot(u, v)
-        t_prev = t
-    return out
+    ts = np.concatenate([[0.0], times])
+    decay, sd = zip(*(_exact_step_coeffs(t - t_prev)
+                      for t_prev, t in zip(ts[:-1], ts[1:])))
+    return replica_reduce(partial(_exact_advance, y0, decay, sd), ts,
+                          master_seed, n, lambda _, rs: {"rs": rs},
+                          batch_size=n)["rs"][:, 1:]
 
 
 def expected_square(y0: float, t, variant: str = "damped"):

@@ -89,7 +89,7 @@ def flow_unperturbed(s0, t: float, tol: float = 1e-8) -> State2:
     rtol = min(max(tol * 1e-4, 1e-13), 1e-10)
     for _ in range(3):
         sol = solve_ivp(
-            lambda _t, s: [-s[0] * s[1], s[0] * s[0]],
+            lambda _t, s: unperturbed_rhs(s),
             (0.0, t), [x0, y0], method="DOP853",
             rtol=rtol, atol=rtol * 1e-2, t_eval=t_eval)
         if not sol.success:
@@ -121,26 +121,29 @@ def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:
     return flow_unperturbed(s0, t, tol).y
 
 
-def replica_reduce(advance, grid: TimeGrid, master_seed: int,
+def replica_reduce(advance, ts: np.ndarray, master_seed: int,
                    n_replicas: int, reduce_fn, batch_size: int) -> dict:
-    """Run replicas of one system in batches, reducing each batch to small
-    arrays.  Every simulated path in the package comes from here.
+    """Run replicas of one system on the time points ``ts`` in batches,
+    reducing each batch to small arrays.  Every simulated path and every
+    ``normal_matrix`` row of the package is drawn here.
 
     Replica i reads streams 2i and 2i + 1 of ``master_seed``: one row each
-    of ``normal_matrix``, a pure function of the stream and the grid.
+    of ``normal_matrix`` with ``len(ts) - 1`` draws, a pure function of the
+    stream and its length.
     ``advance(z1, z2)`` turns a batch of such rows (first axis = replica)
-    into a tuple of arrays, and ``reduce_fn(times, *arrays)`` returns a dict
+    into a tuple of arrays, and ``reduce_fn(ts, *arrays)`` returns a dict
     of arrays with the replica axis first.  Results are concatenated in
     replica order, so they do not depend on the batch size, and a single
     path is replica 0.
     """
-    ts = grid.times()
+    if n_replicas < 1:
+        raise ValueError(f"need at least 1 replica, got {n_replicas}")
     chunks: list[dict] = []
     for b0 in range(0, n_replicas, batch_size):
         nb = min(batch_size, n_replicas - b0)
         ids = 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
-        z1 = normal_matrix(master_seed, ids, grid.n_steps)
-        z2 = normal_matrix(master_seed, ids + 1, grid.n_steps)
+        z1 = normal_matrix(master_seed, ids, len(ts) - 1)
+        z2 = normal_matrix(master_seed, ids + 1, len(ts) - 1)
         chunks.append(reduce_fn(ts, *advance(z1, z2)))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
@@ -185,8 +188,9 @@ def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
                     batch_size: int = 1024) -> dict:
     """``replica_reduce`` over the fast-slow system;
     ``reduce_fn(times, xs, ys, diverged)``."""
-    return replica_reduce(partial(_rescaled_advance, p, grid, scheme), grid,
-                          master_seed, n_replicas, reduce_fn, batch_size)
+    return replica_reduce(partial(_rescaled_advance, p, grid, scheme),
+                          grid.times(), master_seed, n_replicas, reduce_fn,
+                          batch_size)
 
 
 def _slowtime_advance(p: ModelParams, grid: TimeGrid, z1, z2):

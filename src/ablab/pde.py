@@ -9,12 +9,12 @@ fast-slow system in two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analysis import StatReport
-from .limit import TestFunction, limit_exact_terminal
+from .limit import TestFunction, limit_exact_terminal, radial_drift
 from .model import ModelParams, project_pi, rescaled_reduce
 from .sde import TimeGrid
 
@@ -46,7 +46,7 @@ class Grid1D:
         if dy * self.y_max > 1.0:
             raise ValueError("dy too coarse for a monotone scheme: "
                              "need dy * y_max <= 1")
-        max_drift = max(abs(0.5 / dy - dy), self.y_max)
+        max_drift = max(abs(radial_drift(dy)), self.y_max)
         stability = dy * dy / (1.0 + max_drift * dy)
         dt = self.dt
         if dt is None:
@@ -108,7 +108,7 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
     if any(t < 0.0 for t in snapshot_times):
         raise ValueError("snapshot times must be nonnegative")
 
-    b = 0.5 / ys[1:-1] - ys[1:-1]  # drift at interior nodes
+    b = radial_drift(ys[1:-1])  # drift at interior nodes
 
     def step_many(u, span, dt_cap):
         # integrate over span, landing exactly on its end
@@ -167,8 +167,7 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
     As epsilon shrinks this approaches the limit solution evaluated at the
     projected start, u(t, y^pi(x, y)) with initial data f2(0, .).
     """
-    p = ModelParams(epsilon=p.epsilon, alpha=p.alpha, variant=p.variant,
-                    x0=x, y0=y, horizon=t)
+    p = replace(p, x0=x, y0=y, horizon=t)
     grid = TimeGrid(0.0, t, h)
     out = rescaled_reduce(
         p, grid, master_seed, n,

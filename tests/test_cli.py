@@ -42,6 +42,18 @@ def test_config_errors_exit_2(tmp_path):
     result = run(["lemma1", "--epsilons", "0.1,0.01"], tmp_path)
     assert result.exit_code == 2
     assert not (tmp_path / "xmoment_scaling.json").exists()
+    # values the package itself rejects with ValueError
+    for args in (["simulate", "--step", "0"],
+                 ["lemma1", "--t", "0.01"],
+                 ["pde", "--t-final", "0"],
+                 ["martingale", "--replicas", "1"],
+                 ["martingale", "--replicas", "0"],
+                 ["crossings", "--replicas", "0"]):
+        out = tmp_path / args[0] / args[-1]
+        result = run(args, out)
+        assert result.exit_code == 2, (args, result.output)
+        assert "config error:" in result.output, args
+        assert not out.exists() or list(out.iterdir()) == [], args
 
 
 def test_project_prints_the_projected_start():

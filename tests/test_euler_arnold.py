@@ -39,9 +39,9 @@ def rand_group(rng):
                         float(rng.uniform(-2.0, 2.0)))
 
 
-def rand_alg(rng, dual=False):
+def rand_alg(rng):
     return AlgebraElement(float(rng.uniform(-2.0, 2.0)),
-                          float(rng.uniform(-2.0, 2.0)), dual=dual)
+                          float(rng.uniform(-2.0, 2.0)))
 
 
 def test_multiplication_law():
@@ -85,7 +85,7 @@ def test_coadjoint_pairing_duality():
     rng = np.random.default_rng(101)
     for _ in range(100):
         g = rand_group(rng)
-        xi = rand_alg(rng, dual=True)
+        xi = rand_alg(rng)
         eta = rand_alg(rng)
         lhs = pair(coad_g(g, xi), eta)
         rhs = pair(xi, ad_g(g, eta))
@@ -116,15 +116,15 @@ def test_bracket_formula_and_axioms():
 
 def test_coadjoint_bracket_formula_and_duality():
     out = coadjoint_bracket(AlgebraElement(1.0, 2.0),
-                            AlgebraElement(3.0, 4.0, dual=True))
+                            AlgebraElement(3.0, 4.0))
     assert (out.xi1, out.xi2) == (-8.0, 4.0)
     z = coadjoint_bracket(AlgebraElement(1.0, 2.0),
-                          AlgebraElement(5.0, 0.0, dual=True))
+                          AlgebraElement(5.0, 0.0))
     assert (z.xi1, z.xi2) == (0.0, 0.0)
     rng = np.random.default_rng(103)
     for _ in range(100):
         xi, eta = rand_alg(rng), rand_alg(rng)
-        zeta = rand_alg(rng, dual=True)
+        zeta = rand_alg(rng)
         lhs = pair(coadjoint_bracket(xi, zeta), eta)
         rhs = pair(zeta, bracket(xi, eta))
         scale = abs(xi.xi2 * zeta.xi2 * eta.xi1) \

@@ -8,9 +8,10 @@ from scipy.stats import ncx2
 from ablab import _kernels, limit, model
 from ablab.analysis import KS_COEFF_1PCT, ks_critical_value, ks_statistic
 from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
-                         expected_square, gauss_bump, generator_apply,
-                         limit_exact_reduce, limit_exact_terminal, square_fn,
-                         stationary_mean, stationary_square_cdf)
+                         _exact_step_coeffs, expected_square, gauss_bump,
+                         generator_apply, limit_exact_reduce,
+                         limit_exact_terminal, square_fn, stationary_mean,
+                         stationary_square_cdf)
 from ablab.model import replica_reduce
 from ablab.sde import TimeGrid, normal_matrix
 
@@ -108,7 +109,7 @@ def test_em_drift_only_fixed_point():
 def test_em_path_stays_positive():
     p = LimitParams(y0=0.05, horizon=2.0)
     grid = TimeGrid(0.0, 2.0, 1e-4)
-    out = replica_reduce(partial(_em_advance, p, grid), grid, 3, 1,
+    out = replica_reduce(partial(_em_advance, p, grid), grid.times(), 3, 1,
                          lambda ts, ys: {"ys": ys}, batch_size=1)
     assert (out["ys"] > 0.0).all()
 
@@ -141,6 +142,47 @@ def test_exact_sampler_rejects_no_dissipation(monkeypatch):
         with pytest.raises(ValueError, match="damped variant only"):
             limit_exact_reduce(p, TimeGrid(0.0, 1.0, 0.1), 0, n_replicas,
                                lambda ts, rs: {"rs": rs})
+
+
+def test_exact_terminal_is_the_last_column_of_a_one_step_path():
+    for y0, t in ((2.0, 1.0), (1.0, 10.0), (0.25, 0.3)):
+        got = limit_exact_terminal(y0, [t], 300, 8)[:, 0]
+        out = limit_exact_reduce(LimitParams(y0=y0, horizon=t),
+                                 TimeGrid(0.0, t, t), 8, 300,
+                                 lambda ts, rs: {"rT": rs[:, -1]})
+        assert np.array_equal(got, out["rT"]), (y0, t)
+
+
+def test_exact_terminal_is_the_kernel_on_per_step_coefficients():
+    # times 0.5, 1, 2: jumps of 0.5, 0.5 and 1, on the rows of replicas
+    # 0..n-1 (streams 2i and 2i + 1)
+    n, seed = 200, 12
+    got = limit_exact_terminal(2.0, [0.5, 1.0, 2.0], n, seed)
+    decay, sd = (np.array(c) for c in zip(*map(_exact_step_coeffs,
+                                                (0.5, 0.5, 1.0))))
+    ids = 2 * np.arange(n, dtype=np.uint64)
+    rs = np.empty((n, 4))
+    _kernels.ou2d_radius(2.0, decay, sd, normal_matrix(seed, ids, 3),
+                         normal_matrix(seed, ids + 1, 3), rs)
+    assert got.shape == (n, 3)
+    assert np.array_equal(got, rs[:, 1:])
+
+
+def test_exact_kernel_scalar_coefficients_serve_every_step():
+    rng = np.random.default_rng(4)
+    z1, z2 = rng.standard_normal((2, 16, 25))
+    decay, sd = _exact_step_coeffs(0.01)
+    one = np.empty((16, 26))
+    each = np.empty((16, 26))
+    _kernels.ou2d_radius(1.5, decay, sd, z1, z2, one)
+    _kernels.ou2d_radius(1.5, np.full(25, decay), np.full(25, sd), z1, z2,
+                         each)
+    assert np.array_equal(one, each)
+
+
+def test_exact_terminal_needs_a_replica():
+    with pytest.raises(ValueError, match="at least 1 replica"):
+        limit_exact_terminal(1.0, [1.0], 0, 3)
 
 
 def test_exact_transitions_compose():

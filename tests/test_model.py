@@ -13,7 +13,7 @@ from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
                          project_pi_flow, replica_reduce, rescaled_reduce,
                          unperturbed_rhs)
 from ablab.limit import (LimitParams, _em_advance, _exact_advance,
-                         limit_exact_reduce)
+                         _exact_step_coeffs, limit_exact_reduce)
 from ablab.reporting import path_to_csv
 from ablab.sde import PathSample, TimeGrid, normal_matrix
 
@@ -287,8 +287,8 @@ def test_simulate_slowtime_runs_and_reruns_identically():
     p = ModelParams(epsilon=0.5, x0=0.1, y0=1.0)
     grid = TimeGrid(0.0, 1.0, 1e-2)
     keep = lambda ts, xs, ys, div: {"xs": xs, "ys": ys}
-    runs = [replica_reduce(partial(_slowtime_advance, p, grid), grid, 6, 1,
-                           keep, batch_size=1) for _ in range(2)]
+    runs = [replica_reduce(partial(_slowtime_advance, p, grid), grid.times(),
+                           6, 1, keep, batch_size=1) for _ in range(2)]
     for k in ("xs", "ys"):
         assert np.array_equal(runs[0][k], runs[1][k])
     assert np.isfinite(runs[0]["xs"]).all()
@@ -310,7 +310,8 @@ SYSTEMS = {
     "limit-em": partial(_em_advance, LimitParams(y0=1.0,
                                                  variant="no_dissipation"),
                         DRIVER_GRID),
-    "limit-exact": partial(_exact_advance, _LP, DRIVER_GRID),
+    "limit-exact": partial(_exact_advance, _LP.y0,
+                           *_exact_step_coeffs(DRIVER_GRID.step)),
 }
 
 
@@ -333,10 +334,9 @@ def _assert_replicas_read_their_own_streams(advance, out, n):
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_single_path_is_row_0_of_a_batch(system):
     advance = SYSTEMS[system]
-    one = replica_reduce(advance, DRIVER_GRID, DRIVER_SEED, 1, _keep,
-                         batch_size=1)
-    many = replica_reduce(advance, DRIVER_GRID, DRIVER_SEED, 5, _keep,
-                          batch_size=5)
+    ts = DRIVER_GRID.times()
+    one = replica_reduce(advance, ts, DRIVER_SEED, 1, _keep, batch_size=1)
+    many = replica_reduce(advance, ts, DRIVER_SEED, 5, _keep, batch_size=5)
     assert one.keys() == many.keys()
     for k in one:
         assert one[k].shape[0] == 1 and many[k].shape[0] == 5
