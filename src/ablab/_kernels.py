@@ -13,6 +13,14 @@ allocated once per call and written with ``out=``: fresh temporaries whose
 size changed from step to step fragmented the malloc heap and raised peak
 memory by several percent.
 
+The exit-time kernel steps its live lanes in blocks of steps: only the OU
+recursion and the clock run once per step, and everything else (gathering
+the draws, the bridge-crossing tests, finding each lane's first exit) runs
+once per block on (steps x lanes) arrays of about ``_BLOCK_ELEMS`` elements.
+With a few dozen lanes left, numpy's per-call cost, not arithmetic, sets the
+price of a step, and a step then costs three numpy calls instead of about
+thirty.
+
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
 
@@ -24,6 +32,8 @@ import numpy as np
 
 MAX_SUBSTEPS = 4096
 _EXP_CLAMP = 60.0
+# elements of one (steps x lanes) block of the exit-time kernel
+_BLOCK_ELEMS = 1 << 15
 
 
 def _ou_var_vec(lam: np.ndarray, h: float, out=None, tmp=None,
@@ -261,63 +271,101 @@ def ou2d_radius(y0, decay, sd, z1, z2, rs):
 
 def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
     # Steps only the live lanes, kept packed in the first m entries of the
-    # work buffers with their index into the batch.  A lane that exits gets
-    # tau (from t before the step), done, x and t written at once; the
-    # others are written back at the end of the chunk.  x and t are updated
-    # in place and returned.
+    # work buffers with their index into the batch, in blocks of s steps
+    # stored steps-major as (s, m) views of flat buffers allocated once per
+    # call.  s * m stays near _BLOCK_ELEMS, so s grows as lanes exit and
+    # the last few stragglers cross a whole chunk in one block.  Per step
+    # only the recursion x * decay + z * sd and the clock t + h run, one
+    # row each; the draws are gathered, and the crossing chances, the hit
+    # tests and each lane's first hit computed, once per block on whole
+    # arrays.  Lanes keep stepping past their exit to the block's end; those
+    # steps are discarded.  A lane that exits gets tau (from t before the
+    # step), done, x (before the step) and t written at the block's end; the
+    # others are written back at the end of the chunk.  Every lane runs the
+    # operations of a one-step-at-a-time loop in the same order, so the
+    # result is the same bit for bit.  x and t are updated in place and
+    # returned.
     chunk = z.shape[1]
     live = np.flatnonzero(~done)
     m = live.size
-    xl, xn, tl, p, q = (np.empty(m) for _ in range(5))
-    hit, tmp = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    flat = max(_BLOCK_ELEMS, m)
+    xb, ck = np.empty(flat + m), np.empty(flat + m)  # (s + 1, m) each
+    zs, p, q = np.empty(flat), np.empty(flat), np.empty(flat)
+    g = np.empty(flat, dtype=np.complex128)
+    hit, tmp = np.empty(flat, dtype=bool), np.empty(flat, dtype=bool)
+    gi = np.empty(flat, dtype=np.intp)
+    xl, tl = np.empty(m), np.empty(m)
     spare = np.empty(m, dtype=live.dtype)
     x.take(live, out=xl, mode="clip")
     t.take(live, out=tl, mode="clip")
+    # the draws as flat arrays: z[i, k] is zf[i chunk + k], and the pair
+    # u[i, k], read as one complex128, is uf[i chunk + k]
+    zf, uf = np.ravel(z), np.ravel(u).view(np.complex128)
     half_h = 0.5 * h
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    decay_a, h_a = np.array(decay, dtype=np.float64), np.array(h, np.float64)
+    k = 0
     with np.errstate(over="ignore", under="ignore"):
-        for k in range(chunk):
-            if m == 0:
-                break
-            L, X, XN, T = live[:m], xl[:m], xn[:m], tl[:m]
-            P, Q, HIT, TMP = p[:m], q[:m], hit[:m], tmp[:m]
-            np.multiply(X, decay, out=XN)
-            XN += np.multiply(z[:, k].take(L, out=P, mode="clip"), sd, out=P)
+        while m and k < chunk:
+            s = min(chunk - k, max(1, _BLOCK_ELEMS // m))
+            L, X, T = live[:m], xl[:m], tl[:m]
+            # row j of XB and CK: x and t before step j
+            XB = xb[:(s + 1) * m].reshape(s + 1, m)
+            CK = ck[:(s + 1) * m].reshape(s + 1, m)
+            ZS, P, Q, U = (a[:s * m].reshape(s, m) for a in (zs, p, q, g))
+            HIT, TMP = (a[:s * m].reshape(s, m) for a in (hit, tmp))
+            GI = gi[:s * m].reshape(s, m)  # flat index of each draw
+
+            np.add(np.arange(k, k + s)[:, None], L * chunk, out=GI)
+            zf.take(GI, out=ZS, mode="clip")
+            ZS *= sd
+            XB[0] = X
+            CK[0] = T
+            xr, zr, cr = list(XB), list(ZS), list(CK)
+            for j in range(s):
+                xo = xr[j + 1]
+                np.multiply(xr[j], decay_a, out=xo)
+                np.add(xo, zr[j], out=xo)
+                np.add(cr[j], h_a, out=cr[j + 1])
+            XA, XN = XB[:s], XB[1:]
+            uf.take(GI, out=U, mode="clip")
+            k += s
             HIT.fill(False)
             if lo > -np.inf:
                 # exp(-2 (x - lo)(xn - lo) / h): the bridge's crossing chance
-                np.multiply(np.subtract(X, lo, out=P), -2.0, out=P)
+                np.multiply(np.subtract(XA, lo, out=P), -2.0, out=P)
                 P *= np.subtract(XN, lo, out=Q)
                 P /= h
                 np.exp(P, out=P)
-                HIT |= np.less(u[:, k, 0].take(L, out=Q, mode="clip"), P,
-                               out=TMP)
+                HIT |= np.less(U.real, P, out=TMP)
                 HIT |= np.less_equal(XN, lo, out=TMP)
             if hi < np.inf:
-                np.multiply(np.subtract(hi, X, out=P), -2.0, out=P)
+                np.multiply(np.subtract(hi, XA, out=P), -2.0, out=P)
                 P *= np.subtract(hi, XN, out=Q)
                 P /= h
                 np.exp(P, out=P)
-                HIT |= np.less(u[:, k, 1].take(L, out=Q, mode="clip"), P,
-                               out=TMP)
+                HIT |= np.less(U.imag, P, out=TMP)
                 HIT |= np.greater_equal(XN, hi, out=TMP)
-            n_hit = np.count_nonzero(HIT)
+
+            exited = HIT.any(axis=0)
+            n_hit = np.count_nonzero(exited)
             if n_hit:
-                out = L[HIT]
-                tau[out] = T[HIT] + half_h
+                cols = np.flatnonzero(exited)
+                first = HIT.argmax(axis=0)[cols]
+                out = L[cols]
+                tau[out] = CK[first, cols] + half_h
                 done[out] = True
-                x[out] = X[HIT]
-            T += h
-            if n_hit:
-                t[out] = T[HIT]
-                np.logical_not(HIT, out=HIT)
+                x[out] = XB[first, cols]
+                t[out] = CK[first + 1, cols]
+                np.logical_not(exited, out=exited)
                 m -= n_hit
-                L.compress(HIT, out=spare[:m])
+                L.compress(exited, out=spare[:m])
                 live, spare = spare, live
-                XN.compress(HIT, out=xl[:m])
-                T.compress(HIT, out=p[:m])
-                tl, p = p, tl
+                XB[s].compress(exited, out=xl[:m])
+                CK[s].compress(exited, out=tl[:m])
             else:
-                xl, xn = xn, xl
+                X[...] = XB[s]
+                T[...] = CK[s]
         x[live[:m]] = xl[:m]
         t[live[:m]] = tl[:m]
     return x, t

@@ -161,7 +161,9 @@ def criterion_exit_time_oracles(seed: int) -> CriterionResult:
         z = abs(rep.estimate - oracle) / rep.std_error
         details[f"{mode}_{dd}"] = {"oracle": oracle,
                                    "mc": rep.estimate,
-                                   "se": rep.std_error, "z": float(z)}
+                                   "se": rep.std_error, "z": float(z),
+                                   "censored": rep.config["censored"],
+                                   "bias_bound": rep.config["bias_bound"]}
         ok = ok and z < Z_GATE
     # crossing statistics against the oracle bounds
     cs = crossing_stats(ModelParams(epsilon=1e-2, x0=0.0, y0=2.0), 5.0,

@@ -328,6 +328,11 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
 def ou_exit_two_sided(delta: float) -> float:
     """Expected exit time of the unit-rate OU process from (-2d, 2d)
     started at d, by quadrature of the closed-form double integral."""
+    return _mean_exit_two_sided(delta, delta)
+
+
+def _mean_exit_two_sided(delta: float, x: float) -> float:
+    # the same quadrature, from any start x in (-2d, 2d)
     if not 0.0 < delta <= 5.0:
         raise ValueError("delta must lie in (0, 5] for stable quadrature")
     d = delta
@@ -350,19 +355,31 @@ def ou_exit_two_sided(delta: float) -> float:
         return val
 
     d2d = big_d(2.0 * d)
-    return -2.0 * big_d(d) + 2.0 * big_i(d) * d2d / big_i(2.0 * d)
+    return -2.0 * big_d(x) + 2.0 * big_i(x) * d2d / big_i(2.0 * d)
 
 
 def ou_exit_one_sided(delta: float) -> float:
     """Expected time for the unit-rate OU process started at 2d to hit d:
     2 int_d^{2d} e^{z^2} int_z^inf e^{-u^2} du dz = sqrt(pi) int erfcx."""
+    return _mean_exit_one_sided(delta, 2.0 * delta)
+
+
+def _mean_exit_one_sided(delta: float, x: float) -> float:
+    # the same quadrature, from any start x > d
     if not 0.0 < delta <= 5.0:
         raise ValueError("delta must lie in (0, 5] for stable quadrature")
-    val, err = integrate.quad(erfcx, delta, 2.0 * delta, epsabs=0.0,
+    val, err = integrate.quad(erfcx, delta, x, epsabs=0.0,
                               epsrel=1e-11, limit=200)
     if abs(err) > 1e-8 * max(abs(val), 1e-300):
         raise RuntimeError("quadrature did not converge")
     return math.sqrt(math.pi) * val
+
+
+def _exit_horizon(scale: float, n: int) -> float:
+    # The OU process killed at the exit has principal eigenvalue >= 1, so
+    # about n e^{-t} of n paths outlive t: past scale + ln n fewer than
+    # one path is expected to remain.
+    return float(scale) + math.log(n)
 
 
 def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
@@ -372,6 +389,13 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
 
     mode "two_sided": exit of (-2d, 2d) from d; "one_sided": hit of d
     from 2d.  Default h targets ~300 steps per mean exit.
+
+    Paths still alive when a chunk ends past t_max = (mean exit time) +
+    ln n are censored: their tau is the time they were stopped at.  config
+    reports t_max, the number censored, and bias_bound: the censored
+    fraction times the mean exit time from the farthest censored position
+    (0 when none is censored).  By the strong Markov property it bounds how
+    much the censoring shortens the mean.
     """
     if mode == "two_sided":
         lo, hi, x0 = -2.0 * delta, 2.0 * delta, delta
@@ -383,7 +407,7 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
         raise ValueError("mode must be 'two_sided' or 'one_sided'")
     if h is None:
         h = scale / 300.0
-    t_max = 60.0 * scale
+    t_max = _exit_horizon(scale, n)
     decay, sd = _exact_step_coeffs(h)
 
     x = np.full(n, x0, dtype=np.float64)
@@ -406,12 +430,23 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
         t[idx] = ta
         tau[idx] = tau_a
         done[idx] = done_a
-        timed_out = ~done & (t >= t_max)
-        if timed_out.any():
-            raise RuntimeError(f"{timed_out.sum()} paths not exited "
-                               f"by t_max={t_max}")
+        if (ta[~done_a] >= t_max).any():
+            break
+    alive = ~done
+    censored = int(np.count_nonzero(alive))
+    bias_bound = 0.0
+    if censored:
+        tau[alive] = t[alive]
+        # the mean exit time falls toward the exit set: from the centre
+        # of the two-sided interval, from the top of the one-sided range
+        xs = x[alive]
+        far = (_mean_exit_two_sided(delta, float(xs[np.abs(xs).argmin()]))
+               if mode == "two_sided"
+               else _mean_exit_one_sided(delta, float(xs.max())))
+        bias_bound = censored / n * far
     return StatReport.from_samples(tau, delta=delta, mode=mode, h=h,
-                                   seed=master_seed)
+                                   seed=master_seed, t_max=t_max,
+                                   censored=censored, bias_bound=bias_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,13 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
     the even-extension ghost value u(-dy) = u(dy), under which the
     generator limit at the origin discretizes to 2 (u_1 - u_0) / dy^2.
     The far boundary is reflecting (zero-derivative outflow).
+
+    The step loop allocates nothing: each step writes the interior stencil
+    through ``out=`` into two preallocated work buffers and the other of
+    two solution buffers, computes the two boundary nodes in Python
+    floats, and folds the new values into running elementwise minima and
+    maxima, which are reduced once at the end.  Every product and sum is
+    the one of the plain array expression, in the same order.
     """
     ys = grid.y_nodes()
     dy = grid.dy
@@ -109,41 +116,49 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
         raise ValueError("snapshot times must be nonnegative")
 
     b = radial_drift(ys[1:-1])  # drift at interior nodes
+    dy2 = dy * dy
+    # (whole, interior, upper and lower neighbours) of each solution buffer
+    cur, nxt = ((w, w[1:-1], w[2:], w[:-2]) for w in (u, np.empty_like(u)))
+    work, term = np.empty(b.size), np.empty(b.size)
+    run_min, run_max = u.copy(), u.copy()
 
-    def step_many(u, span, dt_cap):
+    def step_many(span, dt_cap):
         # integrate over span, landing exactly on its end
-        nonlocal u_min, u_max, drift_const
+        nonlocal cur, nxt, drift_const
         if span <= 0.0:
-            return u
+            return
         n = max(1, math.ceil(span / dt_cap - 1e-12))
         dt_k = span / n
-        c_up = dt_k * (0.5 / (dy * dy) + b / (2.0 * dy))
-        c_dn = dt_k * (0.5 / (dy * dy) - b / (2.0 * dy))
-        c_mid = 1.0 - dt_k / (dy * dy)
-        c0 = 2.0 * dt_k / (dy * dy)
+        c_up = dt_k * (0.5 / dy2 + b / (2.0 * dy))
+        c_dn = dt_k * (0.5 / dy2 - b / (2.0 * dy))
+        c_mid = 1.0 - dt_k / dy2
+        c0 = 2.0 * dt_k / dy2
         ones_step = c_mid + c_up + c_dn  # row sums of the interior stencil
         drift_const = max(drift_const, float(np.abs(ones_step - 1.0).max()))
-        un = np.empty_like(u)
         for _ in range(n):
-            un[1:-1] = c_mid * u[1:-1] + c_up * u[2:] + c_dn * u[:-2]
-            un[0] = u[0] + c0 * (u[1] - u[0])
-            un[-1] = u[-1] + dt_k * (u[-2] - u[-1]) / (dy * dy)
-            u, un = un, u
-            u_min = min(u_min, float(u.min()))
-            u_max = max(u_max, float(u.max()))
-        return u
+            w, mid, up, dn = cur
+            wn, mid_n = nxt[0], nxt[1]
+            # c_mid u_i + c_up u_{i+1} + c_dn u_{i-1}, summed left to right
+            np.multiply(c_mid, mid, out=work)
+            np.add(work, np.multiply(c_up, up, out=term), out=work)
+            np.add(work, np.multiply(c_dn, dn, out=term), out=mid_n)
+            u0, ul = w.item(0), w.item(-1)
+            wn[0] = u0 + c0 * (w.item(1) - u0)
+            wn[-1] = ul + dt_k * (w.item(-2) - ul) / dy2
+            np.minimum(run_min, wn, out=run_min)
+            np.maximum(run_max, wn, out=run_max)
+            cur, nxt = nxt, cur
 
-    u_min = float(u.min())
-    u_max = float(u.max())
     drift_const = 0.0
     snaps = []
     t_prev = 0.0
     for t in snapshot_times:
-        u = step_many(u, t - t_prev, dt)
-        snaps.append(u.copy())
+        step_many(t - t_prev, dt)
+        snaps.append(cur[0].copy())
         t_prev = t
     if t_prev < grid.t_final * (1 - 1e-12):
-        u = step_many(u, grid.t_final - t_prev, dt)
+        step_many(grid.t_final - t_prev, dt)
+    u_min, u_max = float(run_min.min()), float(run_max.max())
 
     times = np.asarray(snapshot_times)
     u_hist = np.stack(snaps) if snaps else np.empty((0, ys.size))

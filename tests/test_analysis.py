@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab import limit
+from ablab import analysis, limit
 from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
                             ScalingFit, StatReport, _scan_batch,
                             crossing_stats, excursion_anatomy,
@@ -234,6 +234,48 @@ def test_ou_exit_mc_matches_quadrature():
                   else ou_exit_one_sided)(d)
         rep = ou_exit_mc(d, mode, n, 22)
         assert abs(rep.estimate - oracle) < 3 * rep.std_error, (mode, d)
+
+
+def _exit_taus(monkeypatch, *args):
+    # ou_exit_mc's report and the per-path exit times it averaged
+    seen = []
+    from_samples = StatReport.from_samples.__func__
+
+    def record(cls, samples, **config):
+        seen.append(np.array(samples))
+        return from_samples(cls, samples, **config)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(StatReport, "from_samples", classmethod(record))
+        rep = ou_exit_mc(*args)
+    return rep, seen[0]
+
+
+def test_ou_exit_mc_censors_at_the_horizon(monkeypatch):
+    # stop after the first chunk: tau becomes min(tau, t_max) path by path,
+    # and the paths of the first chunk read the same draws either way
+    args = (0.1, "one_sided", 2000, 5)
+    full, tau = _exit_taus(monkeypatch, *args)
+    assert full.config["censored"] == 0 and full.config["bias_bound"] == 0.0
+    h = full.config["h"]
+    t_max = 0.0
+    for _ in range(512):  # the clock at the end of the first chunk
+        t_max += h
+    monkeypatch.setattr(analysis, "_exit_horizon", lambda scale, n: t_max)
+    rep, tau_c = _exit_taus(monkeypatch, *args)
+    cut = np.minimum(tau, t_max)
+    assert rep.config["t_max"] == t_max
+    assert rep.config["censored"] == np.count_nonzero(tau > t_max) > 0
+    assert np.array_equal(tau_c, cut)
+    assert rep.estimate == cut.mean()
+    # the bias the censoring caused stays under the reported bound
+    assert 0.0 < full.estimate - rep.estimate <= rep.config["bias_bound"]
+
+
+def test_ou_exit_mc_horizon_rule():
+    rep = ou_exit_mc(0.1, "two_sided", 500, 6)
+    assert rep.config["censored"] == 0 and rep.config["bias_bound"] == 0.0
+    assert rep.config["t_max"] == ou_exit_two_sided(0.1) + math.log(500)
 
 
 def test_crossing_stats_bounds_hold():

@@ -1,9 +1,11 @@
 """Lane handling of the numpy kernels.
 
 The numpy splitting kernel steps only the lanes that need substeps, and the
-exit-time kernel only the paths that have not exited.  Each lane must still
-come out exactly as if it ran alone, and the splitting scheme must agree
-with a plain scalar loop of the same scheme kept here as the oracle.
+exit-time kernel only the paths that have not exited, in blocks of steps.
+Each lane must still come out exactly as if it ran alone.  The splitting
+scheme must agree with a plain scalar loop of the same scheme, and the
+exit-time kernel bit for bit with a step-at-a-time loop of the same
+operations, both kept here as oracles.
 """
 
 import math
@@ -288,3 +290,115 @@ def test_exit_all_done_is_a_no_op():
     out = _run_exit(args)
     for a, b in zip(out, (x, t, tau, done)):
         assert _bits_equal(a, b)
+
+
+def _exit_oracle(x, t, tau, done, z, u, lo, hi, decay, sd, h):
+    """The exit-time kernel one step at a time, on the packed live lanes."""
+    chunk = z.shape[1]
+    live = np.flatnonzero(~done)
+    m = live.size
+    xl, xn, tl, p, q = (np.empty(m) for _ in range(5))
+    hit, tmp = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    spare = np.empty(m, dtype=live.dtype)
+    x.take(live, out=xl, mode="clip")
+    t.take(live, out=tl, mode="clip")
+    half_h = 0.5 * h
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(chunk):
+            if m == 0:
+                break
+            L, X, XN, T = live[:m], xl[:m], xn[:m], tl[:m]
+            P, Q, HIT, TMP = p[:m], q[:m], hit[:m], tmp[:m]
+            np.multiply(X, decay, out=XN)
+            XN += np.multiply(z[:, k].take(L, out=P, mode="clip"), sd, out=P)
+            HIT.fill(False)
+            if lo > -np.inf:
+                np.multiply(np.subtract(X, lo, out=P), -2.0, out=P)
+                P *= np.subtract(XN, lo, out=Q)
+                P /= h
+                np.exp(P, out=P)
+                HIT |= np.less(u[:, k, 0].take(L, out=Q, mode="clip"), P,
+                               out=TMP)
+                HIT |= np.less_equal(XN, lo, out=TMP)
+            if hi < np.inf:
+                np.multiply(np.subtract(hi, X, out=P), -2.0, out=P)
+                P *= np.subtract(hi, XN, out=Q)
+                P /= h
+                np.exp(P, out=P)
+                HIT |= np.less(u[:, k, 1].take(L, out=Q, mode="clip"), P,
+                               out=TMP)
+                HIT |= np.greater_equal(XN, hi, out=TMP)
+            n_hit = np.count_nonzero(HIT)
+            if n_hit:
+                out = L[HIT]
+                tau[out] = T[HIT] + half_h
+                done[out] = True
+                x[out] = X[HIT]
+            T += h
+            if n_hit:
+                t[out] = T[HIT]
+                np.logical_not(HIT, out=HIT)
+                m -= n_hit
+                L.compress(HIT, out=spare[:m])
+                live, spare = spare, live
+                XN.compress(HIT, out=xl[:m])
+                T.compress(HIT, out=p[:m])
+                tl, p = p, tl
+            else:
+                xl, xn = xn, xl
+        x[live[:m]] = xl[:m]
+        t[live[:m]] = tl[:m]
+    return x, t
+
+
+def _lanes_exiting_at(mode, n, chunk, steps):
+    # random lanes, except that lane i of steps stays put up to steps[i]
+    # and is knocked far past the lower barrier on that step (None: never);
+    # the last lane is done on entry when there are lanes to spare
+    lo, hi, x0 = MODES[mode]
+    rng = np.random.default_rng(n + chunk)
+    z = rng.standard_normal((n, chunk))
+    u = rng.random((n, chunk, 2))
+    x = np.full(n, x0)
+    t = np.linspace(0.0, 0.5, n)
+    tau = np.full(n, np.nan)
+    done = np.zeros(n, dtype=bool)
+    for i, step in enumerate(steps):
+        x[i] = 0.15 if lo < 0.0 else 0.2
+        z[i] = 0.0
+        u[i] = 1.0
+        if step is not None:
+            z[i, step] = -1e3
+    if n > len(steps):
+        done[-1], tau[-1], x[-1] = True, 0.5, 9.0
+    return (x, t, tau, done, z, u, lo, hi, DECAY, SD, H)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("chunk", [1, 64, 512])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_exit_blocks_match_step_at_a_time_oracle(mode, chunk, n):
+    live = n - 1 if n > 4 else n
+    block = min(chunk, max(1, _kernels._BLOCK_ELEMS // live))
+    # exit on step 0, on the first block's last step, on the chunk's last
+    # step, and never; a single lane takes each role in its own run
+    roles = [0, block - 1, chunk - 1, None]
+    cases = [[r] for r in roles] if n == 1 else [roles]
+    for steps in cases:
+        args = _lanes_exiting_at(mode, n, chunk, steps)
+        got = _run_exit(args)
+        ref = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        ref[:2] = _exit_oracle(*ref)
+        for name, a, b in zip(("x", "t", "tau", "done"), got, ref):
+            assert _bits_equal(a, b), name
+        t_in, tau, done = args[1], got[2], got[3]
+        for i, step in enumerate(steps):
+            if step is None:
+                assert not done[i]
+                continue
+            clock = t_in[i]
+            for _ in range(step):
+                clock += H
+            assert done[i] and tau[i] == clock + 0.5 * H
+        if n > len(steps):
+            assert 0 < done.sum() < n

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ablab import limit
+from ablab.limit import radial_drift
 from ablab.limit import expected_square, gauss_bump, square_fn
 from ablab.model import ModelParams, project_pi
 from ablab.pde import Grid1D, cauchy_2d_mc, feynman_kac_mc, solve_limit_pde
@@ -128,3 +129,71 @@ def test_cauchy_2d_approaches_limit_solution():
     u_ref = float(sol.at(0.5, project_pi((0.0, 2.0))))
     assert abs(rep.estimate - u_ref) < 3 * rep.std_error + 0.02
     assert rep.config["y_pi"] == 2.0
+
+
+def _solve_oracle(f, grid, snapshot_times):
+    """The explicit scheme with a fresh array expression per step: the
+    reference the buffered step loop of solve_limit_pde must match bit for
+    bit."""
+    ys = grid.y_nodes()
+    dy, dt = grid.dy, grid.dt
+    u = np.asarray(f(ys), dtype=np.float64).copy()
+    b = radial_drift(ys[1:-1])
+
+    def step_many(u, span, dt_cap):
+        nonlocal u_min, u_max, drift_const
+        if span <= 0.0:
+            return u
+        n = max(1, math.ceil(span / dt_cap - 1e-12))
+        dt_k = span / n
+        c_up = dt_k * (0.5 / (dy * dy) + b / (2.0 * dy))
+        c_dn = dt_k * (0.5 / (dy * dy) - b / (2.0 * dy))
+        c_mid = 1.0 - dt_k / (dy * dy)
+        c0 = 2.0 * dt_k / (dy * dy)
+        ones_step = c_mid + c_up + c_dn
+        drift_const = max(drift_const, float(np.abs(ones_step - 1.0).max()))
+        un = np.empty_like(u)
+        for _ in range(n):
+            un[1:-1] = c_mid * u[1:-1] + c_up * u[2:] + c_dn * u[:-2]
+            un[0] = u[0] + c0 * (u[1] - u[0])
+            un[-1] = u[-1] + dt_k * (u[-2] - u[-1]) / (dy * dy)
+            u, un = un, u
+            u_min = min(u_min, float(u.min()))
+            u_max = max(u_max, float(u.max()))
+        return u
+
+    u_min, u_max, drift_const = float(u.min()), float(u.max()), 0.0
+    snaps, t_prev = [], 0.0
+    for t in sorted(snapshot_times):
+        u = step_many(u, t - t_prev, dt)
+        snaps.append(u.copy())
+        t_prev = t
+    if t_prev < grid.t_final * (1 - 1e-12):
+        u = step_many(u, grid.t_final - t_prev, dt)
+    return np.stack(snaps), u_min, u_max, drift_const
+
+
+# (initial, n_points, t_final, snapshot times): the benchmark's and the
+# battery's grids at a reduced t_final, one with an interval dt does not
+# divide and one with a snapshot at t = 0, and a constant, whose extrema
+# move only by rounding, away from the initial value
+PDE_CASES = [
+    (square_fn, 601, 0.2, [0.05, 0.1, 0.2]),
+    (square_fn, 1201, 0.1, [0.05, 0.1]),
+    (gauss_bump, 601, 0.2, [0.2]),
+    (gauss_bump, 601, 0.2, [0.0, 0.0333]),
+    (lambda: constant_fn(0.3), 601, 0.2, [0.1]),
+]
+
+
+@pytest.mark.parametrize("initial, n_points, t_final, times", PDE_CASES)
+def test_step_loop_matches_array_expression_oracle(initial, n_points,
+                                                    t_final, times):
+    f = initial()
+    g = Grid1D(n_points=n_points, t_final=t_final)
+    sol = solve_limit_pde(f, g, snapshot_times=times)
+    u, u_min, u_max, drift_const = _solve_oracle(f, g, times)
+    assert u.tobytes() == sol.u.tobytes()
+    for a, b in ((sol.u_min, u_min), (sol.u_max, u_max),
+                 (sol.constant_drift_per_step, drift_const)):
+        assert math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
