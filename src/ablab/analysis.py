@@ -20,7 +20,8 @@ from scipy.special import erf, erfcx, erfi
 from . import _kernels
 from .limit import LimitParams, TestFunction, _exact_step_coeffs, \
     generator_apply, limit_exact_reduce, limit_exact_terminal
-from .model import ModelParams, project_pi, rescaled_reduce
+from .model import ModelParams, batch_rows, block_rows, project_pi, \
+    rescaled_reduce
 from .sde import RngStream, TimeGrid
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,13 @@ MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
 def z_threshold(std_error: float, slack: float = 0.0) -> float:
     """Largest |estimate - target| that passes: Z_GATE * se + slack."""
     return Z_GATE * std_error + slack
+
+
+def check_replicas(n: int) -> None:
+    """Reject n < 2 before anything is simulated: a standard error needs
+    at least two samples."""
+    if n < 2:
+        raise ValueError("a standard error needs at least 2 replicas")
 
 
 def ks_critical_value(n: int, m: int) -> float:
@@ -74,8 +82,7 @@ class StatReport:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_replicas < 2:
-            raise ValueError("a standard error needs at least 2 replicas")
+        check_replicas(self.n_replicas)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, **config) -> "StatReport":
@@ -158,6 +165,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     rate reported (warning above 10%): the conditional statement is read as
     exclusion-and-report, with the discard rate itself a diagnostic.
     """
+    check_replicas(n)
     t0 = min_time_for_moment(p)
     if t < t0:
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
@@ -167,7 +175,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"x2": xs[:, -1] ** 2,
                                  "ok": (ys.min(axis=1) >= delta) & ~div},
-        batch_size=1024)
+        batch_size=batch_rows(grid.n_steps + 1))
     kept = out["x2"][out["ok"]]
     excl = 1.0 - kept.size / n
     if excl > 0.10:
@@ -218,6 +226,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
     residual has mean 0, so subtracting it leaves the estimand unchanged
     while cancelling nearly all shared noise.
     """
+    check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
     grid = TimeGrid(0.0, T, h)
 
@@ -230,7 +239,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
         return residuals
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=512)
+                          batch_size=batch_rows(grid.n_steps + 1))
     diverged = int(out["div"].sum())
     return [StatReport.from_samples(
         out[k], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
@@ -249,6 +258,7 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
                               h: float = 1e-3) -> StatReport:
     """Control run: the residual on the exact limit sampler itself,
     which is a true martingale, so the estimate should sit at 0."""
+    check_replicas(n)
     lp = LimitParams(y0=y0, horizon=T)
     grid = TimeGrid(0.0, T, h)
 
@@ -256,7 +266,7 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
         return {"res": _residual(f, rs, y0, h)}
 
     out = limit_exact_reduce(lp, grid, master_seed, n, reduce_fn,
-                             batch_size=2048)
+                             batch_size=batch_rows(grid.n_steps + 1))
     return StatReport.from_samples(out["res"], y0=y0, f=f.name, T=T, h=h,
                                    seed=master_seed, process="limit_exact")
 
@@ -269,6 +279,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
                    h: float = 1e-3) -> StatReport:
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
+    check_replicas(n)
     grid = TimeGrid(0.0, T, h)
 
     def reduce_fn(ts, xs, ys, div):
@@ -278,7 +289,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
                                   dtype=np.float64)}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=1024)
+                          batch_size=batch_rows(grid.n_steps + 1))
     return StatReport.from_samples(out["gap"], epsilon=p.epsilon, T=T, h=h,
                                    seed=master_seed)
 
@@ -303,6 +314,7 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     estimand is identical but almost all noise cancels.  The KS statistic
     uses an independent exact reference sample.
     """
+    check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
     grid = TimeGrid(0.0, T, h)
 
@@ -312,7 +324,7 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
                 "diff": np.asarray(f(ys[:, -1]) - f(rT), dtype=np.float64)}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=1024)
+                          batch_size=batch_rows(grid.n_steps + 1))
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
     rep = StatReport.from_samples(
         out["diff"], epsilon=p.epsilon, f=f.name, T=T, h=h,
@@ -396,7 +408,15 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     fraction times the mean exit time from the farthest censored position
     (0 when none is censored).  By the strong Markov property it bounds how
     much the censoring shortens the mean.
+
+    Each chunk's draws are made and stepped in row slices of
+    ``block_rows(chunk)`` live paths, so at most about BLOCK_ELEMS normals
+    are held at once.  Each of the two generators fills its slices in row
+    order, so the draws, and the result, are those of one draw per chunk.
+    Every live path still draws a full chunk, of which it may read only
+    the first few steps.
     """
+    check_replicas(n)
     if mode == "two_sided":
         lo, hi, x0 = -2.0 * delta, 2.0 * delta, delta
         scale = ou_exit_two_sided(delta)
@@ -416,22 +436,23 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     done = np.zeros(n, dtype=bool)
     gen_z = RngStream(master_seed, 0).generator()
     gen_u = RngStream(master_seed, 1).generator()
-    while not done.all():
-        idx = np.nonzero(~done)[0]
-        z = gen_z.standard_normal((idx.size, chunk))
-        u = gen_u.random((idx.size, chunk, 2))
-        xa = x[idx].copy()
-        ta = t[idx].copy()
-        tau_a = tau[idx].copy()
-        done_a = done[idx].copy()
-        xa, ta = _kernels.ou_exit_chunk(xa, ta, tau_a, done_a, z, u,
-                                        lo, hi, decay, sd, h)
-        x[idx] = xa
-        t[idx] = ta
-        tau[idx] = tau_a
-        done[idx] = done_a
-        if (ta[~done_a] >= t_max).any():
-            break
+    rows = block_rows(chunk)
+    past_horizon = False
+    while not (past_horizon or done.all()):
+        live = np.nonzero(~done)[0]
+        for r0 in range(0, live.size, rows):
+            idx = live[r0:r0 + rows]
+            z = gen_z.standard_normal((idx.size, chunk))
+            u = gen_u.random((idx.size, chunk, 2))
+            tau_a = tau[idx]
+            done_a = done[idx]
+            xa, ta = _kernels.ou_exit_chunk(x[idx], t[idx], tau_a, done_a,
+                                            z, u, lo, hi, decay, sd, h)
+            x[idx] = xa
+            t[idx] = ta
+            tau[idx] = tau_a
+            done[idx] = done_a
+            past_horizon |= bool((ta[~done_a] >= t_max).any())
     alive = ~done
     censored = int(np.count_nonzero(alive))
     bias_bound = 0.0
@@ -478,6 +499,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
     Durations carry a +h slack in the bound checks: discrete reading
     overestimates each hitting time by at most one step.
     """
+    check_replicas(n)
     delta = p.delta()
     grid = TimeGrid(0.0, T, h)
 
@@ -510,7 +532,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
                 "ts_sum": ts_sum, "ts_cnt": ts_cnt, "deep": deep}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=512)
+                          batch_size=batch_rows(grid.n_steps + 1))
     mean_n = StatReport.from_samples(
         out["n_up"], epsilon=p.epsilon, T=T, h=h, seed=master_seed,
         delta=delta, frac_zero=float((out["n_up"] == 0).mean()))
@@ -563,12 +585,13 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
     """P(min of Y over the grid reaches -a before t)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
+    check_replicas(n)
     grid = TimeGrid(0.0, t, h)
     out = rescaled_reduce(
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"hit": (ys.min(axis=1) <= -a)
                                  .astype(np.float64)},
-        batch_size=1024)
+        batch_size=batch_rows(grid.n_steps + 1))
     p_hat = float(out["hit"].mean())
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     return StatReport(estimate=p_hat, std_error=se, n_replicas=n,

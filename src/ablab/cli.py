@@ -191,8 +191,8 @@ def main():
 
 def _system_reduce(s: dict, grid: TimeGrid):
     """The batch-driver binding that ``simulate --system`` runs, as
-    ``run(master_seed, n_replicas, reduce_fn, batch_size=...)``, with its
-    scheme label and the streams it reads."""
+    ``run(master_seed, n_replicas, reduce_fn)``, with its scheme label and
+    the streams it reads."""
     system = s["system"]
     if system == "rescaled":
         return (partial(rescaled_reduce, _model_params(s), grid,
@@ -229,7 +229,7 @@ def simulate(**s):
     grid = TimeGrid(0.0, s["horizon"], s["step"])
     seed = s["seed"]
     run, scheme, stream_ids = _system_reduce(s, grid)
-    first = run(seed, 1, _path_columns, batch_size=1)
+    first = run(seed, 1, _path_columns)
     path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
                       stream_ids=stream_ids, scheme=scheme,
                       diverged=bool(first["div"][0]))

@@ -179,7 +179,7 @@ def _exact_advance(y0: float, decay, sd, z1, z2):
 
 def limit_exact_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,
                        n_replicas: int, reduce_fn,
-                       batch_size: int = 2048) -> dict:
+                       batch_size: int | None = None) -> dict:
     """``replica_reduce`` over the exact sampler; ``reduce_fn(times, rs)``."""
     if p.variant != "damped":
         raise ValueError("exact sampler exists for the damped variant only")
@@ -194,7 +194,7 @@ def limit_exact_terminal(y0: float, times, n: int,
 
     Jumps the underlying 2-d OU process through the strictly increasing
     ``times`` in single exact transitions; returns shape (n, len(times)).
-    Draw i is replica i of ``replica_reduce``, in one batch.
+    Draw i is replica i of ``replica_reduce``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if not (np.diff(times) > 0.0).all() or times[0] <= 0.0:
@@ -202,9 +202,9 @@ def limit_exact_terminal(y0: float, times, n: int,
     ts = np.concatenate([[0.0], times])
     decay, sd = zip(*(_exact_step_coeffs(t - t_prev)
                       for t_prev, t in zip(ts[:-1], ts[1:])))
-    return replica_reduce(partial(_exact_advance, y0, decay, sd), ts,
-                          master_seed, n, lambda _, rs: {"rs": rs},
-                          batch_size=n)["rs"][:, 1:]
+    out = replica_reduce(partial(_exact_advance, y0, decay, sd), ts,
+                         master_seed, n, lambda _, rs: {"rs": rs})
+    return out["rs"][:, 1:]
 
 
 def expected_square(y0: float, t, variant: str = "damped"):

@@ -121,8 +121,25 @@ def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:
     return flow_unperturbed(s0, t, tol).y
 
 
+# Points per batch: criterion 2 took 33 s, 337 MB (2^22: 35-39 s, 210 MB).
+BATCH_ELEMS = 1 << 23
+# Points per block or exit-draw slice: exit runs 4.0-4.4 s (256 rows: 4.8 s).
+BLOCK_ELEMS = 1 << 18
+
+
+def batch_rows(n_points: int) -> int:
+    """Replicas per batch when each carries ``n_points`` time points."""
+    return max(1, BATCH_ELEMS // n_points)
+
+
+def block_rows(n_points: int) -> int:
+    """Rows per reducer block or draw slice of ``n_points`` points each."""
+    return max(1, BLOCK_ELEMS // n_points)
+
+
 def replica_reduce(advance, ts: np.ndarray, master_seed: int,
-                   n_replicas: int, reduce_fn, batch_size: int) -> dict:
+                   n_replicas: int, reduce_fn,
+                   batch_size: int | None = None) -> dict:
     """Run replicas of one system on the time points ``ts`` in batches,
     reducing each batch to small arrays.  Every simulated path and every
     ``normal_matrix`` row of the package is drawn here.
@@ -131,20 +148,34 @@ def replica_reduce(advance, ts: np.ndarray, master_seed: int,
     of ``normal_matrix`` with ``len(ts) - 1`` draws, a pure function of the
     stream and its length.
     ``advance(z1, z2)`` turns a batch of such rows (first axis = replica)
-    into a tuple of arrays, and ``reduce_fn(ts, *arrays)`` returns a dict
-    of arrays with the replica axis first.  Results are concatenated in
-    replica order, so they do not depend on the batch size, and a single
-    path is replica 0.
+    into a tuple of arrays; the draws are released as soon as it returns.
+    A batch holds ``batch_size`` replicas, by default
+    ``batch_rows(len(ts))``, so its path arrays stay near BATCH_ELEMS
+    points whatever the number of steps.
+
+    ``reduce_fn(ts, *arrays)`` returns a dict of arrays with the replica
+    axis first.  It is called on row blocks of the batch's arrays, each
+    ``block_rows(len(ts))`` rows (about BLOCK_ELEMS points), so its
+    temporaries stay cache-sized.  This relies on one rule: each output row
+    of ``reduce_fn`` depends only on its own input row.  Results are
+    concatenated in replica order, so they depend on neither the batch nor
+    the block size, and a single path is replica 0.
     """
     if n_replicas < 1:
         raise ValueError(f"need at least 1 replica, got {n_replicas}")
+    if batch_size is None:
+        batch_size = batch_rows(len(ts))
+    block = block_rows(len(ts))
     chunks: list[dict] = []
     for b0 in range(0, n_replicas, batch_size):
         nb = min(batch_size, n_replicas - b0)
         ids = 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
-        z1 = normal_matrix(master_seed, ids, len(ts) - 1)
-        z2 = normal_matrix(master_seed, ids + 1, len(ts) - 1)
-        chunks.append(reduce_fn(ts, *advance(z1, z2)))
+        arrays = advance(normal_matrix(master_seed, ids, len(ts) - 1),
+                         normal_matrix(master_seed, ids + 1, len(ts) - 1))
+        for r0 in range(0, nb, block):
+            chunks.append(reduce_fn(ts, *(a[r0:r0 + block]
+                                          for a in arrays)))
+        del arrays  # before the next batch's draws are made
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
@@ -185,7 +216,7 @@ def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
                     reduce_fn: Callable[[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray], dict],
                     scheme: str = "splitting",
-                    batch_size: int = 1024) -> dict:
+                    batch_size: int | None = None) -> dict:
     """``replica_reduce`` over the fast-slow system;
     ``reduce_fn(times, xs, ys, diverged)``."""
     return replica_reduce(partial(_rescaled_advance, p, grid, scheme),

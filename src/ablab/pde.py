@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import StatReport
+from .analysis import StatReport, check_replicas
 from .limit import TestFunction, limit_exact_terminal, radial_drift
-from .model import ModelParams, project_pi, rescaled_reduce
+from .model import ModelParams, batch_rows, project_pi, rescaled_reduce
 from .sde import TimeGrid
 
 
@@ -170,6 +170,7 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
 def feynman_kac_mc(y: float, t: float, f: TestFunction, n: int,
                    master_seed: int) -> StatReport:
     """E_y f(Y_t) by the exact limit sampler (single exact transition)."""
+    check_replicas(n)
     samples = limit_exact_terminal(y, [t], n, master_seed)[:, 0]
     return StatReport.from_samples(f(samples), y0=y, t=t, f=f.name,
                                    seed=master_seed)
@@ -182,13 +183,14 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
     As epsilon shrinks this approaches the limit solution evaluated at the
     projected start, u(t, y^pi(x, y)) with initial data f2(0, .).
     """
+    check_replicas(n)
     p = replace(p, x0=x, y0=y, horizon=t)
     grid = TimeGrid(0.0, t, h)
     out = rescaled_reduce(
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {
             "val": np.asarray(f2(xs[:, -1], ys[:, -1]), dtype=np.float64)},
-        batch_size=1024)
+        batch_size=batch_rows(grid.n_steps + 1))
     return StatReport.from_samples(out["val"], x0=x, y0=y, t=t,
                                    epsilon=p.epsilon, h=h, seed=master_seed,
                                    y_pi=project_pi((x, y)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab import analysis, limit
+from ablab import analysis, limit, model
 from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
                             ScalingFit, StatReport, _scan_batch,
                             crossing_stats, excursion_anatomy,
@@ -270,6 +270,20 @@ def test_ou_exit_mc_censors_at_the_horizon(monkeypatch):
     assert rep.estimate == cut.mean()
     # the bias the censoring caused stays under the reported bound
     assert 0.0 < full.estimate - rep.estimate <= rep.config["bias_bound"]
+
+
+@pytest.mark.parametrize("mode", ["two_sided", "one_sided"])
+def test_ou_exit_mc_does_not_depend_on_the_draw_slices(mode, monkeypatch):
+    # the draws come in row slices of live paths: 1-row and 7-row slices
+    # give the report of the default slices, bit for bit
+    args = (0.1, mode, 200, 13)
+    ref = ou_exit_mc(*args)
+    for rows in (1, 7):
+        monkeypatch.setattr(model, "BLOCK_ELEMS", rows * 512)
+        assert model.block_rows(512) == rows
+        rep = ou_exit_mc(*args)
+        assert (rep.estimate, rep.std_error, rep.config) \
+            == (ref.estimate, ref.std_error, ref.config), rows
 
 
 def test_ou_exit_mc_horizon_rule():

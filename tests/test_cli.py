@@ -9,6 +9,10 @@ from ablab.analysis import WEAK_GAP_SLACK, z_threshold
 from ablab import __version__
 from ablab.cli import main
 
+# A config error is rejected before anything is simulated, so no numpy
+# warning from a half-run estimator may reach the report.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run(args, out=None):
     if out is not None:

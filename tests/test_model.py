@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ablab import model
 from ablab.analysis import ks_critical_value, ks_statistic
 from ablab.limit import limit_exact_terminal
 from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
@@ -345,12 +346,26 @@ def test_single_path_is_row_0_of_a_batch(system):
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
-def test_reduce_rows_do_not_depend_on_batch_size(batch_size):
+def test_reduce_rows_do_not_depend_on_batch_size(batch_size, monkeypatch):
+    # ... nor on the row blocks the reducer is called on: 1, 7, default
     n = 20
-    out = rescaled_reduce(_P, DRIVER_GRID, DRIVER_SEED, n, _keep,
-                          batch_size=batch_size)
-    _assert_replicas_read_their_own_streams(SYSTEMS["rescaled"], out, n)
-    out = limit_exact_reduce(_LP, DRIVER_GRID, DRIVER_SEED, n, _keep,
-                             batch_size=batch_size)
-    _assert_replicas_read_their_own_streams(SYSTEMS["limit-exact"], out, n)
+    n_points = DRIVER_GRID.n_steps + 1
+    for rows in (1, 7, None):
+        if rows is not None:
+            monkeypatch.setattr(model, "BLOCK_ELEMS", rows * n_points)
+            assert model.block_rows(n_points) == rows
+        out = rescaled_reduce(_P, DRIVER_GRID, DRIVER_SEED, n, _keep,
+                              batch_size=batch_size)
+        _assert_replicas_read_their_own_streams(SYSTEMS["rescaled"], out, n)
+        out = limit_exact_reduce(_LP, DRIVER_GRID, DRIVER_SEED, n, _keep,
+                                 batch_size=batch_size)
+        _assert_replicas_read_their_own_streams(SYSTEMS["limit-exact"], out,
+                                                n)
+        monkeypatch.undo()
+
+
+def test_batch_rule_fills_the_budget():
+    assert model.batch_rows(10_001) == model.BATCH_ELEMS // 10_001
+    assert model.batch_rows(2 * model.BATCH_ELEMS) == 1
+    assert model.block_rows(2 * model.BLOCK_ELEMS) == 1
 
