@@ -69,8 +69,8 @@ def criterion_radial_identity(seed: int) -> CriterionResult:
     ok = True
     crit = ks_critical_value(n, n)
     for j, eps in enumerate((0.1, 0.01)):
-        p = ModelParams(epsilon=eps, x0=1.2, y0=1.6, horizon=1.0)
-        grid = TimeGrid(0.0, 1.0, 1e-4)
+        p = ModelParams(epsilon=eps, x0=1.2, y0=1.6)
+        grid = TimeGrid(1.0, 1e-4)
         out = rescaled_reduce(
             p, grid, _seed(seed, 21 + j), n,
             lambda ts, xs, ys, div: {"rT": np.hypot(xs[:, -1], ys[:, -1])})
@@ -251,8 +251,8 @@ def criterion_metastability(seed: int) -> CriterionResult:
     vals = [r.estimate for r in probs]
     dec = vals[0] > vals[1] > vals[2]
     # anatomy at eps = 0.2
-    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0, horizon=20.0)
-    grid = TimeGrid(0.0, 20.0, 1e-3)
+    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0)
+    grid = TimeGrid(20.0, 1e-3)
     paths = rescaled_reduce(p, grid, _seed(seed, 82), 30,
                             lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
     records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],

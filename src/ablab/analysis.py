@@ -170,7 +170,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     if t < t0:
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
     delta = p.delta()
-    grid = TimeGrid(0.0, t, h)
+    grid = TimeGrid(t, h)
     out = rescaled_reduce(
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"x2": xs[:, -1] ** 2,
@@ -192,7 +192,7 @@ def x_second_moment_scaling(epsilons, alpha: float, t: float, n: int,
     ModelParams' default start (0, 2)."""
     estimates, ses = [], []
     for i, eps in enumerate(epsilons):
-        p = ModelParams(epsilon=eps, alpha=alpha, horizon=t)
+        p = ModelParams(epsilon=eps, alpha=alpha)
         rep = x_second_moment(p, t, n, master_seed + i, h=h)
         estimates.append(rep.estimate)
         ses.append(rep.std_error)
@@ -228,7 +228,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
     """
     check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
-    grid = TimeGrid(0.0, T, h)
+    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
         rs = np.hypot(xs, ys)
@@ -259,8 +259,8 @@ def martingale_residual_limit(y0: float, f: TestFunction, T: float, n: int,
     """Control run: the residual on the exact limit sampler itself,
     which is a true martingale, so the estimate should sit at 0."""
     check_replicas(n)
-    lp = LimitParams(y0=y0, horizon=T)
-    grid = TimeGrid(0.0, T, h)
+    lp = LimitParams(y0=y0)
+    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, rs):
         return {"res": _residual(f, rs, y0, h)}
@@ -280,7 +280,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
     check_replicas(n)
-    grid = TimeGrid(0.0, T, h)
+    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
         xT = xs[:, -1]
@@ -316,7 +316,7 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     """
     check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
-    grid = TimeGrid(0.0, T, h)
+    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
         rT = np.hypot(xs[:, -1], ys[:, -1])
@@ -501,7 +501,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
     """
     check_replicas(n)
     delta = p.delta()
-    grid = TimeGrid(0.0, T, h)
+    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
         tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
@@ -586,7 +586,7 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
     if not a > 0.0:
         raise ValueError("a must be positive")
     check_replicas(n)
-    grid = TimeGrid(0.0, t, h)
+    grid = TimeGrid(t, h)
     out = rescaled_reduce(
         p, grid, master_seed, n,
         lambda ts, xs, ys, div: {"hit": (ys.min(axis=1) <= -a)

@@ -203,7 +203,7 @@ def _system_reduce(s: dict, grid: TimeGrid):
                                                 _model_params(s), grid),
                         grid.times()), "slowtime_euler", (0, 1))
     variant = "damped" if s["variant"] == "dissipative" else "no_dissipation"
-    lp = LimitParams(y0=s["y0"], variant=variant, horizon=s["horizon"])
+    lp = LimitParams(y0=s["y0"], variant=variant)
     if system == "limit-em":
         # the direct scheme reads z1 only
         return (partial(replica_reduce, partial(_em_advance, lp, grid),
@@ -226,7 +226,7 @@ def _path_columns(ts, *arrays) -> dict:
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
     which reads streams (seed, 0) and (seed, 1)."""
-    grid = TimeGrid(0.0, s["horizon"], s["step"])
+    grid = TimeGrid(s["horizon"], s["step"])
     seed = s["seed"]
     run, scheme, stream_ids = _system_reduce(s, grid)
     first = run(seed, 1, _path_columns)
@@ -363,13 +363,13 @@ def excursions(**s):
     records at the largest epsilon."""
     eps = _epsilon_ladder(s, [0.2, 0.1, 0.05])
     a, t = s["a"], s["t"]
-    reps = [excursion_probability(_model_params(s, epsilon=e, horizon=t), a,
+    reps = [excursion_probability(_model_params(s, epsilon=e), a,
                                   t, s["replicas"], s["seed"], h=s["step"])
             for e in eps]
     vals = [r.estimate for r in reps]
     passed = all(u > v for u, v in zip(vals, vals[1:]))
-    grid = TimeGrid(0.0, t, s["step"])
-    paths = rescaled_reduce(_model_params(s, epsilon=eps[0], horizon=t),
+    grid = TimeGrid(t, s["step"])
+    paths = rescaled_reduce(_model_params(s, epsilon=eps[0]),
                             grid, s["seed"] + 7, 20,
                             lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
     records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],

@@ -103,17 +103,16 @@ TEST_FUNCTIONS = {"exp": gauss_bump(), "inv": lorentzian(),
 
 @dataclass(frozen=True)
 class LimitParams:
+    """Start and variant of the limit process; the horizon is the grid's."""
+
     y0: float
     variant: str = "damped"
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not self.y0 > 0.0:
             raise ValueError("y0 must be positive (the origin is never hit)")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
 
 
 def radial_drift(y):
@@ -207,16 +206,12 @@ def limit_exact_terminal(y0: float, times, n: int,
     return out["rs"][:, 1:]
 
 
-def expected_square(y0: float, t, variant: str = "damped"):
-    """Closed-form E[Y_t^2] from the generator applied to y^2.
-
-    Damped: d/dt E[Y^2] = 2 - 2 E[Y^2], so E[Y_t^2] = 1 + (y0^2 - 1)e^{-2t}.
-    Without dissipation: d/dt E[Y^2] = 3, so E[Y_t^2] = y0^2 + 3t.
+def expected_square(y0: float, t):
+    """Closed-form E[Y_t^2] of the damped variant from the generator applied
+    to y^2: d/dt E[Y^2] = 2 - 2 E[Y^2], so E[Y_t^2] = 1 + (y0^2 - 1)e^{-2t}.
     """
     t = np.asarray(t, dtype=np.float64)
-    if variant == "damped":
-        return 1.0 + (y0 * y0 - 1.0) * np.exp(-2.0 * t)
-    return y0 * y0 + 3.0 * t
+    return 1.0 + (y0 * y0 - 1.0) * np.exp(-2.0 * t)
 
 
 def stationary_square_cdf(s):

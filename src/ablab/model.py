@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import _kernels
-from .sde import DEFAULT_GUARD, PathSample, TimeGrid, normal_matrix
+from .sde import DEFAULT_GUARD, TimeGrid, normal_matrix
 
 VARIANTS = ("dissipative", "no_dissipation")
 
@@ -34,14 +34,14 @@ class State2(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters of one perturbed-system experiment."""
+    """Parameters of one perturbed-system experiment.  The horizon is not
+    one: each estimator builds a ``TimeGrid`` from its own ``T``."""
 
     epsilon: float
     alpha: float = 0.1
     variant: str = "dissipative"
     x0: float = 0.0
     y0: float = 2.0
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -50,8 +50,6 @@ class ModelParams:
             raise ValueError("alpha must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
 
     def delta(self) -> float:
         """Crossing-band half width eps**alpha (always derived, never stored)."""
@@ -231,26 +229,3 @@ def _slowtime_advance(p: ModelParams, grid: TimeGrid, z1, z2):
     _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
                             DEFAULT_GUARD, z1, z2, *out)
     return out
-
-
-def to_polar(path: PathSample) -> PathSample:
-    """Radius and folded angle arctan(y/|x|) of a 2-d path.
-
-    Folding the angle across the y-axis uses the mirror symmetry of the
-    system, so theta = +pi/2 is the stable half-axis and -pi/2 the unstable
-    one.  At the origin the angle is undefined; such samples carry the
-    previous angle (0 at the first sample).
-    """
-    if path.states.shape[1] != 2:
-        raise ValueError("to_polar needs a 2-d path")
-    x = path.states[:, 0]
-    y = path.states[:, 1]
-    r = np.hypot(x, y)
-    theta = np.arctan2(y, np.abs(x))
-    for i in np.nonzero(r == 0.0)[0]:
-        theta[i] = theta[i - 1] if i > 0 else 0.0
-    return PathSample(grid=path.grid, states=np.column_stack([r, theta]),
-                      master_seed=path.master_seed,
-                      stream_ids=path.stream_ids,
-                      scheme=f"polar({path.scheme})",
-                      diverged=path.diverged)

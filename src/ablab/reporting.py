@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import ScalingFit
-from .model import to_polar
 from .sde import PathSample
 
 
@@ -29,6 +28,21 @@ def _meta_line(seed, config: dict) -> str:
     return "# " + " ".join(parts) + "\n"
 
 
+def to_polar(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and folded angle arctan(y/|x|) of the rows (x, y) of a 2-d path.
+
+    Folding the angle across the y-axis uses the mirror symmetry of the
+    system, so theta = +pi/2 is the stable half-axis and -pi/2 the unstable
+    one.  At the origin the angle is undefined; such samples carry the
+    previous angle (0 at the first sample).
+    """
+    r = np.hypot(states[:, 0], states[:, 1])
+    theta = np.arctan2(states[:, 1], np.abs(states[:, 0]))
+    for i in np.nonzero(r == 0.0)[0]:
+        theta[i] = theta[i - 1] if i > 0 else 0.0
+    return r, theta
+
+
 def path_to_csv(path: PathSample, out: IO[str], polar: bool = False) -> None:
     """Write a path as CSV: columns t,x,y for 2-d paths (plus r,theta when
     polar is requested), t,y for 1-d paths.  Floats carry 17 significant
@@ -40,11 +54,10 @@ def path_to_csv(path: PathSample, out: IO[str], polar: bool = False) -> None:
     out.write(_meta_line(path.master_seed, config))
     d = path.states.shape[1]
     if d == 2 and polar:
-        pol = to_polar(path)
+        r, theta = to_polar(path.states)
         out.write("t,x,y,r,theta\n")
         for k, t in enumerate(ts):
-            row = [t, path.states[k, 0], path.states[k, 1],
-                   pol.states[k, 0], pol.states[k, 1]]
+            row = [t, path.states[k, 0], path.states[k, 1], r[k], theta[k]]
             out.write(",".join(_fmt(v) for v in row) + "\n")
     elif d == 2:
         out.write("t,x,y\n")

@@ -63,9 +63,9 @@ def normal_matrix(master_seed: int, stream_ids: np.ndarray | list[int],
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid covering [t0, horizon] with n_steps steps of size step."""
+    """Uniform grid covering [0, horizon] with n_steps steps of size step:
+    the one place a run states its horizon."""
 
-    t0: float
     horizon: float
     step: float
     n_steps: int = field(init=False)
@@ -73,15 +73,14 @@ class TimeGrid:
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
-        span = self.horizon - self.t0
-        if not span > 0.0:
-            raise ValueError("horizon must exceed t0")
-        # tolerate float noise in span/step before taking the ceiling
-        n = math.ceil(span / self.step - 1e-9)
+        if not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
+        # tolerate float noise in horizon/step before taking the ceiling
+        n = math.ceil(self.horizon / self.step - 1e-9)
         object.__setattr__(self, "n_steps", max(n, 1))
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(self.n_steps + 1)
+        return self.step * np.arange(self.n_steps + 1)
 
 
 @dataclass

@@ -329,7 +329,7 @@ def test_excursion_probability_decreases_with_epsilon():
 def test_excursion_anatomy_synthetic():
     y = np.array([1.0, 0.5, -0.1, -0.6, -0.4, 0.2, 0.9, 0.8])
     x = np.array([0.0, 0.1, 0.2, 0.05, -0.3, 0.1, 0.0, 0.0])
-    ts = TimeGrid(0.0, 0.7, 0.1).times()
+    ts = TimeGrid(0.7, 0.1).times()
     recs = excursion_anatomy(ts, x[None], y[None], a=0.5)
     assert len(recs) == 1
     assert recs[0].entry_time == pytest.approx(0.3)
@@ -340,7 +340,7 @@ def test_excursion_anatomy_synthetic():
 
 def test_excursion_anatomy_no_dips_empty():
     y = np.linspace(1.0, 2.0, 10)
-    ts = TimeGrid(0.0, 0.1 * 9, 0.1).times()
+    ts = TimeGrid(0.1 * 9, 0.1).times()
     assert excursion_anatomy(ts, np.zeros((1, 10)), y[None], a=0.5) == []
 
 
@@ -348,8 +348,8 @@ def test_batched_anatomy_equals_per_path_records():
     # criterion 8 reads the anatomy off one batch of the driver; it must
     # give the records of the paths simulated one at a time on their own
     # streams (2i, 2i + 1), in path order
-    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0, horizon=5.0)
-    grid = TimeGrid(0.0, 5.0, 1e-3)
+    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0)
+    grid = TimeGrid(5.0, 1e-3)
     ts = grid.times()
     n, seed = 6, 82
     paths = rescaled_reduce(p, grid, seed, n,

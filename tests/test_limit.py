@@ -99,7 +99,7 @@ def test_limit_params_validation():
 def test_em_drift_only_fixed_point():
     # Without noise the quadratic-variation unit of the S-drift goes too:
     # dS = (1 - 2S) dt is dY = (1/(2Y) - Y) dt, fixed point 1/sqrt(2).
-    grid = TimeGrid(0.0, 10.0, 1e-4)
+    grid = TimeGrid(10.0, 1e-4)
     ys = np.empty((1, grid.n_steps + 1))
     _kernels.limit_sq_em(1.0, 1.0, 2.0, grid.step,
                          np.zeros((1, grid.n_steps)), ys)
@@ -107,16 +107,16 @@ def test_em_drift_only_fixed_point():
 
 
 def test_em_path_stays_positive():
-    p = LimitParams(y0=0.05, horizon=2.0)
-    grid = TimeGrid(0.0, 2.0, 1e-4)
+    p = LimitParams(y0=0.05)
+    grid = TimeGrid(2.0, 1e-4)
     out = replica_reduce(partial(_em_advance, p, grid), grid.times(), 3, 1,
                          lambda ts, ys: {"ys": ys}, batch_size=1)
     assert (out["ys"] > 0.0).all()
 
 
 def test_em_second_moment_matches_closed_form():
-    p = LimitParams(y0=2.0, horizon=1.0)
-    grid = TimeGrid(0.0, 1.0, 1e-3)
+    p = LimitParams(y0=2.0)
+    grid = TimeGrid(1.0, 1e-3)
     out = em_reduce(p, grid, 17, 5000,
                     lambda ts, ys: {"y2": ys[:, -1] ** 2})
     target = expected_square(2.0, 1.0)
@@ -140,15 +140,15 @@ def test_exact_sampler_rejects_no_dissipation(monkeypatch):
     p = LimitParams(y0=1.0, variant="no_dissipation")
     for n_replicas in (0, 2):
         with pytest.raises(ValueError, match="damped variant only"):
-            limit_exact_reduce(p, TimeGrid(0.0, 1.0, 0.1), 0, n_replicas,
+            limit_exact_reduce(p, TimeGrid(1.0, 0.1), 0, n_replicas,
                                lambda ts, rs: {"rs": rs})
 
 
 def test_exact_terminal_is_the_last_column_of_a_one_step_path():
     for y0, t in ((2.0, 1.0), (1.0, 10.0), (0.25, 0.3)):
         got = limit_exact_terminal(y0, [t], 300, 8)[:, 0]
-        out = limit_exact_reduce(LimitParams(y0=y0, horizon=t),
-                                 TimeGrid(0.0, t, t), 8, 300,
+        out = limit_exact_reduce(LimitParams(y0=y0),
+                                 TimeGrid(t, t), 8, 300,
                                  lambda ts, rs: {"rT": rs[:, -1]})
         assert np.array_equal(got, out["rT"]), (y0, t)
 
@@ -189,8 +189,8 @@ def test_exact_transitions_compose():
     # one exact jump to T has the same law as many exact substeps
     n = 4000
     one = limit_exact_terminal(2.0, [1.0], n, 9)[:, 0]
-    p = LimitParams(y0=2.0, horizon=1.0)
-    grid = TimeGrid(0.0, 1.0, 1e-3)
+    p = LimitParams(y0=2.0)
+    grid = TimeGrid(1.0, 1e-3)
     out = limit_exact_reduce(p, grid, 10, n,
                              lambda ts, rs: {"rT": rs[:, -1]})
     assert ks_statistic(one, out["rT"]) < ks_critical_value(n, n)
@@ -199,8 +199,8 @@ def test_exact_transitions_compose():
 def test_sampler_agreement_em_vs_exact():
     # terminal laws at T=1 from y0=1: KS below the 1% critical value
     n = 10_000
-    p = LimitParams(y0=1.0, horizon=1.0)
-    grid = TimeGrid(0.0, 1.0, 1e-4)
+    p = LimitParams(y0=1.0)
+    grid = TimeGrid(1.0, 1e-4)
     em = em_reduce(p, grid, 21, n, lambda ts, ys: {"yT": ys[:, -1]})
     ex = limit_exact_terminal(1.0, [1.0], n, 22)[:, 0]
     assert ks_statistic(em["yT"], ex) < ks_critical_value(n, n)
@@ -217,7 +217,7 @@ def test_stationary_law_and_mean():
 
 
 SMALL_START_Y0 = 0.1
-SMALL_START_GRID = TimeGrid(0.0, 10.0, 1e-3)
+SMALL_START_GRID = TimeGrid(10.0, 1e-3)
 DIP_DELTA = 1e-3
 
 
@@ -237,7 +237,7 @@ def expected_dip_count(y0, grid, delta):
 @pytest.fixture(scope="module")
 def small_start_paths():
     """Minimum and dip count below DIP_DELTA of exact paths from y0 = 0.1."""
-    p = LimitParams(y0=SMALL_START_Y0, horizon=SMALL_START_GRID.horizon)
+    p = LimitParams(y0=SMALL_START_Y0)
     return limit_exact_reduce(
         p, SMALL_START_GRID, 44, 10_000,
         lambda ts, rs: {"mn": rs.min(axis=1),
@@ -281,12 +281,14 @@ def test_martingale_property_of_generator():
 
 
 def test_no_dissipation_growth():
-    # E[Y_t^2] = y0^2 + 3t for the variant without damping
-    p = LimitParams(y0=1.0, variant="no_dissipation", horizon=1.0)
-    grid = TimeGrid(0.0, 1.0, 1e-3)
+    # the oracle: without damping the generator applied to y^2 is 3, so
+    # d/dt E[Y^2] = 3 and E[Y_t^2] = y0^2 + 3t
+    y0, t = 1.0, 1.0
+    p = LimitParams(y0=y0, variant="no_dissipation")
+    grid = TimeGrid(t, 1e-3)
     out = em_reduce(p, grid, 66, 20_000,
                     lambda ts, ys: {"y2": ys[:, -1] ** 2})
-    target = expected_square(1.0, 1.0, variant="no_dissipation")
+    target = y0 * y0 + 3.0 * t
     se = out["y2"].std(ddof=1) / math.sqrt(out["y2"].size)
     assert abs(out["y2"].mean() - target) < 3 * se
 

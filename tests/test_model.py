@@ -77,7 +77,7 @@ def test_projection_consistency_random_starts():
 
 # One zero-noise Euler step of h = 1/4 from (x0, y0) lands on start + drift/4,
 # exactly in binary; the noise amplitude is read off a unit draw from (0, 0).
-STEP = TimeGrid(0.0, 0.25, 0.25)
+STEP = TimeGrid(0.25, 0.25)
 
 
 def _rows(*zs):
@@ -148,7 +148,7 @@ def test_rescaled_x_moment_bound():
     # E[X_T^2] <= 5 eps^{0.9} at eps=0.01 from (0, 2)
     eps = 0.01
     p = ModelParams(epsilon=eps, x0=0.0, y0=2.0)
-    grid = TimeGrid(0.0, 1.0, 1e-4)
+    grid = TimeGrid(1.0, 1e-4)
     out = rescaled_reduce(p, grid, 77, 1000,
                           lambda ts, xs, ys, div: {"x2": xs[:, -1] ** 2})
     assert out["x2"].mean() <= 5.0 * eps ** 0.9
@@ -159,7 +159,7 @@ def test_rescaled_drift_only_projects_then_decays():
     # the radius satisfies r(t) = r0 e^{-t} exactly in the dissipative case
     eps = 1e-3
     p = ModelParams(epsilon=eps, x0=3.0, y0=4.0)
-    grid = TimeGrid(0.0, 1.0, 1e-4)
+    grid = TimeGrid(1.0, 1e-4)
     z = np.zeros(grid.n_steps)
     states, div = _rescaled_path(p, grid, z, z)
     assert not div
@@ -169,7 +169,7 @@ def test_rescaled_drift_only_projects_then_decays():
 
 def test_rescaled_deterministic_rerun():
     p = ModelParams(epsilon=0.05)
-    grid = TimeGrid(0.0, 0.5, 1e-3)
+    grid = TimeGrid(0.5, 1e-3)
     keep = lambda ts, xs, ys, div: {"xs": xs, "ys": ys}
     a = rescaled_reduce(p, grid, 5, 3, keep)
     b = rescaled_reduce(p, grid, 5, 3, keep)
@@ -179,7 +179,7 @@ def test_rescaled_deterministic_rerun():
 
 def test_rescaled_mirror_equivariance():
     # mirrored x0 with mirrored W^1 gives the exactly mirrored path
-    grid = TimeGrid(0.0, 0.3, 1e-3)
+    grid = TimeGrid(0.3, 1e-3)
     rng = np.random.default_rng(8)
     z1 = rng.standard_normal(grid.n_steps)
     z2 = rng.standard_normal(grid.n_steps)
@@ -196,12 +196,12 @@ def test_time_change_identity():
     # substitution with matched draws (Euler scheme on both sides)
     eps, h = 0.1, 1e-3
     p = ModelParams(epsilon=eps, x0=0.5, y0=1.5)
-    g_res = TimeGrid(0.0, 1.0, h)
+    g_res = TimeGrid(1.0, h)
     rng = np.random.default_rng(7)
     z1 = rng.standard_normal(g_res.n_steps)
     z2 = rng.standard_normal(g_res.n_steps)
     st_res, _ = _rescaled_path(p, g_res, z1, z2, scheme="euler")
-    g_slow = TimeGrid(0.0, 1.0 / eps, h / eps)
+    g_slow = TimeGrid(1.0 / eps, h / eps)
     st_slow, _ = _slowtime_path(p, g_slow, z1, z2)
     assert np.allclose(st_res, st_slow, rtol=1e-10, atol=1e-12)
 
@@ -209,7 +209,7 @@ def test_time_change_identity():
 def test_slowtime_drift_only_exponential_decay():
     # on the stable axis the slow-time system reduces to dy = -eps*y dt
     p = ModelParams(epsilon=0.1, x0=0.0, y0=2.0)
-    grid = TimeGrid(0.0, 5.0, 1e-3)
+    grid = TimeGrid(5.0, 1e-3)
     z = np.zeros(grid.n_steps)
     states, _ = _slowtime_path(p, grid, z, z)
     assert abs(states[-1, 1] - 2.0 * math.exp(-0.5)) < 1e-3
@@ -220,7 +220,7 @@ def test_euler_scheme_cross_validates_splitting():
     # plain EM at h <= eps/10 agrees with the splitting scheme in law
     eps = 0.05
     p = ModelParams(epsilon=eps, x0=0.0, y0=2.0)
-    grid = TimeGrid(0.0, 1.0, eps / 10.0 / 10.0)
+    grid = TimeGrid(1.0, eps / 10.0 / 10.0)
     n = 1500
     a = rescaled_reduce(p, grid, 31, n,
                         lambda ts, xs, ys, div: {"yT": ys[:, -1]},
@@ -236,7 +236,7 @@ def test_radial_identity_any_epsilon():
     # in law for ANY epsilon (the 1/eps terms cancel)
     eps = 0.3
     p = ModelParams(epsilon=eps, x0=1.2, y0=1.6)
-    grid = TimeGrid(0.0, 1.0, 2e-4)
+    grid = TimeGrid(1.0, 2e-4)
     n = 2000
     out = rescaled_reduce(p, grid, 101, n,
                           lambda ts, xs, ys, div:
@@ -247,7 +247,7 @@ def test_radial_identity_any_epsilon():
 
 def _polar_csv_columns(states):
     """The r and theta columns that the polar CSV writes for a path."""
-    grid = TimeGrid(0.0, 1.0, 0.5)
+    grid = TimeGrid(1.0, 0.5)
     p = PathSample(grid=grid, states=np.array(states), master_seed=0,
                    stream_ids=(0, 1), scheme="synthetic")
     buf = io.StringIO()
@@ -286,7 +286,7 @@ def test_flow_energy_conservation_property(e, phi, t):
 def test_simulate_slowtime_runs_and_reruns_identically():
     # replica 0 of the driver, as ``ablab simulate --system slowtime``
     p = ModelParams(epsilon=0.5, x0=0.1, y0=1.0)
-    grid = TimeGrid(0.0, 1.0, 1e-2)
+    grid = TimeGrid(1.0, 1e-2)
     keep = lambda ts, xs, ys, div: {"xs": xs, "ys": ys}
     runs = [replica_reduce(partial(_slowtime_advance, p, grid), grid.times(),
                            6, 1, keep, batch_size=1) for _ in range(2)]
@@ -301,7 +301,7 @@ def test_simulate_slowtime_runs_and_reruns_identically():
 # ---------------------------------------------------------------------------
 
 DRIVER_SEED = 19
-DRIVER_GRID = TimeGrid(0.0, 0.05, 1e-3)
+DRIVER_GRID = TimeGrid(5e-2, 1e-3)
 _P = ModelParams(epsilon=0.05, x0=0.3, y0=1.0)
 _LP = LimitParams(y0=1.0)
 SYSTEMS = {

@@ -7,7 +7,8 @@ from ablab import limit
 from ablab.limit import radial_drift
 from ablab.limit import expected_square, gauss_bump, square_fn
 from ablab.model import ModelParams, project_pi
-from ablab.pde import Grid1D, cauchy_2d_mc, feynman_kac_mc, solve_limit_pde
+from ablab.pde import (Y_MAX, Grid1D, cauchy_2d_mc, feynman_kac_mc,
+                       solve_limit_pde)
 
 
 def constant_fn(c):
@@ -27,12 +28,19 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(n_points=4)
     with pytest.raises(ValueError):
-        Grid1D(y_max=6.0, n_points=301, t_final=1.0, dt=1e-3)  # unstable dt
-    with pytest.raises(ValueError):
-        Grid1D(y_max=6.0, n_points=20, t_final=1.0)  # dy too coarse
-    g = Grid1D(n_points=301, t_final=0.5)
+        Grid1D(n_points=20, t_final=1.0)  # dy too coarse
+
+
+@pytest.mark.parametrize("n_points", [37, 301, 601, 1201, 2001])
+@pytest.mark.parametrize("t_final", [1e-3, 0.5, 2.0])
+def test_derived_dt_meets_both_bounds(n_points, t_final):
+    # the explicit scheme is stable and monotone only below these bounds,
+    # and whole steps must land on t_final
+    g = Grid1D(n_points=n_points, t_final=t_final)
+    max_drift = max(abs(radial_drift(g.dy)), Y_MAX)
+    assert g.dt <= g.dy ** 2 / (1.0 + max_drift * g.dy)
     assert g.dt <= g.dy ** 2 / 2.0
-    assert g.n_steps * g.dt == pytest.approx(0.5, rel=1e-12)
+    assert g.n_steps * g.dt == pytest.approx(t_final, rel=1e-12, abs=0.0)
 
 
 def test_constants_are_preserved():

@@ -11,17 +11,17 @@ from ablab.sde import (DEFAULT_GUARD, RngStream, TimeGrid, PathSample,
 
 def test_grid_rejects_degenerate_step():
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, 0.0)
+        TimeGrid(1.0, 0.0)
     with pytest.raises(ValueError):
-        TimeGrid(0.0, 0.0, 0.1)
+        TimeGrid(0, 0.1)  # zero horizon
 
 
 def test_grid_covers_horizon():
-    g = TimeGrid(0.0, 1.0, 0.3)
-    assert g.n_steps * g.step >= g.horizon - g.t0
+    g = TimeGrid(1.0, 0.3)
+    assert g.n_steps * g.step >= g.horizon
     assert np.all(np.diff(g.times()) > 0)
     # float-noise span does not produce a spurious extra step
-    assert TimeGrid(0.0, 1.0, 0.1).n_steps == 10
+    assert TimeGrid(1.0, 0.1).n_steps == 10
 
 
 def stream_normals(master_seed, stream_id, n):
@@ -142,7 +142,7 @@ def _ou_euler(d, x0, grid, n, seed=None):
 def test_euler_maruyama_pure_brownian():
     # zero drift, unit diffusion: terminal variance ~ horizon
     n = 2000
-    xs, ys, div = _ou_euler(0.0, 0.0, TimeGrid(0.0, 1.0, 0.05), n, seed=3)
+    xs, ys, div = _ou_euler(0.0, 0.0, TimeGrid(1.0, 0.05), n, seed=3)
     for v in (xs[:, -1].var(ddof=1), ys[:, -1].var(ddof=1)):
         assert abs(v - 1.0) < 5 * math.sqrt(2.0 / (n - 1))
     assert not div.any()
@@ -151,7 +151,7 @@ def test_euler_maruyama_pure_brownian():
 def test_euler_maruyama_ou_mean():
     # OU closed form: E X_T = e^{-T} x0 at T=10
     n = 1000
-    xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(0.0, 10.0, 1.0e-3), n, seed=9)
+    xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(10.0, 1.0e-3), n, seed=9)
     m = xs[:, -1].mean()
     se = xs[:, -1].std(ddof=1) / math.sqrt(n)
     assert abs(m - math.exp(-10.0)) < 3 * se
@@ -159,7 +159,7 @@ def test_euler_maruyama_ou_mean():
 
 def test_euler_maruyama_stiff_drift_diverges():
     # 1/eps = 1e4 drift coefficient at h = 1e-3 breaks the explicit scheme
-    xs, ys, div = _ou_euler(1.0e4, 1.0, TimeGrid(0.0, 0.1, 1.0e-3), 1,
+    xs, ys, div = _ou_euler(1.0e4, 1.0, TimeGrid(0.1, 1.0e-3), 1,
                             seed=1)
     assert div[0]
     assert np.isfinite(xs).all() and np.isfinite(ys).all()
@@ -174,13 +174,13 @@ def test_euler_maruyama_weak_order_one():
     errs = []
     hs = [0.2, 0.1, 0.05, 0.025]
     for h in hs:
-        xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(0.0, T, h), 1)
+        xs, _, _ = _ou_euler(1.0, 1.0, TimeGrid(T, h), 1)
         errs.append(abs(xs[0, -1] - math.exp(-T)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 0.7 < slope < 1.3
     # MC consistency: noisy mean matches the zero-noise recursion
     n = 2000
-    g = TimeGrid(0.0, T, 0.1)
+    g = TimeGrid(T, 0.1)
     noisy, _, _ = _ou_euler(1.0, 1.0, g, n, seed=4)
     ref = _ou_euler(1.0, 1.0, g, 1)[0][0, -1]
     se = noisy[:, -1].std(ddof=1) / math.sqrt(n)
@@ -188,7 +188,7 @@ def test_euler_maruyama_weak_order_one():
 
 
 def test_euler_maruyama_deterministic_rerun():
-    g = TimeGrid(0.0, 1.0, 0.01)
+    g = TimeGrid(1.0, 0.01)
     a = _ou_euler(1.0, 1.0, g, 2, seed=42)
     b = _ou_euler(1.0, 1.0, g, 2, seed=42)
     for u, v in zip(a, b):
@@ -196,7 +196,7 @@ def test_euler_maruyama_deterministic_rerun():
 
 
 def test_path_sample_validation():
-    g = TimeGrid(0.0, 1.0, 0.5)
+    g = TimeGrid(1.0, 0.5)
     with pytest.raises(ValueError):
         PathSample(grid=g, states=np.zeros((5, 1)), master_seed=0,
                    stream_ids=(0,), scheme="x")
