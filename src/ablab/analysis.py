@@ -38,7 +38,8 @@ WEAK_GAP_SLACK = 0.02
 PDE_PROBE_SLACK = 2e-3
 # Factor by which crossing counts and durations may miss their oracles.
 CROSSING_SAFETY = 2.0
-KS_COEFF_1PCT = 1.6276  # sqrt(-ln(alpha/2)/2) at alpha = 0.01
+# Asymptotic Kolmogorov-Smirnov coefficient sqrt(-ln(alpha/2)/2), alpha = 1%.
+KS_COEFF_1PCT = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
 # Pass window of the log-log slope of E[X_t^2] against epsilon at
 # alpha = 0.1 (criterion 5 and ``ablab lemma1``).
 MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
@@ -58,8 +59,7 @@ def check_replicas(n: int) -> None:
 
 def ks_critical_value(n: int, m: int) -> float:
     """Two-sample Kolmogorov-Smirnov critical value (asymptotic), 1% level."""
-    c = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
-    return c * math.sqrt((n + m) / (n * m))
+    return KS_COEFF_1PCT * math.sqrt((n + m) / (n * m))
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
