@@ -21,6 +21,14 @@ With a few dozen lanes left, numpy's per-call cost, not arithmetic, sets the
 price of a step, and a step then costs three numpy calls instead of about
 thirty.
 
+Both step loops keep two rules.  They step on (steps x lanes) tiles or
+blocks of about ``_BLOCK_ELEMS`` elements stored steps-major, so that a step
+reads and writes contiguous rows: a column of a row-major (paths x steps)
+array touches one cache line per path, and each tile is copied in and out
+once instead.  And each constant operand of a per-step ufunc call is a 0-d
+float64 array, built once: numpy converts a Python float operand on every
+call, which on a few hundred lanes costs about as much as the arithmetic.
+
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
 
@@ -32,25 +40,38 @@ import numpy as np
 
 MAX_SUBSTEPS = 4096
 _EXP_CLAMP = 60.0
-# elements of one (steps x lanes) block of the exit-time kernel
+# elements of one (steps x lanes) tile or block of the step loops
 _BLOCK_ELEMS = 1 << 15
 
 
-def _ou_var_vec(lam: np.ndarray, h: float, out=None, tmp=None,
+def _const(value) -> np.ndarray:
+    # a read-only 0-d float64 array, for a ufunc operand used on every step
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ONE, _HALF, _NEG2, _TINY = (_const(v) for v in (1.0, 0.5, -2.0, 1e-12))
+_CLAMP = _const(_EXP_CLAMP)
+# the largest substep rate kept before the cast: int(c) + 1 <= MAX_SUBSTEPS
+_RATE_CAP = _const(MAX_SUBSTEPS - 1)
+
+
+def _ou_var_vec(lam: np.ndarray, h, out=None, tmp=None,
                 small=None) -> np.ndarray:
     # Variance of an OU increment over h with rate lam (valid for lam <= 0
     # too): -expm1(min(-2 lam h, 60)) / (2 lam), and h where |lam h| < 1e-12.
     # It is computed as expm1(w) / (-2 lam), the same double, and the lanes with
     # |lam h| < 1e-12 are set to h afterwards; lam = 0 gives 0/0 there, so
-    # call this under np.errstate(invalid="ignore").  out, tmp (float) and
-    # small (bool) are optional work buffers shaped like lam; the result is
-    # written into out.
+    # call this under np.errstate(invalid="ignore").  h is a float or a 0-d
+    # array.  out, tmp (float) and small (bool) are optional work buffers
+    # shaped like lam; the result is written into out.
     u = np.multiply(lam, h, out=tmp)
-    var = np.multiply(u, -2.0, out=out)
-    np.minimum(var, _EXP_CLAMP, out=var)
+    var = np.multiply(u, _NEG2, out=out)
+    np.minimum(var, _CLAMP, out=var)
     np.expm1(var, out=var)
-    small = np.less(np.abs(u, out=u), 1e-12, out=small)
-    np.divide(var, np.multiply(lam, -2.0, out=u), out=var)
+    small = np.less(np.abs(u, out=u), _TINY, out=small)
+    np.divide(var, np.multiply(lam, _NEG2, out=u), out=var)
     if np.count_nonzero(small):
         np.copyto(var, h, where=small)
     return var
@@ -62,133 +83,152 @@ def _ou_var_vec(lam: np.ndarray, h: float, out=None, tmp=None,
 
 def rescaled_split(x0, y0, inv_eps, damp, h, dtheta_max, guard,
                    z1, z2, xs, ys, div):
-    # Each step computes the plain one-step update at full width.  Only the
-    # lanes with nsub > 1 are gathered, sorted by descending nsub and
-    # sub-stepped on prefix slices (substep j runs on the lanes that still
-    # need it); their drift result and end rate are scattered back before
-    # the noise is added at full width.  Every lane runs the operations of
-    # the scalar scheme, so the result does not depend on the batch: -(a b)
-    # is computed as a (-b), which is the same double, and no product or sum
-    # is reassociated.  The per-step allocations left are the index arrays
-    # of the substepped lanes.
+    # Each step computes the plain one-step update at full width.  A lane
+    # needs substeps when c = |x| inv_eps h / dtheta_max >= 1: its count
+    # int(c) + 1, capped at MAX_SUBSTEPS, exceeds 1 exactly then, and a NaN
+    # c takes the plain step either way.  Only those lanes are gathered;
+    # their count is int(min(c, MAX_SUBSTEPS - 1)) + 1, clipped in float
+    # before the cast, which would wrap for c >= 2**63.  They are sorted by
+    # descending count and sub-stepped on prefix slices (substep i runs on
+    # the lanes that still need it); their drift result and end rate are
+    # scattered back before the noise is added at full width.  Every lane
+    # runs the operations of the scalar scheme, so the result does not
+    # depend on the batch: -(a b) is computed as a (-b), which is the same
+    # double, and no product or sum is reassociated.
+    #
+    # The steps run in tiles of s steps stored steps-major: the draws of a
+    # tile are copied into (s, n) buffers, z2 scaled by sqrt(h) there, and
+    # row j + 1 of XB and YB receives the state after step j (row 0 holds
+    # the state the tile starts from); each tile then goes to xs and ys in
+    # one transposed copy.  The per-step allocations left are the index
+    # arrays of the substepped lanes.
     n_paths, n_steps = z1.shape
-    sqrt_h = math.sqrt(h)
+    s_max = max(1, min(n_steps, _BLOCK_ELEMS // max(n_paths, 1)))
+    inv_eps_a, damp_a, h_a, neg_h_a, dtheta_a, sqrt_h_a = (
+        _const(v) for v in (inv_eps, damp, h, -h, dtheta_max, math.sqrt(h)))
     # full-width buffers, then compacted ones (the first m entries are used)
-    xn, yn, a, b, c, cx, cy, cq, ct, chs, chalf = (np.empty(n_paths)
-                                                   for _ in range(11))
-    x = np.full(n_paths, x0, dtype=np.float64)
-    y = np.full(n_paths, y0, dtype=np.float64)
-    nsub = np.empty(n_paths, dtype=np.int64)
+    a, b, c, u, cx, cy, cq, ct, chs, chalf = (np.empty(n_paths)
+                                              for _ in range(10))
     cns = np.empty(n_paths, dtype=np.int64)
     multi = np.empty(n_paths, dtype=bool)
     small = np.empty(n_paths, dtype=bool)
     alive = np.ones(n_paths, dtype=bool)
     all_alive = True
-    xs[:, 0] = x
-    ys[:, 0] = y
+    XB, YB = np.empty((s_max + 1, n_paths)), np.empty((s_max + 1, n_paths))
+    Z1, Z2 = np.empty((s_max, n_paths)), np.empty((s_max, n_paths))
+    XB[0] = x0
+    YB[0] = y0
+    xs[:, 0] = XB[0]
+    ys[:, 0] = YB[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n_steps):
-            # nsub = clip(int(|x| inv_eps h / dtheta_max) + 1, 1, MAX)
-            np.abs(x, out=a)
-            a *= inv_eps
-            a *= h
-            a /= dtheta_max
-            nsub[...] = a
-            nsub += 1
-            np.maximum(nsub, 1, out=nsub)
-            np.minimum(nsub, MAX_SUBSTEPS, out=nsub)
-            np.greater(nsub, 1, out=multi)
-            if not all_alive:
-                multi &= alive
+        for k in range(0, n_steps, s_max):
+            s = min(s_max, n_steps - k)
+            np.copyto(Z1[:s], z1[:, k:k + s].T)
+            np.copyto(Z2[:s], z2[:, k:k + s].T)
+            Z2[:s] *= sqrt_h_a
+            xr, yr, z1r, z2r = list(XB), list(YB), list(Z1), list(Z2)
+            for j in range(s):
+                x, y, xn, yn = xr[j], yr[j], xr[j + 1], yr[j + 1]
+                np.abs(x, out=c)
+                c *= inv_eps_a
+                c *= h_a
+                c /= dtheta_a
+                np.greater_equal(c, _ONE, out=multi)
+                if not all_alive:
+                    multi &= alive
 
-            # plain step: exact OU decay of x at the rate lam of the start
-            lam = np.multiply(y, inv_eps, out=a)
-            lam += damp
-            np.multiply(lam, -h, out=xn)  # -(lam h)
-            np.minimum(xn, _EXP_CLAMP, out=xn)
-            np.exp(xn, out=xn)
-            xn *= x
+                # plain step: exact OU decay of x at the rate lam of the start
+                lam = np.multiply(y, inv_eps_a, out=a)
+                lam += damp_a
+                np.multiply(lam, neg_h_a, out=xn)  # -(lam h)
+                np.minimum(xn, _CLAMP, out=xn)
+                np.exp(xn, out=xn)
+                xn *= x
 
-            m = np.count_nonzero(multi)
-            if m:
-                # Strang-split drift substeps: half y-step, exact x-decay at
-                # the midpoint rate, half y-step; noise added once at the end,
-                # at the rate of the end point.
-                sel = np.flatnonzero(multi)
-                ns = cns[:m]
-                np.negative(nsub.take(sel, out=ns, mode="clip"), out=ns)
-                sel = sel[ns.argsort()]
-                nsub.take(sel, out=ns, mode="clip")
-                x.take(sel, out=cx[:m], mode="clip")
-                y.take(sel, out=cy[:m], mode="clip")
-                hs = np.divide(h, ns, out=chs[:m])
-                np.multiply(hs, 0.5, out=chalf[:m])
-                np.negative(hs, out=hs)
-                np.multiply(cx[:m], cx[:m], out=cq[:m])
-                cq[:m] *= inv_eps
-                cnt = 0
-                for j in range(int(ns[0])):
-                    if cnt == 0 or ns[cnt - 1] <= j:
-                        # the lanes with nsub > j: a prefix of the sort
-                        cnt = m - int(ns[::-1].searchsorted(j, "right"))
-                        X, Y, Q, T = cx[:cnt], cy[:cnt], cq[:cnt], ct[:cnt]
-                        HALF, NHS = chalf[:cnt], chs[:cnt]
-                    # Q holds X*X*inv_eps on entry and on exit
-                    Q -= np.multiply(Y, damp, out=T)
-                    Q *= HALF
-                    Y += Q
-                    np.multiply(Y, inv_eps, out=T)
-                    T += damp
-                    T *= NHS  # -(lam hs)
-                    np.minimum(T, _EXP_CLAMP, out=T)
-                    np.exp(T, out=T)
-                    X *= T
-                    np.multiply(X, X, out=Q)
-                    Q *= inv_eps
-                    np.subtract(Q, np.multiply(Y, damp, out=T), out=T)
-                    T *= HALF
-                    Y += T
-                xn[sel] = cx[:m]
-                lamm = np.multiply(cy[:m], inv_eps, out=ct[:m])
-                lamm += damp
-                lam[sel] = lamm
+                m = np.count_nonzero(multi)
+                if m:
+                    # Strang-split drift substeps: half y-step, exact
+                    # x-decay at the midpoint rate, half y-step; noise added
+                    # once at the end, at the rate of the end point.
+                    sel = np.flatnonzero(multi)
+                    cc = c.take(sel, out=cq[:m], mode="clip")
+                    sel = sel[np.negative(cc, out=cc).argsort()]
+                    c.take(sel, out=cc, mode="clip")
+                    np.minimum(cc, _RATE_CAP, out=cc)
+                    ns = cns[:m]
+                    ns[...] = cc
+                    ns += 1
+                    x.take(sel, out=cx[:m], mode="clip")
+                    y.take(sel, out=cy[:m], mode="clip")
+                    hs = np.divide(h_a, ns, out=chs[:m])
+                    np.multiply(hs, _HALF, out=chalf[:m])
+                    np.negative(hs, out=hs)
+                    np.multiply(cx[:m], cx[:m], out=cq[:m])
+                    cq[:m] *= inv_eps_a
+                    cnt = 0
+                    for i in range(int(ns[0])):
+                        if cnt == 0 or ns[cnt - 1] <= i:
+                            # the lanes with nsub > i: a prefix of the sort
+                            cnt = m - int(ns[::-1].searchsorted(i, "right"))
+                            X, Y, Q, T = cx[:cnt], cy[:cnt], cq[:cnt], ct[:cnt]
+                            HALF, NHS = chalf[:cnt], chs[:cnt]
+                        # Q holds X*X*inv_eps on entry and on exit
+                        Q -= np.multiply(Y, damp_a, out=T)
+                        Q *= HALF
+                        Y += Q
+                        np.multiply(Y, inv_eps_a, out=T)
+                        T += damp_a
+                        T *= NHS  # -(lam hs)
+                        np.minimum(T, _CLAMP, out=T)
+                        np.exp(T, out=T)
+                        X *= T
+                        np.multiply(X, X, out=Q)
+                        Q *= inv_eps_a
+                        np.subtract(Q, np.multiply(Y, damp_a, out=T), out=T)
+                        T *= HALF
+                        Y += T
+                    xn[sel] = cx[:m]
+                    lamm = np.multiply(cy[:m], inv_eps_a, out=ct[:m])
+                    lamm += damp_a
+                    lam[sel] = lamm
 
-            # OU noise over h at rate lam, then the y step (explicit for the
-            # plain lanes; the substepped lanes keep their drift result)
-            var = _ou_var_vec(lam, h, out=b, tmp=c, small=small)
-            np.sqrt(var, out=var)
-            var *= z1[:, k]
-            xn += var
-            np.multiply(xn, xn, out=yn)
-            yn *= inv_eps
-            yn -= np.multiply(y, damp, out=b)
-            yn *= h
-            yn += y
-            if m:
-                yn[sel] = cy[:m]
-            yn += np.multiply(z2[:, k], sqrt_h, out=b)
+                # OU noise over h at rate lam, then the y step (explicit for
+                # the plain lanes; the substepped lanes keep their drift
+                # result)
+                var = _ou_var_vec(lam, h_a, out=b, tmp=u, small=small)
+                np.sqrt(var, out=var)
+                var *= z1r[j]
+                xn += var
+                np.multiply(xn, xn, out=yn)
+                yn *= inv_eps_a
+                yn -= np.multiply(y, damp_a, out=b)
+                yn *= h_a
+                yn += y
+                if m:
+                    yn[sel] = cy[:m]
+                yn += z2r[j]
 
-            # divergence check; while every lane is alive and none blew up
-            # the new state is simply (xn, yn)
-            np.abs(xn, out=a)
-            np.maximum(a, np.abs(yn, out=b), out=a)
-            top = a.max(initial=0.0)
-            if all_alive and top <= guard and math.isfinite(top):
-                x, xn = xn, x
-                y, yn = yn, y
-            else:
-                blown = np.isfinite(xn, out=multi)
-                blown &= np.isfinite(yn, out=small)
-                np.logical_not(blown, out=blown)
-                blown |= np.greater(np.abs(xn, out=a), guard, out=small)
-                blown |= np.greater(np.abs(yn, out=a), guard, out=small)
-                div |= np.logical_and(alive, blown, out=small)
-                np.greater(alive, blown, out=alive)  # alive & ~blown
-                np.copyto(x, xn, where=alive)
-                np.copyto(y, yn, where=alive)
-                all_alive = bool(alive.all())
-            xs[:, k + 1] = x
-            ys[:, k + 1] = y
+                # divergence check; while every lane is alive and none blew
+                # up the new state is simply (xn, yn)
+                np.abs(xn, out=a)
+                np.maximum(a, np.abs(yn, out=b), out=a)
+                top = a.max(initial=0.0)
+                if not (all_alive and top <= guard and math.isfinite(top)):
+                    blown = np.isfinite(xn, out=multi)
+                    blown &= np.isfinite(yn, out=small)
+                    np.logical_not(blown, out=blown)
+                    blown |= np.greater(np.abs(xn, out=a), guard, out=small)
+                    blown |= np.greater(np.abs(yn, out=a), guard, out=small)
+                    div |= np.logical_and(alive, blown, out=small)
+                    np.greater(alive, blown, out=alive)  # alive & ~blown
+                    dead = np.logical_not(alive, out=small)
+                    np.copyto(xn, x, where=dead)
+                    np.copyto(yn, y, where=dead)
+                    all_alive = bool(alive.all())
+            xs[:, k + 1:k + 1 + s] = XB[1:s + 1].T
+            ys[:, k + 1:k + 1 + s] = YB[1:s + 1].T
+            XB[0] = XB[s]
+            YB[0] = YB[s]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +342,7 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
     # u[i, k], read as one complex128, is uf[i chunk + k]
     zf, uf = np.ravel(z), np.ravel(u).view(np.complex128)
     half_h = 0.5 * h
-    # 0-d arrays: a ufunc converts a Python float operand on every call
-    decay_a, h_a = np.array(decay, dtype=np.float64), np.array(h, np.float64)
+    decay_a, h_a = _const(decay), _const(h)
     k = 0
     with np.errstate(over="ignore", under="ignore"):
         while m and k < chunk:

@@ -1,11 +1,11 @@
 """Lane handling of the numpy kernels.
 
-The numpy splitting kernel steps only the lanes that need substeps, and the
-exit-time kernel only the paths that have not exited, in blocks of steps.
-Each lane must still come out exactly as if it ran alone.  The splitting
-scheme must agree with a plain scalar loop of the same scheme, and the
-exit-time kernel bit for bit with a step-at-a-time loop of the same
-operations, both kept here as oracles.
+The numpy splitting kernel steps only the lanes that need substeps, in
+tiles of steps, and the exit-time kernel only the paths that have not
+exited, in blocks of steps.  Each lane must still come out exactly as if it
+ran alone.  The splitting scheme must agree with a plain scalar loop of the
+same scheme, and both kernels bit for bit with a step-at-a-time loop of the
+same operations, all kept here as oracles.
 """
 
 import math
@@ -125,24 +125,31 @@ def _noise(seed, n, steps, scales):
             amp * rng.standard_normal((n, steps)))
 
 
-# (x0, y0, inv_eps, damp, h, guard), noise amplitudes per row, steps
+# noise seed, (x0, y0, inv_eps, damp, h, guard), noise amplitudes per row,
+# steps
 SPLIT_CASES = {
-    "unstable_start": ((0.5, -1.0, 100.0, 1.0, 1e-3, DEFAULT_GUARD),
+    "unstable_start": (4, (0.5, -1.0, 100.0, 1.0, 1e-3, DEFAULT_GUARD),
                        (1.0, 0.0, 3.0), 150),
-    "eps_1e-4_deep_substeps": ((0.3, 1.0, 1e4, 1.0, 1e-3, DEFAULT_GUARD),
+    "eps_1e-4_deep_substeps": (0, (0.3, 1.0, 1e4, 1.0, 1e-3, DEFAULT_GUARD),
                                (1.0, 0.0, 0.2), 40),
-    "substep_cap": ((10.0, 1.0, 1e4, 1.0, 1e-3, DEFAULT_GUARD),
+    "substep_cap": (3, (10.0, 1.0, 1e4, 1.0, 1e-3, DEFAULT_GUARD),
                     (1.0, 0.0), 4),
-    "small_guard": ((1.0, -2.0, 100.0, 1.0, 1e-2, 4.0),
+    "small_guard": (2, (1.0, -2.0, 100.0, 1.0, 1e-2, 4.0),
                     (0.0, 1.0, 5.0, 20.0), 120),
-    "origin": ((0.0, 0.0, 100.0, 1.0, 1e-3, DEFAULT_GUARD),
+    "origin": (1, (0.0, 0.0, 100.0, 1.0, 1e-3, DEFAULT_GUARD),
                (1.0, 0.0, 4.0), 150),
+    # the substep rate |x| inv_eps h / dtheta_max is 5e19, past 2**63: the
+    # lanes must take MAX_SUBSTEPS substeps, which blow up on the first step
+    "huge_rate": (5, (1.0, 1.0, 1e21, 1.0, 1e-3, DEFAULT_GUARD),
+                  (1.0, 0.0), 3),
 }
 
 
-def _case(name, n=6):
-    (x0, y0, inv_eps, damp, h, guard), scales, steps = SPLIT_CASES[name]
-    z1, z2 = _noise(sorted(SPLIT_CASES).index(name), n, steps, scales)
+def _case(name, n=6, steps=None, damp=None):
+    seed, params, scales, case_steps = SPLIT_CASES[name]
+    x0, y0, inv_eps, case_damp, h, guard = params
+    z1, z2 = _noise(seed, n, case_steps if steps is None else steps, scales)
+    damp = case_damp if damp is None else damp
     return (x0, y0, inv_eps, damp, h, DTHETA_MAX, guard), z1, z2
 
 
@@ -187,6 +194,11 @@ def test_split_cases_reach_their_regimes():
     assert (ns[:, 0] == 1).all() and ns.max() > 1 and not div.any()
     ns, _ = nsub("unstable_start")
     assert ns.max() > 1
+    args, z1, z2 = _case("huge_rate")
+    x0, _, inv_eps, _, h, dtheta, _ = args
+    assert abs(x0) * inv_eps * h / dtheta >= 2.0**63
+    _, _, div = _run_split(args, z1, z2)
+    assert div.all()
 
 
 def test_split_diverged_lane_freezes():
@@ -200,6 +212,161 @@ def test_split_diverged_lane_freezes():
         assert (xs[i, last:] == xs[i, last]).all()
         assert abs(xs[i, last]) <= guard and abs(ys[i, last]) <= guard
     assert not div[0]  # the zero-noise row stays on its deterministic path
+
+
+def _split_step_at_a_time(x0, y0, inv_eps, damp, h, dtheta_max, guard,
+                          z1, z2, xs, ys, div):
+    """The splitting kernel one step at a time on full-width buffers.
+
+    It reads each step's draws as columns of z1 and z2, writes each state as
+    a column of xs and ys, and decides on substeps by casting the rate to an
+    integer, which wraps for rates >= 2**63 (see the "huge_rate" case).
+    """
+    n_paths, n_steps = z1.shape
+    sqrt_h = math.sqrt(h)
+    # full-width buffers, then compacted ones (the first m entries are used)
+    xn, yn, a, b, c, cx, cy, cq, ct, chs, chalf = (np.empty(n_paths)
+                                                   for _ in range(11))
+    x = np.full(n_paths, x0, dtype=np.float64)
+    y = np.full(n_paths, y0, dtype=np.float64)
+    nsub = np.empty(n_paths, dtype=np.int64)
+    cns = np.empty(n_paths, dtype=np.int64)
+    multi = np.empty(n_paths, dtype=bool)
+    small = np.empty(n_paths, dtype=bool)
+    alive = np.ones(n_paths, dtype=bool)
+    all_alive = True
+    xs[:, 0] = x
+    ys[:, 0] = y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            # nsub = clip(int(|x| inv_eps h / dtheta_max) + 1, 1, MAX)
+            np.abs(x, out=a)
+            a *= inv_eps
+            a *= h
+            a /= dtheta_max
+            nsub[...] = a
+            nsub += 1
+            np.maximum(nsub, 1, out=nsub)
+            np.minimum(nsub, _kernels.MAX_SUBSTEPS, out=nsub)
+            np.greater(nsub, 1, out=multi)
+            if not all_alive:
+                multi &= alive
+
+            lam = np.multiply(y, inv_eps, out=a)
+            lam += damp
+            np.multiply(lam, -h, out=xn)  # -(lam h)
+            np.minimum(xn, _kernels._EXP_CLAMP, out=xn)
+            np.exp(xn, out=xn)
+            xn *= x
+
+            m = np.count_nonzero(multi)
+            if m:
+                sel = np.flatnonzero(multi)
+                ns = cns[:m]
+                np.negative(nsub.take(sel, out=ns, mode="clip"), out=ns)
+                sel = sel[ns.argsort()]
+                nsub.take(sel, out=ns, mode="clip")
+                x.take(sel, out=cx[:m], mode="clip")
+                y.take(sel, out=cy[:m], mode="clip")
+                hs = np.divide(h, ns, out=chs[:m])
+                np.multiply(hs, 0.5, out=chalf[:m])
+                np.negative(hs, out=hs)
+                np.multiply(cx[:m], cx[:m], out=cq[:m])
+                cq[:m] *= inv_eps
+                cnt = 0
+                for j in range(int(ns[0])):
+                    if cnt == 0 or ns[cnt - 1] <= j:
+                        cnt = m - int(ns[::-1].searchsorted(j, "right"))
+                        X, Y, Q, T = cx[:cnt], cy[:cnt], cq[:cnt], ct[:cnt]
+                        HALF, NHS = chalf[:cnt], chs[:cnt]
+                    Q -= np.multiply(Y, damp, out=T)
+                    Q *= HALF
+                    Y += Q
+                    np.multiply(Y, inv_eps, out=T)
+                    T += damp
+                    T *= NHS  # -(lam hs)
+                    np.minimum(T, _kernels._EXP_CLAMP, out=T)
+                    np.exp(T, out=T)
+                    X *= T
+                    np.multiply(X, X, out=Q)
+                    Q *= inv_eps
+                    np.subtract(Q, np.multiply(Y, damp, out=T), out=T)
+                    T *= HALF
+                    Y += T
+                xn[sel] = cx[:m]
+                lamm = np.multiply(cy[:m], inv_eps, out=ct[:m])
+                lamm += damp
+                lam[sel] = lamm
+
+            var = _kernels._ou_var_vec(lam, h, out=b, tmp=c, small=small)
+            np.sqrt(var, out=var)
+            var *= z1[:, k]
+            xn += var
+            np.multiply(xn, xn, out=yn)
+            yn *= inv_eps
+            yn -= np.multiply(y, damp, out=b)
+            yn *= h
+            yn += y
+            if m:
+                yn[sel] = cy[:m]
+            yn += np.multiply(z2[:, k], sqrt_h, out=b)
+
+            np.abs(xn, out=a)
+            np.maximum(a, np.abs(yn, out=b), out=a)
+            top = a.max(initial=0.0)
+            if all_alive and top <= guard and math.isfinite(top):
+                x, xn = xn, x
+                y, yn = yn, y
+            else:
+                blown = np.isfinite(xn, out=multi)
+                blown &= np.isfinite(yn, out=small)
+                np.logical_not(blown, out=blown)
+                blown |= np.greater(np.abs(xn, out=a), guard, out=small)
+                blown |= np.greater(np.abs(yn, out=a), guard, out=small)
+                div |= np.logical_and(alive, blown, out=small)
+                np.greater(alive, blown, out=alive)  # alive & ~blown
+                np.copyto(x, xn, where=alive)
+                np.copyto(y, yn, where=alive)
+                all_alive = bool(alive.all())
+            xs[:, k + 1] = x
+            ys[:, k + 1] = y
+
+
+# The step-at-a-time loop wraps the substep count for rates >= 2**63 and
+# takes a plain step there, so it is no oracle for "huge_rate".
+@pytest.mark.parametrize("name", sorted(set(SPLIT_CASES) - {"huge_rate"}))
+@pytest.mark.parametrize("damp", [1.0, 0.0])
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_split_tiles_match_step_at_a_time_oracle(monkeypatch, name, damp, n):
+    # Tiles of 8 steps at every lane count, so that 19 steps cross two tile
+    # boundaries in little time; the tile length is the kernel's rule
+    # applied to the block size set here.
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * n)
+    tile = max(1, _kernels._BLOCK_ELEMS // n)
+    longest = 2 * tile + 3
+    args, z1, z2 = _case(name, n, steps=longest, damp=damp)
+    ref = [np.empty((n, longest + 1)), np.empty((n, longest + 1)),
+           np.zeros(n, dtype=bool)]
+    _split_step_at_a_time(*args, z1, z2, *ref)
+    for steps in (1, tile - 1, tile, tile + 1, longest):
+        # the first steps of a longer run are a run of that many steps
+        a1, a2 = z1[:, :steps].copy(), z2[:, :steps].copy()
+        xs, ys, div = _run_split(args, a1, a2)
+        # the sqrt(h) scaling acts on the kernel's copy of the draws
+        assert _bits_equal(a1, z1[:, :steps])
+        assert _bits_equal(a2, z2[:, :steps])
+        assert _bits_equal(xs, ref[0][:, :steps + 1]), f"x at {steps} steps"
+        assert _bits_equal(ys, ref[1][:, :steps + 1]), f"y at {steps} steps"
+        if steps == longest:
+            assert _bits_equal(div, ref[2])
+    if name == "small_guard" and n > 1:
+        # a lane froze inside a tile and stayed frozen across the next tile
+        # boundary: its last accepted state is at a step f that is not a
+        # multiple of the tile length, with a boundary between f and the end
+        moved = (np.diff(ref[0]) != 0) | (np.diff(ref[1]) != 0)
+        f = np.array([np.flatnonzero(row)[-1] + 1 if row.any() else 0
+                      for row in moved[ref[2]]])
+        assert np.any((f % tile != 0) & ((f // tile + 1) * tile < longest))
 
 
 # ---------------------------------------------------------------------------
