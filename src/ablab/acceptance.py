@@ -27,7 +27,8 @@ from .limit import (expected_square, gauss_bump, limit_exact_terminal,
                     lorentzian, square_fn, stationary_mean,
                     stationary_square_cdf)
 from .model import (ModelParams, flow_unperturbed, project_pi,
-                    project_pi_flow, rescaled_reduce, unperturbed_rhs)
+                    project_pi_flow, rescaled_reduce, terminal_state,
+                    unperturbed_rhs)
 from .pde import Grid1D, cauchy_2d_mc, solve_limit_pde
 from .reporting import _jsonable
 from .sde import TimeGrid
@@ -71,11 +72,10 @@ def criterion_radial_identity(seed: int) -> CriterionResult:
     for j, eps in enumerate((0.1, 0.01)):
         p = ModelParams(epsilon=eps, x0=1.2, y0=1.6)
         grid = TimeGrid(1.0, 1e-4)
-        out = rescaled_reduce(
-            p, grid, _seed(seed, 21 + j), n,
-            lambda ts, xs, ys, div: {"rT": np.hypot(xs[:, -1], ys[:, -1])})
+        out = rescaled_reduce(p, grid, _seed(seed, 21 + j), n,
+                              terminal_state)
         ref = limit_exact_terminal(2.0, [1.0], n, _seed(seed, 23 + j))[:, 0]
-        stat = ks_statistic(out["rT"], ref)
+        stat = ks_statistic(np.hypot(out["x"], out["y"]), ref)
         details[f"eps_{eps}"] = {"ks": stat, "critical": crit}
         ok = ok and stat < crit
     return CriterionResult(2, "exact radial identity", bool(ok), details)

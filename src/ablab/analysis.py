@@ -21,7 +21,7 @@ from . import _kernels
 from .limit import LimitParams, TestFunction, _exact_step_coeffs, \
     generator_apply, limit_exact_reduce, limit_exact_terminal
 from .model import ModelParams, batch_rows, block_rows, project_pi, \
-    rescaled_reduce
+    rescaled_reduce, terminal_state
 from .sde import RngStream, TimeGrid
 
 # ---------------------------------------------------------------------------
@@ -171,12 +171,9 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
     delta = p.delta()
     grid = TimeGrid(t, h)
-    out = rescaled_reduce(
-        p, grid, master_seed, n,
-        lambda ts, xs, ys, div: {"x2": xs[:, -1] ** 2,
-                                 "ok": (ys.min(axis=1) >= delta) & ~div},
-        batch_size=batch_rows(grid.n_steps + 1))
-    kept = out["x2"][out["ok"]]
+    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
+                          batch_size=batch_rows(grid.n_steps + 1))
+    kept = out["x"][(out["y_min"] >= delta) & ~out["div"]] ** 2
     excl = 1.0 - kept.size / n
     if excl > 0.10:
         warnings.warn(f"exclusion rate {excl:.1%} above 10%", stacklevel=2)
@@ -281,16 +278,11 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
     Lipschitz observable, which vanishes with epsilon."""
     check_replicas(n)
     grid = TimeGrid(T, h)
-
-    def reduce_fn(ts, xs, ys, div):
-        xT = xs[:, -1]
-        yT = ys[:, -1]
-        return {"gap": np.asarray(F(xT, yT) - F(np.zeros_like(xT), yT),
-                                  dtype=np.float64)}
-
-    out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
+    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
                           batch_size=batch_rows(grid.n_steps + 1))
-    return StatReport.from_samples(out["gap"], epsilon=p.epsilon, T=T, h=h,
+    xT, yT = out["x"], out["y"]
+    gap = np.asarray(F(xT, yT) - F(np.zeros_like(xT), yT), dtype=np.float64)
+    return StatReport.from_samples(gap, epsilon=p.epsilon, T=T, h=h,
                                    seed=master_seed)
 
 
@@ -317,19 +309,15 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
     grid = TimeGrid(T, h)
-
-    def reduce_fn(ts, xs, ys, div):
-        rT = np.hypot(xs[:, -1], ys[:, -1])
-        return {"yT": ys[:, -1],
-                "diff": np.asarray(f(ys[:, -1]) - f(rT), dtype=np.float64)}
-
-    out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
+    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
                           batch_size=batch_rows(grid.n_steps + 1))
+    yT = out["y"]
+    diff = np.asarray(f(yT) - f(np.hypot(out["x"], yT)), dtype=np.float64)
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
     rep = StatReport.from_samples(
-        out["diff"], epsilon=p.epsilon, f=f.name, T=T, h=h,
+        diff, epsilon=p.epsilon, f=f.name, T=T, h=h,
         seed=master_seed, y_pi=y_pi, coupled=True)
-    return TerminalGapReport(gap=rep, ks_stat=ks_statistic(out["yT"], ref),
+    return TerminalGapReport(gap=rep, ks_stat=ks_statistic(yT, ref),
                              ks_critical=ks_critical_value(n, n), y_pi=y_pi)
 
 
@@ -587,12 +575,9 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
         raise ValueError("a must be positive")
     check_replicas(n)
     grid = TimeGrid(t, h)
-    out = rescaled_reduce(
-        p, grid, master_seed, n,
-        lambda ts, xs, ys, div: {"hit": (ys.min(axis=1) <= -a)
-                                 .astype(np.float64)},
-        batch_size=batch_rows(grid.n_steps + 1))
-    p_hat = float(out["hit"].mean())
+    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
+                          batch_size=batch_rows(grid.n_steps + 1))
+    p_hat = float(np.mean(out["y_min"] <= -a))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     return StatReport(estimate=p_hat, std_error=se, n_replicas=n,
                       config={"epsilon": p.epsilon, "a": a, "t": t, "h": h,

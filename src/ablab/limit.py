@@ -43,7 +43,6 @@ class TestFunction:
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
     df_over_y_limit0: float | None
-    in_domain: bool
 
     def __call__(self, y):
         return self.f(y)
@@ -57,7 +56,6 @@ def gauss_bump() -> TestFunction:
         df=lambda y: -2.0 * y * e(y),
         d2f=lambda y: (4.0 * np.square(y) - 2.0) * e(y),
         df_over_y_limit0=-2.0,
-        in_domain=True,
     )
 
 
@@ -68,7 +66,6 @@ def lorentzian() -> TestFunction:
         df=lambda y: -2.0 * y / (1.0 + np.square(y)) ** 2,
         d2f=lambda y: (6.0 * np.square(y) - 2.0) / (1.0 + np.square(y)) ** 3,
         df_over_y_limit0=-2.0,
-        in_domain=True,
     )
 
 
@@ -80,7 +77,6 @@ def square_fn() -> TestFunction:
         df=lambda y: 2.0 * y,
         d2f=lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=np.float64)),
         df_over_y_limit0=2.0,
-        in_domain=True,
     )
 
 
@@ -92,7 +88,6 @@ def cos_square() -> TestFunction:
         d2f=lambda y: -2.0 * np.sin(np.square(y))
         - 4.0 * np.square(y) * np.cos(np.square(y)),
         df_over_y_limit0=0.0,
-        in_domain=True,
     )
 
 
@@ -132,7 +127,7 @@ def generator_apply(f: TestFunction, y):
         out[pos] = 0.5 * f.d2f(yp) + radial_drift(yp) * f.df(yp)
     zero = arr == 0.0
     if zero.any():
-        if not f.in_domain or f.df_over_y_limit0 is None:
+        if f.df_over_y_limit0 is None:
             raise ValueError(
                 f"{f.name}: generator limit at 0 needs f'(y)/y -> const")
         out[zero] = 0.5 * f.d2f(np.zeros(1))[0] + 0.5 * f.df_over_y_limit0

@@ -157,23 +157,32 @@ def replica_reduce(advance, ts: np.ndarray, master_seed: int,
     temporaries stay cache-sized.  This relies on one rule: each output row
     of ``reduce_fn`` depends only on its own input row.  Results are
     concatenated in replica order, so they depend on neither the batch nor
-    the block size, and a single path is replica 0.
+    the block size, and a single path is replica 0.  Each batch's outputs
+    are concatenated before its arrays are dropped, so the outputs own
+    their memory even where ``reduce_fn`` returns views, and no dropped
+    batch stays alive.
     """
     if n_replicas < 1:
         raise ValueError(f"need at least 1 replica, got {n_replicas}")
     if batch_size is None:
         batch_size = batch_rows(len(ts))
     block = block_rows(len(ts))
-    chunks: list[dict] = []
+    batches: list[dict] = []
     for b0 in range(0, n_replicas, batch_size):
         nb = min(batch_size, n_replicas - b0)
         ids = 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
         arrays = advance(normal_matrix(master_seed, ids, len(ts) - 1),
                          normal_matrix(master_seed, ids + 1, len(ts) - 1))
-        for r0 in range(0, nb, block):
-            chunks.append(reduce_fn(ts, *(a[r0:r0 + block]
-                                          for a in arrays)))
+        batches.append(_concat([reduce_fn(ts, *(a[r0:r0 + block]
+                                                for a in arrays))
+                                for r0 in range(0, nb, block)]))
         del arrays  # before the next batch's draws are made
+    # one batch's outputs are new arrays already: copy them no second time
+    return batches[0] if len(batches) == 1 else _concat(batches)
+
+
+def _concat(chunks: list[dict]) -> dict:
+    """Each key's arrays joined in order, into new arrays."""
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
@@ -220,6 +229,18 @@ def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
     return replica_reduce(partial(_rescaled_advance, p, grid, scheme),
                           grid.times(), master_seed, n_replicas, reduce_fn,
                           batch_size)
+
+
+def terminal_state(ts, xs, ys, div) -> dict:
+    """The end-of-path reducer of every terminal estimator: X_T, Y_T, the
+    running minimum of Y over the grid and the diverged flags.
+
+    Observables of these belong outside the driver: apply them once to the
+    returned (n,) arrays, so they see all replicas at once and need not
+    keep the driver's row-block rule.
+    """
+    return {"x": xs[:, -1], "y": ys[:, -1], "y_min": ys.min(axis=1),
+            "div": div}
 
 
 def _slowtime_advance(p: ModelParams, grid: TimeGrid, z1, z2):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .analysis import StatReport, check_replicas
 from .limit import TestFunction, limit_exact_terminal, radial_drift
-from .model import ModelParams, batch_rows, project_pi, rescaled_reduce
+from .model import ModelParams, batch_rows, project_pi, rescaled_reduce, \
+    terminal_state
 from .sde import TimeGrid
 
 
@@ -177,11 +178,9 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
     check_replicas(n)
     p = replace(p, x0=x, y0=y)
     grid = TimeGrid(t, h)
-    out = rescaled_reduce(
-        p, grid, master_seed, n,
-        lambda ts, xs, ys, div: {
-            "val": np.asarray(f2(xs[:, -1], ys[:, -1]), dtype=np.float64)},
-        batch_size=batch_rows(grid.n_steps + 1))
-    return StatReport.from_samples(out["val"], x0=x, y0=y, t=t,
+    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
+                          batch_size=batch_rows(grid.n_steps + 1))
+    val = np.asarray(f2(out["x"], out["y"]), dtype=np.float64)
+    return StatReport.from_samples(val, x0=x, y0=y, t=t,
                                    epsilon=p.epsilon, h=h, seed=master_seed,
                                    y_pi=project_pi((x, y)))

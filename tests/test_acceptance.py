@@ -9,13 +9,13 @@ operation order or a threshold changes these bytes.
 42``, every criterion and the byte-identical rerun.  It takes minutes to
 run, so only its cheap criteria are checked here; a refactor is proven
 against the whole file by hand.  The criteria left out, with their times
-in seconds in the two passes of one run (``BENCH_11.json``, 2-core host):
+in seconds in the two passes of one run (``BENCH_13.json``, 2-core host):
 
-- 2, exact radial identity: 29.7, 27.4;
-- 6, exit-time oracles: 13.2, 15.0;
-- 7, weak convergence to the limit process: 28.8, 31.1;
-- 8, metastable excursions: 7.5, 7.3;
-- 9, limit Cauchy problem: 15.5, 16.3;
+- 2, exact radial identity: 23.6, 23.5;
+- 6, exit-time oracles: 17.7, 13.3;
+- 7, weak convergence to the limit process: 29.8, 29.9;
+- 8, metastable excursions: 5.2, 6.9;
+- 9, limit Cauchy problem: 13.4, 14.9;
 - 11, the rerun of the whole battery, byte for byte.
 """
 

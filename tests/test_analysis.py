@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
                             x_second_moment, x_second_moment_scaling)
 from ablab.limit import gauss_bump
 from ablab.model import ModelParams, _rescaled_advance, rescaled_reduce
+from ablab.pde import cauchy_2d_mc
 from ablab.sde import TimeGrid, normal_matrix
 
 
@@ -146,7 +148,7 @@ def test_martingale_residual_constant_function_is_zero():
     const = limit.TestFunction(
         name="const(3.0)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 3.0),
-        df=zero, d2f=zero, df_over_y_limit0=0.0, in_domain=True)
+        df=zero, d2f=zero, df_over_y_limit0=0.0)
     rep = martingale_residual(p, const, 0.5, 100, 14, h=1e-2)
     assert abs(rep.estimate) < 1e-13 and rep.std_error < 1e-13
 
@@ -197,6 +199,46 @@ def test_terminal_law_gap_projection_and_size():
                             gauss_bump(), 1.0, 4000, 21, h=1e-3)
     assert abs(rep2.gap.estimate) < 3 * rep2.gap.std_error + 0.02
     assert rep2.ks_stat < rep2.ks_critical
+
+
+def test_end_of_path_estimators_apply_observables_once(monkeypatch):
+    # every terminal estimator reduces through model.terminal_state and
+    # applies its observable to all n replicas at once, so its report does
+    # not depend on the batch or block sizes
+    n, T = 12, 0.05
+    p = ModelParams(epsilon=1e-3, x0=0.5, y0=1.0)
+    origin = ModelParams(epsilon=1e-3, x0=0.0, y0=0.0)  # 4 of 12 dip
+    calls = []
+
+    def recording(fn):
+        def observable(*args):
+            calls.append(np.shape(args[0]))
+            return fn(*args)
+        return observable
+
+    F = recording(lambda x, y: np.minimum(np.abs(x), 1.0) + np.cos(y))
+    f = dataclasses.replace(gauss_bump(), f=recording(gauss_bump().f))
+    f2 = recording(lambda x, y: np.exp(-np.square(y)) / (1.0 + np.square(x)))
+    estimators = {  # name: (call, observable calls)
+        "x_collapse_gap": (lambda: x_collapse_gap(p, F, T, n, 31), 2),
+        "terminal_law_gap": (lambda: terminal_law_gap(p, f, T, n, 32), 2),
+        "excursion_probability":
+            (lambda: excursion_probability(origin, 0.1, T, n, 33), 0),
+        "x_second_moment":
+            (lambda: x_second_moment(ModelParams(epsilon=1e-3), T, n, 34), 0),
+        "cauchy_2d_mc": (lambda: cauchy_2d_mc(0.5, 1.0, T, f2, p, n, 35), 1),
+    }
+    reports = {}
+    for small in (False, True):
+        if small:  # batches of 5 rows and blocks of 2 at h = 1e-3
+            monkeypatch.setattr(model, "BATCH_ELEMS", 300)
+            monkeypatch.setattr(model, "BLOCK_ELEMS", 120)
+            assert model.batch_rows(51) == 5 and model.block_rows(51) == 2
+        for name, (run, n_calls) in estimators.items():
+            calls.clear()
+            rep = run()
+            assert calls == [(n,)] * n_calls, name
+            assert reports.setdefault(name, rep) == rep, name
 
 
 def test_ou_exit_two_sided_small_delta_asymptotics():

@@ -54,7 +54,7 @@ def test_generator_rejects_bad_function_at_origin():
     one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
     identity = limit.TestFunction(
         name="y", f=lambda y: np.asarray(y, dtype=np.float64), df=one,
-        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None, in_domain=False)
+        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None)
     assert generator_apply(identity, 1.0) == 0.5 / 1.0 - 1.0
     with pytest.raises(ValueError):
         generator_apply(identity, 0.0)
@@ -298,6 +298,6 @@ def test_constant_function_helpers():
     c = limit.TestFunction(
         name="const(2.5)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 2.5),
-        df=zero, d2f=zero, df_over_y_limit0=0.0, in_domain=True)
+        df=zero, d2f=zero, df_over_y_limit0=0.0)
     assert float(c(np.float64(0.3))) == 2.5
     assert (generator_apply(c, np.array([-1.0, 0.0, 1.0])) == 0.0).all()

@@ -1,5 +1,6 @@
 import io
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -369,3 +370,22 @@ def test_batch_rule_fills_the_budget():
     assert model.batch_rows(2 * model.BATCH_ELEMS) == 1
     assert model.block_rows(2 * model.BLOCK_ELEMS) == 1
 
+
+def test_outputs_keep_no_dropped_batch_alive():
+    # a reducer may return views into its batch; the driver's outputs own
+    # their memory, so a batch is freed before the next one is drawn
+    made = []
+
+    def advance(z1, z2):
+        assert all(ref() is None for ref in made), "an earlier batch lives"
+        xs = np.cumsum(z1, axis=1)
+        made.append(weakref.ref(xs))
+        return (xs,)
+
+    steps = DRIVER_GRID.n_steps
+    out = replica_reduce(advance, DRIVER_GRID.times(), DRIVER_SEED, 7,
+                         lambda ts, xs: {"last": xs[:, -1]}, batch_size=2)
+    assert len(made) == 4 and all(ref() is None for ref in made)
+    assert out["last"].flags.owndata
+    z1 = normal_matrix(DRIVER_SEED, 2 * np.arange(7, dtype=np.uint64), steps)
+    assert np.array_equal(out["last"], np.cumsum(z1, axis=1)[:, -1])
