@@ -29,6 +29,9 @@ once instead.  And each constant operand of a per-step ufunc call is a 0-d
 float64 array, built once: numpy converts a Python float operand on every
 call, which on a few hundred lanes costs about as much as the arithmetic.
 
+``first_passages`` is the one alternating first-passage walk along a
+stored row: the band crossings and the excursions are both read with it.
+
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
 
@@ -411,38 +414,44 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
 
 
 # ---------------------------------------------------------------------------
-# up-crossing detection between the |y|=delta and |y|=2*delta levels
+# alternating first passages: band crossings and excursions
 # ---------------------------------------------------------------------------
 
+def first_passages(enter, leave):
+    """Visits along one row, as (i, j) pairs: i is the first index from the
+    previous j + 1 at which ``enter`` holds, j the first index from i at
+    which ``leave`` holds.  A visit that never leaves has j = None and ends
+    the walk.  enter and leave are boolean rows of one length."""
+    start = 0
+    while start < enter.size:
+        # argmax stops at the first True, and gives 0 when there is none
+        i = start + int(enter[start:].argmax())
+        if not enter[i]:
+            return
+        j = i + int(leave[i:].argmax())
+        if not leave[j]:
+            yield i, None
+            return
+        yield i, j
+        start = j + 1
+
+
 def scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig, overflow):
-    n_paths, length = ys.shape
-    two_delta = 2.0 * delta
+    # taus: entries into |y| <= delta, sigmas: the exits to |y| >= 2 delta
+    # that follow them (for delta > 0 no index is both).  A row with more
+    # taus than tau_idx holds is flagged in overflow and keeps the first.
     capacity = tau_idx.shape[1]
     ay = np.abs(ys)
-    for i in range(n_paths):
-        a = ay[i]
-        pos = 0
-        nt = 0
-        ns = 0
-        while pos < length:
-            if nt == ns:
-                hits = np.nonzero(a[pos:] <= delta)[0]
-            else:
-                hits = np.nonzero(a[pos:] >= two_delta)[0]
-            if hits.size == 0:
+    for r, (enter, leave) in enumerate(zip(ay <= delta, ay >= 2.0 * delta)):
+        nt = ns = 0
+        for i, j in first_passages(enter, leave):
+            if nt >= capacity:
+                overflow[r] = True
                 break
-            pos += int(hits[0])
-            if nt == ns:
-                if nt >= capacity:
-                    overflow[i] = True
-                    break
-                tau_idx[i, nt] = pos
-                nt += 1
-            else:
-                sig_idx[i, ns] = pos
+            tau_idx[r, nt] = i
+            nt += 1
+            if j is not None:
+                sig_idx[r, ns] = j
                 ns += 1
-            pos += 1
-        n_tau[i] = nt
-        n_sig[i] = ns
-
-
+        n_tau[r] = nt
+        n_sig[r] = ns

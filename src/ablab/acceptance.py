@@ -279,7 +279,7 @@ def criterion_cauchy_corollary(seed: int) -> CriterionResult:
     ok = True
     for j, (x0, y0) in enumerate(probes):
         rep = cauchy_2d_mc(x0, y0, 1.0, f2, ModelParams(epsilon=1e-3),
-                           10_000, _seed(seed, 91 + j), h=5e-4)
+                           10_000, _seed(seed, 91 + j))
         u_ref = float(sol.at(1.0, project_pi((x0, y0))))
         tol = z_threshold(rep.std_error, WEAK_GAP_SLACK)
         gap = abs(rep.estimate - u_ref)

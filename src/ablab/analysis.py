@@ -140,8 +140,8 @@ def _scan_batch(ys: np.ndarray, delta: float):
     n_tau = np.zeros(n_paths, dtype=np.int64)
     n_sig = np.zeros(n_paths, dtype=np.int64)
     overflow = np.zeros(n_paths, dtype=bool)
-    _kernels.scan_crossings(np.ascontiguousarray(ys, dtype=np.float64),
-                            delta, tau_idx, sig_idx, n_tau, n_sig, overflow)
+    _kernels.scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig,
+                            overflow)
     if overflow.any():
         raise RuntimeError(f"{int(overflow.sum())} paths cross the band "
                            f"more than {MAX_CROSSINGS} times")
@@ -478,6 +478,16 @@ class CrossingStats:
                     and self.bounds["tau_minus_sigma_ok"])
 
 
+def _duration_report(sums, counts, total) -> StatReport:
+    # the mean duration over all events; its standard error from the
+    # per-path means of the paths with events
+    per_path = sums[counts > 0] / counts[counts > 0]
+    se = float(per_path.std(ddof=1) / math.sqrt(per_path.size)) \
+        if per_path.size >= 2 else 0.0
+    return StatReport(estimate=float(sums.sum() / total), std_error=se,
+                      n_replicas=total, config={"events": total})
+
+
 def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
                    h: float = 1e-3) -> CrossingStats:
     """Up-crossing counts and durations at delta = eps^alpha, checked
@@ -493,31 +503,20 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
 
     def reduce_fn(ts, xs, ys, div):
         tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
-        nb = ys.shape[0]
-        n_up = np.empty(nb)
-        st_sum = np.empty(nb)
-        st_cnt = np.zeros(nb)
-        ts_sum = np.empty(nb)
-        ts_cnt = np.zeros(nb)
-        deep = np.zeros(nb)
-        for i in range(nb):
+        n_gaps = np.maximum(n_tau - 1, 0)
+        n_up, st_sum, ts_sum, deep = (np.zeros(ys.shape[0]) for _ in range(4))
+        for i in range(ys.shape[0]):
             k = int(n_sig[i])
-            kt = int(n_tau[i])
-            n_up[i] = np.sum(ts[sig_idx[i, :k]] <= T) if k else 0
-            st_sum[i] = (ts[sig_idx[i, :k]] - ts[tau_idx[i, :k]]).sum() \
-                if k else 0.0
-            st_cnt[i] = k
-            if kt > 1:
-                gaps = ts[tau_idx[i, 1:kt]] - ts[sig_idx[i, :kt - 1]]
-                ts_sum[i] = gaps.sum()
-                ts_cnt[i] = kt - 1
-            else:
-                ts_sum[i] = 0.0
+            taus = ts[tau_idx[i, :n_tau[i]]]
+            sigmas = ts[sig_idx[i, :k]]
+            n_up[i] = np.sum(sigmas <= T)
+            st_sum[i] = (sigmas - taus[:k]).sum()
+            ts_sum[i] = (taus[1:] - sigmas[:n_gaps[i]]).sum()
             for j in range(k):
                 window = ys[i, tau_idx[i, j]:sig_idx[i, j] + 1]
                 deep[i] += float(window.min() < -1.99 * delta)
-        return {"n_up": n_up, "st_sum": st_sum, "st_cnt": st_cnt,
-                "ts_sum": ts_sum, "ts_cnt": ts_cnt, "deep": deep}
+        return {"n_up": n_up, "st_sum": st_sum, "st_cnt": n_sig,
+                "ts_sum": ts_sum, "ts_cnt": n_gaps, "deep": deep}
 
     out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
                           batch_size=batch_rows(grid.n_steps + 1))
@@ -526,19 +525,10 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
         delta=delta, frac_zero=float((out["n_up"] == 0).mean()))
     n_st = int(out["st_cnt"].sum())
     n_ts = int(out["ts_cnt"].sum())
-    mean_st = None
-    mean_ts = None
-    def _duration_report(sums, counts, total):
-        per_path = sums[counts > 0] / counts[counts > 0]
-        se = float(per_path.std(ddof=1) / math.sqrt(per_path.size)) \
-            if per_path.size >= 2 else 0.0
-        return StatReport(estimate=float(sums.sum() / total), std_error=se,
-                          n_replicas=total, config={"events": total})
-
-    if n_st >= 2:
-        mean_st = _duration_report(out["st_sum"], out["st_cnt"], n_st)
-    if n_ts >= 2:
-        mean_ts = _duration_report(out["ts_sum"], out["ts_cnt"], n_ts)
+    mean_st = _duration_report(out["st_sum"], out["st_cnt"], n_st) \
+        if n_st >= 2 else None
+    mean_ts = _duration_report(out["ts_sum"], out["ts_cnt"], n_ts) \
+        if n_ts >= 2 else None
     u_two = ou_exit_two_sided(delta)
     u_one = ou_exit_one_sided(delta)
     n_bound = CROSSING_SAFETY * (4.0 / 3.0) * T / u_one
@@ -595,33 +585,18 @@ class ExcursionRecord:
 def excursion_anatomy(ts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                       a: float) -> list[ExcursionRecord]:
     """Dips of Y below -a along each row of (xs, ys) on the times ts, in
-    row order: entry time, time of return above +a, and the largest |X|
-    seen in between (the excursions hug the y-axis)."""
+    row order: entry time, time of return above +a (None, ending the row,
+    when Y does not return), and the largest |X| seen in between (the
+    excursions hug the y-axis)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
     records: list[ExcursionRecord] = []
     for x, y in zip(xs, ys):
-        i = 0
-        length = y.size
-        while i < length:
-            below = np.nonzero(y[i:] <= -a)[0]
-            if below.size == 0:
-                break
-            start = i + int(below[0])
-            back = np.nonzero(y[start:] >= a)[0]
-            if back.size == 0:
-                end = length - 1
-                ret = None
-            else:
-                end = start + int(back[0])
-                ret = float(ts[end])
-            seg_x = x[start:end + 1]
-            seg_y = y[start:end + 1]
+        for i, j in _kernels.first_passages(y <= -a, y >= a):
+            end = None if j is None else j + 1
             records.append(ExcursionRecord(
-                entry_time=float(ts[start]), return_time=ret,
-                max_abs_x=float(np.abs(seg_x).max()),
-                min_y=float(seg_y.min())))
-            i = end + 1
-            if ret is None:
-                break
+                entry_time=float(ts[i]),
+                return_time=None if j is None else float(ts[j]),
+                max_abs_x=float(np.abs(x[i:end]).max()),
+                min_y=float(y[i:end].min())))
     return records

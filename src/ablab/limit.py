@@ -118,8 +118,6 @@ def radial_drift(y):
 def generator_apply(f: TestFunction, y):
     """A f at y: the displayed formula for y > 0, its limit at 0, 0 below."""
     arr = np.asarray(y, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     out = np.zeros_like(arr)
     pos = arr > 0.0
     if pos.any():
@@ -131,7 +129,7 @@ def generator_apply(f: TestFunction, y):
             raise ValueError(
                 f"{f.name}: generator limit at 0 needs f'(y)/y -> const")
         out[zero] = 0.5 * f.d2f(np.zeros(1))[0] + 0.5 * f.df_over_y_limit0
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _drift_coeffs(variant: str) -> tuple[float, float]:

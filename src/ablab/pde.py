@@ -168,8 +168,12 @@ def feynman_kac_mc(y: float, t: float, f: TestFunction, n: int,
                                    seed=master_seed)
 
 
+# Time step of the fast-slow paths behind cauchy_2d_mc.
+CAUCHY_2D_STEP = 5e-4
+
+
 def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
-                 master_seed: int, h: float = 5e-4) -> StatReport:
+                 master_seed: int) -> StatReport:
     """E_{(x,y)} f2(X_t, Y_t) on the fast-slow system.
 
     As epsilon shrinks this approaches the limit solution evaluated at the
@@ -177,10 +181,11 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
     """
     check_replicas(n)
     p = replace(p, x0=x, y0=y)
-    grid = TimeGrid(t, h)
+    grid = TimeGrid(t, CAUCHY_2D_STEP)
     out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
                           batch_size=batch_rows(grid.n_steps + 1))
     val = np.asarray(f2(out["x"], out["y"]), dtype=np.float64)
     return StatReport.from_samples(val, x0=x, y0=y, t=t,
-                                   epsilon=p.epsilon, h=h, seed=master_seed,
+                                   epsilon=p.epsilon, h=CAUCHY_2D_STEP,
+                                   seed=master_seed,
                                    y_pi=project_pi((x, y)))

@@ -47,29 +47,20 @@ def path_to_csv(path: PathSample, out: IO[str], polar: bool = False) -> None:
     """Write a path as CSV: columns t,x,y for 2-d paths (plus r,theta when
     polar is requested), t,y for 1-d paths.  Floats carry 17 significant
     digits; the header row is mandatory."""
-    ts = path.grid.times()
     config = {"scheme": path.scheme, "stream_ids": list(path.stream_ids),
               "step": path.grid.step, "horizon": path.grid.horizon,
               "diverged": path.diverged}
     out.write(_meta_line(path.master_seed, config))
-    d = path.states.shape[1]
-    if d == 2 and polar:
-        r, theta = to_polar(path.states)
-        out.write("t,x,y,r,theta\n")
-        for k, t in enumerate(ts):
-            row = [t, path.states[k, 0], path.states[k, 1], r[k], theta[k]]
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-    elif d == 2:
-        out.write("t,x,y\n")
-        for k, t in enumerate(ts):
-            out.write(",".join(_fmt(v) for v in
-                               (t, path.states[k, 0], path.states[k, 1]))
-                      + "\n")
-    else:
-        out.write("t,y\n")
-        for k, t in enumerate(ts):
-            out.write(",".join(_fmt(v) for v in (t, path.states[k, 0]))
-                      + "\n")
+    planar = path.states.shape[1] == 2
+    columns = {"t": path.grid.times()}
+    if planar:
+        columns["x"] = path.states[:, 0]
+    columns["y"] = path.states[:, -1]
+    if planar and polar:
+        columns["r"], columns["theta"] = to_polar(path.states)
+    out.write(",".join(columns) + "\n")
+    for row in zip(*columns.values()):
+        out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def scaling_to_csv(fit: ScalingFit, out: IO[str], seed=None,

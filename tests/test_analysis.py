@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ablab import analysis, limit, model
 from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
-                            ScalingFit, StatReport, _scan_batch,
+                            ExcursionRecord, ScalingFit, StatReport, _scan_batch,
                             crossing_stats, excursion_anatomy,
                             excursion_probability, ks_critical_value,
                             ks_statistic, martingale_residual,
@@ -384,6 +384,63 @@ def test_excursion_anatomy_no_dips_empty():
     y = np.linspace(1.0, 2.0, 10)
     ts = TimeGrid(0.1 * 9, 0.1).times()
     assert excursion_anatomy(ts, np.zeros((1, 10)), y[None], a=0.5) == []
+
+
+def anatomy_oracle(ts, x, y, a):
+    """Index-by-index reading of the excursions with the signed levels
+    +-a: an entry at the first y <= -a, a return at the next y >= a, and
+    the largest |x| and the least y in between; the last excursion may
+    stay open."""
+    records, entry = [], None
+    for k in range(len(y)):
+        if entry is None:
+            if y[k] > -a:
+                continue
+            entry, top, low = k, abs(x[k]), y[k]
+        top, low = max(top, abs(x[k])), min(low, y[k])
+        if y[k] >= a:
+            records.append(ExcursionRecord(float(ts[entry]), float(ts[k]),
+                                           float(top), float(low)))
+            entry = None
+    if entry is not None:
+        records.append(ExcursionRecord(float(ts[entry]), None, float(top),
+                                       float(low)))
+    return records
+
+
+def test_anatomy_matches_oracle_on_brownian_paths():
+    rng = np.random.default_rng(42)
+    ys = np.array([np.cumsum(math.sqrt(1e-3) * rng.standard_normal(10_000))
+                   + y0 for y0 in (1.0, 0.0, -0.7, 2.5)])
+    xs = 0.1 * rng.standard_normal(ys.shape)
+    ts = np.arange(ys.shape[1]) * 1e-3
+    per_row = [anatomy_oracle(ts, x, y, 0.25) for x, y in zip(xs, ys)]
+    # several excursions on a row, and one left open at the end
+    assert sum(len(recs) > 1 for recs in per_row) >= 2
+    assert any(recs[-1].return_time is None for recs in per_row if recs)
+    assert excursion_anatomy(ts, xs, ys, 0.25) == \
+        [rec for recs in per_row for rec in recs]
+    for x, y, recs in zip(xs, ys, per_row):
+        assert excursion_anatomy(ts, x[None], y[None], 0.25) == recs
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=2,
+                max_size=120), st.floats(0.05, 1.0))
+def test_excursion_record_interleaving_property(row, a):
+    # on the times 0, 1, 2, ... each time is the index it was read at
+    y = np.array(row)
+    ts = np.arange(y.size, dtype=np.float64)
+    recs = excursion_anatomy(ts, y[::-1, None].T, y[None], a)
+    assert recs == anatomy_oracle(ts, y[::-1], y, a)
+    returns = [r.return_time for r in recs]
+    assert None not in returns[:-1]
+    for prev, rec in zip([None, *returns], recs):
+        assert y[int(rec.entry_time)] <= -a
+        assert prev is None or rec.entry_time > prev
+        if rec.return_time is not None:
+            assert rec.return_time > rec.entry_time
+            assert y[int(rec.return_time)] >= a
 
 
 def test_batched_anatomy_equals_per_path_records():

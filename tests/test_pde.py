@@ -122,7 +122,7 @@ def test_snapshot_time_validation():
 def test_cauchy_2d_trivial_constant():
     p = ModelParams(epsilon=0.1)
     rep = cauchy_2d_mc(0.5, 1.0, 0.5, lambda x, y: np.ones_like(y), p,
-                       200, 4, h=1e-3)
+                       200, 4)
     assert rep.estimate == 1.0 and rep.std_error == 0.0
 
 
@@ -131,7 +131,7 @@ def test_cauchy_2d_approaches_limit_solution():
     # runs the full probe battery at eps = 1e-3
     f2 = lambda x, y: np.exp(-np.square(y))
     p = ModelParams(epsilon=0.01)
-    rep = cauchy_2d_mc(0.0, 2.0, 0.5, f2, p, 4000, 5, h=5e-4)
+    rep = cauchy_2d_mc(0.0, 2.0, 0.5, f2, p, 4000, 5)
     g = Grid1D(n_points=601, t_final=0.5)
     sol = solve_limit_pde(gauss_bump(), g)
     u_ref = float(sol.at(0.5, project_pi((0.0, 2.0))))
