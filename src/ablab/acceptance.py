@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, euler_arnold as ea
-from .analysis import (KS_COEFF_1PCT, MOMENT_SCALING_WINDOW,
-                       WEAK_GAP_SLACK, Z_GATE, crossing_stats,
-                       excursion_anatomy, excursion_probability,
-                       ks_critical_value, ks_statistic,
+from .analysis import (KS_COEFF_1PCT, MOMENT_SCALING_ALPHA,
+                       MOMENT_SCALING_WINDOW, WEAK_GAP_SLACK, Z_GATE,
+                       crossing_stats, excursion_anatomy,
+                       excursion_probability, ks_critical_value, ks_statistic,
                        martingale_residual_limit, martingale_residuals,
                        ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
                        terminal_law_gap, x_collapse_gap,
@@ -130,8 +130,8 @@ def criterion_moment_closed_form(seed: int) -> CriterionResult:
 def criterion_moment_scaling(seed: int) -> CriterionResult:
     """Log-log slope of E[X_t^2] against epsilon at alpha = 0.1."""
     eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
-    fit = x_second_moment_scaling(eps, 0.1, 0.2, 4000, _seed(seed, 51),
-                                  h=1e-3)
+    fit = x_second_moment_scaling(eps, MOMENT_SCALING_ALPHA, 0.2, 4000,
+                                  _seed(seed, 51), h=1e-3)
     lo, hi = MOMENT_SCALING_WINDOW
     ok = lo <= fit.slope <= hi
     return CriterionResult(5, "fast-coordinate moment scaling", bool(ok),

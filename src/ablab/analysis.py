@@ -40,8 +40,9 @@ PDE_PROBE_SLACK = 2e-3
 CROSSING_SAFETY = 2.0
 # Asymptotic Kolmogorov-Smirnov coefficient sqrt(-ln(alpha/2)/2), alpha = 1%.
 KS_COEFF_1PCT = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
-# Pass window of the log-log slope of E[X_t^2] against epsilon at
-# alpha = 0.1 (criterion 5 and ``ablab lemma1``).
+# Pass window of the log-log slope of E[X_t^2] against epsilon, stated at
+# alpha = MOMENT_SCALING_ALPHA only (criterion 5 and ``ablab lemma1``).
+MOMENT_SCALING_ALPHA = 0.1
 MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
 
 

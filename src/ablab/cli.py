@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__
 from .acceptance import algebra_identity_battery, run_acceptance
-from .analysis import (MOMENT_SCALING_WINDOW, PDE_PROBE_SLACK,
-                       WEAK_GAP_SLACK, crossing_stats, excursion_anatomy,
-                       excursion_probability, martingale_residual,
-                       martingale_residual_limit, terminal_law_gap,
-                       x_collapse_gap, x_second_moment_scaling, z_threshold)
+from .analysis import (MOMENT_SCALING_ALPHA, MOMENT_SCALING_WINDOW,
+                       PDE_PROBE_SLACK, WEAK_GAP_SLACK, crossing_stats,
+                       excursion_anatomy, excursion_probability,
+                       martingale_residual, martingale_residual_limit,
+                       terminal_law_gap, x_collapse_gap,
+                       x_second_moment_scaling, z_threshold)
 from .limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                     limit_exact_reduce)
 from .model import (ModelParams, _slowtime_advance, project_pi,
@@ -264,6 +265,9 @@ def project(x, y):
 @reads("epsilons", "t", "alpha", *MONTE_CARLO, t=0.2)
 def lemma1(**s):
     """Scaling of the fast coordinate's second moment against epsilon."""
+    if s["alpha"] != MOMENT_SCALING_ALPHA:
+        raise ValueError(f"MOMENT_SCALING_WINDOW is stated for alpha = "
+                         f"{MOMENT_SCALING_ALPHA:g} only, got {s['alpha']:g}")
     eps = _epsilon_ladder(s, [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5])
     fit = x_second_moment_scaling(eps, s["alpha"], s["t"], s["replicas"],
                                   s["seed"], h=s["step"])

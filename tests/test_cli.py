@@ -30,6 +30,15 @@ def test_lemma1_passes_by_the_criterion_5_window(tmp_path):
     assert result.exit_code == (0 if report["passed"] else 1)
 
 
+def test_lemma1_rejects_an_alpha_its_window_is_not_stated_for(tmp_path):
+    # the pass window is the slope expected at alpha = 0.1 alone
+    result = run(["lemma1", "--alpha", "0.2"], tmp_path)
+    assert result.exit_code == 2
+    assert "config error:" in result.output
+    assert "alpha = 0.1 only" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_errors_exit_2(tmp_path):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("epsilon = 1e-3\nepsilonn = 1e-2\n")

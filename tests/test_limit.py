@@ -10,8 +10,8 @@ from ablab.analysis import KS_COEFF_1PCT, ks_critical_value, ks_statistic
 from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                          _exact_step_coeffs, expected_square, gauss_bump,
                          generator_apply, limit_exact_reduce,
-                         limit_exact_terminal, square_fn, stationary_mean,
-                         stationary_square_cdf)
+                         limit_exact_terminal, radial_drift, square_fn,
+                         stationary_mean, stationary_square_cdf)
 from ablab.model import replica_reduce
 from ablab.sde import TimeGrid, normal_matrix
 
@@ -67,6 +67,17 @@ def test_generator_vectorized_matches_scalar():
     assert vec.shape == (4,)
     for y, v in zip(ys, vec):
         assert generator_apply(f, float(y)) == pytest.approx(v, rel=1e-14)
+
+
+def test_closed_form_generator_keeps_the_bits_of_its_derivatives():
+    # af shares factors of f' and f'' but keeps their expressions and order
+    ys = np.random.default_rng(4).exponential(1.5, size=10_000) + 1e-12
+    ys[:3] = [1e-300, 1e-8, 40.0]
+    shared = [f for f in TEST_FUNCTIONS.values() if f.af is not None]
+    assert {f.name for f in shared} >= {"exp(-y^2)", "1/(1+y^2)"}
+    for f in shared:
+        split = 0.5 * f.d2f(ys) + radial_drift(ys) * f.df(ys)
+        assert np.array_equal(f.af(ys), split), f.name
 
 
 def test_derivative_evaluators_match_finite_differences():

@@ -1,14 +1,17 @@
 """Peak memory of the estimators that set the package's peaks.
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one
-call bounds what a batch of paths, a reducer's row block and a slice of
-exit-time draws hold at once.
+call bounds what a batch of paths, a reducer's row block, a slice of
+exit-time draws and a tile of short noise rows hold at once.
 """
 
 import tracemalloc
 
+import numpy as np
+
 from ablab.analysis import martingale_residual_limit, ou_exit_mc
 from ablab.limit import gauss_bump
+from ablab.sde import normal_matrix
 
 MB = 1 << 20
 
@@ -34,3 +37,10 @@ def test_reducer_runs_on_row_blocks():
     # temporaries, on row blocks they are cache-sized
     assert _peak_mb(martingale_residual_limit, 0.1, gauss_bump(), 10.0,
                     256, 74) < 100
+
+
+def test_short_noise_rows_come_in_row_tiles():
+    # the output of 2^21 three-draw rows is 48 MB; whole-batch uint64
+    # temporaries of the Philox rounds would be hundreds of MB
+    ids = np.arange(1 << 21, dtype=np.uint64)
+    assert _peak_mb(normal_matrix, 5, ids, 3) < 48 + 4

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ablab import _kernels
+from ablab import _kernels, sde
 from ablab.model import DTHETA_MAX
 from ablab.sde import (DEFAULT_GUARD, RngStream, TimeGrid, PathSample,
                        normal_matrix)
@@ -44,8 +44,10 @@ MATRIX_IDS = [5, 2**64 - 1, 0, 2**63, 3, 1]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 1000])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 1000])
 def test_normal_matrix_rows_match_single_streams(seed, n):
+    # n = 4 is the longest row drawn from one Philox block, n = 5 the
+    # shortest drawn one stream at a time
     z = normal_matrix(seed, MATRIX_IDS, n)
     assert z.shape == (len(MATRIX_IDS), n)
     for row, sid in zip(z, MATRIX_IDS):
@@ -58,11 +60,62 @@ def test_normal_matrix_empty_ids():
 
 
 def test_normal_matrix_rows_independent_of_batch():
-    ids = np.array([9, 2, 2**63, 4, 11], dtype=np.uint64)
-    whole = normal_matrix(13, ids, 3)
-    split = np.vstack([normal_matrix(13, ids[:2], 3),
-                       normal_matrix(13, ids[2:], 3)])
-    assert np.array_equal(whole, split)
+    ids = np.random.default_rng(9).integers(
+        0, 2**64, size=1100, dtype=np.uint64, endpoint=False)
+    for n in (3, 5):
+        whole = normal_matrix(13, ids, n)
+        for batch in (1, 7, 1024):
+            split = np.vstack([normal_matrix(13, ids[i:i + batch], n)
+                               for i in range(0, len(ids), batch)])
+            assert np.array_equal(whole, split), (n, batch)
+
+
+# ---------------------------------------------------------------------------
+# rows of at most four draws: one Philox4x64 block per stream, read through
+# numpy's ziggurat fast path for all rows at once
+# ---------------------------------------------------------------------------
+
+KEY_WORDS = [0, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", KEY_WORDS)
+def test_philox_block_matches_numpy(seed):
+    words = sde._philox_block(seed, np.array(KEY_WORDS, dtype=np.uint64))
+    for i, sid in enumerate(KEY_WORDS):
+        key = np.array([seed, sid], dtype=np.uint64)
+        expected = np.random.Philox(key=key).random_raw(4)
+        assert [int(w[i]) for w in words] == expected.tolist()
+
+
+def test_ziggurat_tables_give_every_layer_from_2_a_fast_path():
+    wi, ki = sde._ziggurat_tables()
+    assert (wi > 0).all()
+    assert ki[0] == ki[1] == 0
+    assert (ki[2:] > 0).all()
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 5])
+def test_block_rows_match_single_streams_with_every_fallback(seed):
+    ids = np.random.default_rng(seed % 1000).integers(
+        0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+    # a stream's first k draws are the first k of its first four
+    oracle = np.array([stream_normals(seed, sid, 4) for sid in ids.tolist()])
+    for n in (1, 3, 4):
+        assert np.array_equal(normal_matrix(seed, ids, n), oracle[:, :n]), n
+    # the sample redraws rows of every kind off the fast path: a first
+    # draw in the tail layer 0, in layer 1 (no fast path), or in a wedge
+    # whose test rejects, so the stream's first draw is not the fast one
+    wi, ki = sde._ziggurat_tables()
+    w = sde._philox_block(seed, ids)[0]
+    layer = (w & 0xFF).astype(np.intp)
+    rabs = (w >> 9) & ((1 << 52) - 1)
+    fast_value = rabs.astype(np.float64) * wi[layer]
+    fast_value[(w & 0x100) != 0] *= -1.0
+    wedge = (layer >= 2) & (rabs >= ki[layer])
+    assert (layer == 0).any() and (layer == 1).any()
+    assert (wedge & (oracle[:, 0] != fast_value)).any()
+    # and draws that pass the wedge test keep the fast value
+    assert (wedge & (oracle[:, 0] == fast_value)).any()
 
 
 # ---------------------------------------------------------------------------
