@@ -29,6 +29,15 @@ once instead.  And each constant operand of a per-step ufunc call is a 0-d
 float64 array, built once: numpy converts a Python float operand on every
 call, which on a few hundred lanes costs about as much as the arithmetic.
 
+Every kernel that ``model.replica_reduce`` drives (``rescaled_split``,
+``rescaled_euler``, ``slowtime_euler``, ``limit_sq_em`` and
+``ou2d_radius``) keeps one more rule: it reads the draws of step k before it
+writes the state after step k, column k + 1 of its outputs.  So its draws
+may be columns ``1:`` of its own output arrays, and the paths overwrite
+their noise in place: the driver holds two path-sized arrays per batch, not
+two of draws and two of paths.  The tiled kernels copy a tile's draws
+before they write the tile's states.
+
 ``first_passages`` is the one alternating first-passage walk along a
 stored row: the band crossings and the excursions are both read with it.
 
@@ -295,17 +304,41 @@ def limit_sq_em(y0, a_drift, b_drift, h, z, ys):
 # ---------------------------------------------------------------------------
 
 def ou2d_radius(y0, decay, sd, z1, z2, rs):
-    # decay and sd: one value per step, or one value for every step
+    # decay and sd: one value per step, or one value for every step.  The
+    # steps run in tiles of s steps stored steps-major, as in
+    # rescaled_split: a tile's draws are copied into (s, n) buffers and
+    # scaled there by sd, row j + 1 of U and V receives the OU state after
+    # step j (row 0 holds the state the tile starts from), and the tile's
+    # radii come from one hypot and go to rs in one transposed copy.
+    # Each coordinate runs u * decay + sd * z step by step, as a
+    # one-step-at-a-time loop does, so the result is the same bit for bit.
     n_paths, n_steps = z1.shape
+    s_max = max(1, min(n_steps, _BLOCK_ELEMS // max(n_paths, 1)))
     decay = np.broadcast_to(decay, n_steps)
     sd = np.broadcast_to(sd, n_steps)
-    u = np.zeros(n_paths, dtype=np.float64)
-    v = np.full(n_paths, y0, dtype=np.float64)
+    U, V = np.empty((s_max + 1, n_paths)), np.empty((s_max + 1, n_paths))
+    Z1, Z2 = np.empty((s_max, n_paths)), np.empty((s_max, n_paths))
+    U[0] = 0.0
+    V[0] = y0
     rs[:, 0] = abs(y0)
-    for k in range(n_steps):
-        u = u * decay[k] + sd[k] * z1[:, k]
-        v = v * decay[k] + sd[k] * z2[:, k]
-        rs[:, k + 1] = np.hypot(u, v)
+    for k in range(0, n_steps, s_max):
+        s = min(s_max, n_steps - k)
+        np.copyto(Z1[:s], z1[:, k:k + s].T)
+        np.copyto(Z2[:s], z2[:, k:k + s].T)
+        np.multiply(sd[k:k + s, None], Z1[:s], out=Z1[:s])
+        np.multiply(sd[k:k + s, None], Z2[:s], out=Z2[:s])
+        ur, vr, z1r, z2r = list(U), list(V), list(Z1), list(Z2)
+        # each step's decay as a 0-d view, not a numpy scalar
+        for j in range(s):
+            d = decay[k + j, ...]
+            np.add(np.multiply(ur[j], d, out=ur[j + 1]), z1r[j],
+                   out=ur[j + 1])
+            np.add(np.multiply(vr[j], d, out=vr[j + 1]), z2r[j],
+                   out=vr[j + 1])
+        radii = np.hypot(U[1:s + 1], V[1:s + 1], out=Z1[:s])
+        rs[:, k + 1:k + 1 + s] = radii.T
+        U[0] = U[s]
+        V[0] = V[s]
 
 
 # ---------------------------------------------------------------------------

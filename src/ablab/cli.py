@@ -206,7 +206,7 @@ def _system_reduce(s: dict, grid: TimeGrid):
     variant = "damped" if s["variant"] == "dissipative" else "no_dissipation"
     lp = LimitParams(y0=s["y0"], variant=variant)
     if system == "limit-em":
-        # the direct scheme reads z1 only
+        # the direct scheme reads the first stream only
         return (partial(replica_reduce, partial(_em_advance, lp, grid),
                         grid.times()), f"limit_sq_em_{variant}", (0,))
     return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d", (0, 1)

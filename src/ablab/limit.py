@@ -166,19 +166,18 @@ def _drift_coeffs(variant: str) -> tuple[float, float]:
     return 3.0, 0.0
 
 
-def _em_advance(p: LimitParams, grid: TimeGrid, z1, z2):
+def _em_advance(p: LimitParams, grid: TimeGrid, b1, b2):
     """Direct discretization, positivity-preserving: (ys,) from one batch
-    of draws.  It reads z1 only.
+    of draws, written over the draws in b1.  It reads b1 only.
 
     The square S = Y^2 satisfies dS = (a - b S) dt + 2 sqrt(S) dW with
     (a, b) = (2, 2) for the damped variant and (3, 0) without dissipation;
     S is stepped explicitly, reflecting rare negative excursions, and the
     path returned is sqrt(S) > 0.
     """
-    ys = np.empty((z1.shape[0], grid.n_steps + 1))
     a, b = _drift_coeffs(p.variant)
-    _kernels.limit_sq_em(p.y0, a, b, grid.step, z1, ys)
-    return (ys,)
+    _kernels.limit_sq_em(p.y0, a, b, grid.step, b1[:, 1:], b1)
+    return (b1,)
 
 
 def _exact_step_coeffs(h: float) -> tuple[float, float]:
@@ -187,13 +186,13 @@ def _exact_step_coeffs(h: float) -> tuple[float, float]:
     return decay, sd
 
 
-def _exact_advance(y0: float, decay, sd, z1, z2):
-    """Exact-in-law sampler: (rs,) from one batch of draws, the radius of
-    the 2-d OU process dZ = -Z dt + dW from Z0 = (0, y0), stepped by exact
-    Gaussian transitions with ``(decay, sd)`` per step or for every step."""
-    rs = np.empty((z1.shape[0], z1.shape[1] + 1))
-    _kernels.ou2d_radius(y0, decay, sd, z1, z2, rs)
-    return (rs,)
+def _exact_advance(y0: float, decay, sd, b1, b2):
+    """Exact-in-law sampler: (rs,) from one batch of draws, written over
+    the draws in b1, the radius of the 2-d OU process dZ = -Z dt + dW from
+    Z0 = (0, y0), stepped by exact Gaussian transitions with ``(decay,
+    sd)`` per step or for every step.  b2 is dropped when this returns."""
+    _kernels.ou2d_radius(y0, decay, sd, b1[:, 1:], b2[:, 1:], b1)
+    return (b1,)
 
 
 def limit_exact_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,

@@ -144,12 +144,15 @@ def replica_reduce(advance, ts: np.ndarray, master_seed: int,
 
     Replica i reads streams 2i and 2i + 1 of ``master_seed``: one row each
     of ``normal_matrix`` with ``len(ts) - 1`` draws, a pure function of the
-    stream and its length.
-    ``advance(z1, z2)`` turns a batch of such rows (first axis = replica)
-    into a tuple of arrays; the draws are released as soon as it returns.
-    A batch holds ``batch_size`` replicas, by default
-    ``batch_rows(len(ts))``, so its path arrays stay near BATCH_ELEMS
-    points whatever the number of steps.
+    stream and its length.  A batch's rows are drawn into columns ``1:`` of
+    two (batch x len(ts)) path buffers, one per stream, and
+    ``advance(b1, b2)`` turns them into a tuple of arrays.  Its kernel
+    reads each step's draws before it writes the state after that step, so
+    it writes the paths over the draws in the same buffers: a batch holds
+    two path-sized arrays, not two of draws and two of paths.  A buffer the
+    advance does not return is freed when it returns.  A batch holds
+    ``batch_size`` replicas, by default ``batch_rows(len(ts))``, so its
+    buffers stay near BATCH_ELEMS points whatever the number of steps.
 
     ``reduce_fn(ts, *arrays)`` returns a dict of arrays with the replica
     axis first.  It is called on row blocks of the batch's arrays, each
@@ -171,8 +174,8 @@ def replica_reduce(advance, ts: np.ndarray, master_seed: int,
     for b0 in range(0, n_replicas, batch_size):
         nb = min(batch_size, n_replicas - b0)
         ids = 2 * np.arange(b0, b0 + nb, dtype=np.uint64)
-        arrays = advance(normal_matrix(master_seed, ids, len(ts) - 1),
-                         normal_matrix(master_seed, ids + 1, len(ts) - 1))
+        arrays = advance(draw_buffer(master_seed, ids, len(ts)),
+                         draw_buffer(master_seed, ids + 1, len(ts)))
         batches.append(_concat([reduce_fn(ts, *(a[r0:r0 + block]
                                                 for a in arrays))
                                 for r0 in range(0, nb, block)]))
@@ -181,22 +184,24 @@ def replica_reduce(advance, ts: np.ndarray, master_seed: int,
     return batches[0] if len(batches) == 1 else _concat(batches)
 
 
+def draw_buffer(master_seed: int, ids: np.ndarray, n_points: int):
+    """A (len(ids) x n_points) path buffer whose columns ``1:`` hold the
+    ``normal_matrix`` rows of streams ``ids``; column 0 is left for the
+    start state."""
+    buf = np.empty((len(ids), n_points))
+    normal_matrix(master_seed, ids, n_points - 1, out=buf[:, 1:])
+    return buf
+
+
 def _concat(chunks: list[dict]) -> dict:
     """Each key's arrays joined in order, into new arrays."""
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def _planar_outputs(n_paths: int, grid: TimeGrid):
-    """What a planar kernel writes: xs, ys (one row per path) and the
-    diverged flags."""
-    return (np.empty((n_paths, grid.n_steps + 1)),
-            np.empty((n_paths, grid.n_steps + 1)),
-            np.zeros(n_paths, dtype=bool))
-
-
-def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, z1, z2):
+def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, b1, b2):
     """The fast-slow system (X, Y) with unit additive noise: (xs, ys,
-    diverged) from one batch of draws.
+    diverged) from one batch of draws, with xs and ys written over the
+    draws in b1 and b2.
 
     Default scheme: per step, X advances by an exact OU substep with the
     rate Y/eps + damping frozen (removing the stiffness of the X-equation),
@@ -205,17 +210,18 @@ def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, z1, z2):
     part of the step is subdivided so near-deterministic sweeps from the
     unstable half-axis to the stable one stay on their energy shell.
     """
-    out = _planar_outputs(z1.shape[0], grid)
+    div = np.zeros(b1.shape[0], dtype=bool)
     if scheme == "splitting":
         _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
-                                grid.step, DTHETA_MAX, DEFAULT_GUARD, z1, z2,
-                                *out)
+                                grid.step, DTHETA_MAX, DEFAULT_GUARD,
+                                b1[:, 1:], b2[:, 1:], b1, b2, div)
     elif scheme == "euler":
         _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
-                                grid.step, DEFAULT_GUARD, z1, z2, *out)
+                                grid.step, DEFAULT_GUARD, b1[:, 1:],
+                                b2[:, 1:], b1, b2, div)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return out
+    return b1, b2, div
 
 
 def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
@@ -243,10 +249,11 @@ def terminal_state(ts, xs, ys, div) -> dict:
             "div": div}
 
 
-def _slowtime_advance(p: ModelParams, grid: TimeGrid, z1, z2):
+def _slowtime_advance(p: ModelParams, grid: TimeGrid, b1, b2):
     """The original slow-time system, noise amplitude sqrt(eps): (xs, ys,
-    diverged) from one batch of draws."""
-    out = _planar_outputs(z1.shape[0], grid)
+    diverged) from one batch of draws, with xs and ys written over the
+    draws in b1 and b2."""
+    div = np.zeros(b1.shape[0], dtype=bool)
     _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
-                            DEFAULT_GUARD, z1, z2, *out)
-    return out
+                            DEFAULT_GUARD, b1[:, 1:], b2[:, 1:], b1, b2, div)
+    return b1, b2, div

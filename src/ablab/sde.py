@@ -51,7 +51,7 @@ _ROW_TILE = 1 << 14
 
 
 def normal_matrix(master_seed: int, stream_ids: np.ndarray | list[int],
-                  n: int) -> np.ndarray:
+                  n: int, out: np.ndarray | None = None) -> np.ndarray:
     """Stack independent N(0,1) rows, one stream per row.
 
     Row ``i`` equals ``standard_normal(n)`` from
@@ -65,9 +65,17 @@ def normal_matrix(master_seed: int, stream_ids: np.ndarray | list[int],
       A row with any draw off the fast path (the tail layer, the layer
       with no fast path, or a wedge test) is redrawn one stream at a time,
       because a rejection reads a variable number of words.
+
+    ``out``, when given, is a float64 (len(stream_ids), n) array whose rows
+    are contiguous, such as columns ``1:`` of a path buffer; the rows are
+    drawn into it and it is returned.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    out = np.empty((len(ids), n), dtype=np.float64)
+    if out is None:
+        out = np.empty((len(ids), n), dtype=np.float64)
+    elif out.shape != (len(ids), n) or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {(len(ids), n)}, "
+                         f"got {out.dtype} {out.shape}")
     if n > _BLOCK_WORDS:
         _stream_rows(master_seed, ids, out)
     else:

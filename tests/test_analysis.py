@@ -16,9 +16,10 @@ from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
                             terminal_law_gap, x_collapse_gap,
                             x_second_moment, x_second_moment_scaling)
 from ablab.limit import gauss_bump
-from ablab.model import ModelParams, _rescaled_advance, rescaled_reduce
+from ablab.model import (ModelParams, _rescaled_advance, draw_buffer,
+                         rescaled_reduce)
 from ablab.pde import cauchy_2d_mc
-from ablab.sde import TimeGrid, normal_matrix
+from ablab.sde import TimeGrid
 
 
 def scan_oracle(y, delta):
@@ -458,8 +459,8 @@ def test_batched_anatomy_equals_per_path_records():
     for i in range(n):
         xs, ys, _ = _rescaled_advance(
             p, grid, "splitting",
-            normal_matrix(seed, [2 * i], grid.n_steps),
-            normal_matrix(seed, [2 * i + 1], grid.n_steps))
+            draw_buffer(seed, [2 * i], grid.n_steps + 1),
+            draw_buffer(seed, [2 * i + 1], grid.n_steps + 1))
         per_path.append(excursion_anatomy(ts, xs, ys, a=0.25))
     assert sum(len(recs) > 0 for recs in per_path) >= 2
     assert batch == [rec for recs in per_path for rec in recs]

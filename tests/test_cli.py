@@ -154,9 +154,9 @@ def test_weak_gap_draws_each_stream_once(tmp_path, monkeypatch):
     drawn = []
     normal_matrix = model.normal_matrix
 
-    def recording_normal_matrix(master_seed, stream_ids, n):
+    def recording_normal_matrix(master_seed, stream_ids, n, out=None):
         drawn.extend((master_seed, int(sid)) for sid in stream_ids)
-        return normal_matrix(master_seed, stream_ids, n)
+        return normal_matrix(master_seed, stream_ids, n, out=out)
 
     monkeypatch.setattr(model, "normal_matrix", recording_normal_matrix)
     result = run(["weak-gap", "--replicas", "32"], tmp_path)

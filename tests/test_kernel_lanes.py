@@ -4,8 +4,11 @@ The numpy splitting kernel steps only the lanes that need substeps, in
 tiles of steps, and the exit-time kernel only the paths that have not
 exited, in blocks of steps.  Each lane must still come out exactly as if it
 ran alone.  The splitting scheme must agree with a plain scalar loop of the
-same scheme, and both kernels bit for bit with a step-at-a-time loop of the
-same operations, all kept here as oracles.
+same scheme, and the splitting, exit-time and exact radial kernels bit for
+bit with a step-at-a-time loop of the same operations, all kept here as
+oracles.  Every kernel the batch driver runs must give the same bits when
+its draws are columns ``1:`` of its own output arrays, as the driver passes
+them.
 """
 
 import math
@@ -367,6 +370,130 @@ def test_split_tiles_match_step_at_a_time_oracle(monkeypatch, name, damp, n):
         f = np.array([np.flatnonzero(row)[-1] + 1 if row.any() else 0
                       for row in moved[ref[2]]])
         assert np.any((f % tile != 0) & ((f // tile + 1) * tile < longest))
+
+
+# ---------------------------------------------------------------------------
+# exact radial sampler
+# ---------------------------------------------------------------------------
+
+def _ou2d_step_at_a_time(y0, decay, sd, z1, z2, rs):
+    """The exact OU recursion one step at a time, reading the draws and
+    writing the radii one column each."""
+    n_paths, n_steps = z1.shape
+    decay = np.broadcast_to(decay, n_steps)
+    sd = np.broadcast_to(sd, n_steps)
+    u = np.zeros(n_paths)
+    v = np.full(n_paths, y0, dtype=np.float64)
+    rs[:, 0] = abs(y0)
+    for k in range(n_steps):
+        u = u * decay[k] + sd[k] * z1[:, k]
+        v = v * decay[k] + sd[k] * z2[:, k]
+        rs[:, k + 1] = np.hypot(u, v)
+
+
+# one (decay, sd) pair for every step, or a pair per step
+OU2D_COEFFS = {"scalar": (math.exp(-1e-2), 0.1),
+               "per_step": (np.linspace(0.5, 0.99, 19),
+                            np.linspace(0.8, 0.1, 19))}
+
+
+@pytest.mark.parametrize("coeffs", sorted(OU2D_COEFFS))
+@pytest.mark.parametrize("n", [1, 7, 256])
+def test_ou2d_tiles_match_step_at_a_time_oracle(monkeypatch, coeffs, n):
+    # tiles of 8 steps, so that 19 steps cross two tile boundaries
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * n)
+    decay, sd = OU2D_COEFFS[coeffs]
+    z1, z2 = _noise(8, n, 19, (1.0, 0.0, 3.0))
+    ref = np.empty((n, 20))
+    _ou2d_step_at_a_time(-0.7, decay, sd, z1, z2, ref)
+    for steps in (1, 7, 8, 9, 19):
+        if coeffs == "per_step":
+            d, s = decay[:steps], sd[:steps]
+        else:
+            d, s = decay, sd
+        a1, a2 = z1[:, :steps].copy(), z2[:, :steps].copy()
+        rs = np.empty((n, steps + 1))
+        _kernels.ou2d_radius(-0.7, d, s, a1, a2, rs)
+        # the sd scaling acts on the kernel's copy of the draws
+        assert _bits_equal(a1, z1[:, :steps])
+        assert _bits_equal(a2, z2[:, :steps])
+        assert _bits_equal(rs, ref[:, :steps + 1]), f"r at {steps} steps"
+
+
+# ---------------------------------------------------------------------------
+# the driver's layout: draws in columns 1: of the kernel's own outputs
+# ---------------------------------------------------------------------------
+
+def _in_place(z):
+    """A path buffer holding the draws z in columns 1:; column 0 is the
+    kernel's to write."""
+    buf = np.full((z.shape[0], z.shape[1] + 1), np.nan)
+    buf[:, 1:] = z
+    return buf
+
+
+def _planar(kernel, args, z1, z2, in_place):
+    """(xs, ys, div) of a planar kernel, with its draws in separate arrays
+    or in columns 1: of xs and ys."""
+    n, steps = z1.shape
+    div = np.zeros(n, dtype=bool)
+    if in_place:
+        xs, ys = _in_place(z1), _in_place(z2)
+        kernel(*args, xs[:, 1:], ys[:, 1:], xs, ys, div)
+    else:
+        xs, ys = np.empty((n, steps + 1)), np.empty((n, steps + 1))
+        kernel(*args, z1, z2, xs, ys, div)
+    return xs, ys, div
+
+
+@pytest.mark.parametrize("name", ["huge_rate", "small_guard",
+                                  "eps_1e-4_deep_substeps"])
+def test_split_writes_over_its_own_draws(monkeypatch, name):
+    # tiles of 8 steps: the run crosses two tile boundaries
+    n, steps = 7, 19
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * n)
+    args, z1, z2 = _case(name, n, steps=steps)
+    apart = _planar(split, args, z1, z2, in_place=False)
+    own = _planar(split, args, z1, z2, in_place=True)
+    for label, a, b in zip(("xs", "ys", "div"), apart, own):
+        assert _bits_equal(a, b), label
+    if name != "eps_1e-4_deep_substeps":
+        assert own[2].any()  # lanes diverge, and freeze over their draws
+
+
+@pytest.mark.parametrize("kernel", ["rescaled_euler", "slowtime_euler"])
+def test_euler_writes_over_its_own_draws(kernel):
+    # unit drift scale and noise: some lanes leave the guard mid-run
+    z1, z2 = _noise(2, 7, 120, (0.0, 1.0, 5.0, 20.0))
+    args = (1.0, -2.0, 1.0, 1.0, 1e-2, 4.0)
+    apart = _planar(getattr(_kernels, kernel), args, z1, z2, in_place=False)
+    own = _planar(getattr(_kernels, kernel), args, z1, z2, in_place=True)
+    for label, a, b in zip(("xs", "ys", "div"), apart, own):
+        assert _bits_equal(a, b), label
+    assert 0 < own[2].sum() < own[2].size
+
+
+def test_em_writes_over_its_own_draws():
+    z, _ = _noise(6, 7, 200, (1.0, 3.0))
+    apart = np.empty((7, 201))
+    _kernels.limit_sq_em(0.5, 2.0, 2.0, 1e-2, z, apart)
+    own = _in_place(z)
+    _kernels.limit_sq_em(0.5, 2.0, 2.0, 1e-2, own[:, 1:], own)
+    assert _bits_equal(apart, own)
+
+
+@pytest.mark.parametrize("coeffs", sorted(OU2D_COEFFS))
+def test_ou2d_writes_over_its_own_draws(monkeypatch, coeffs):
+    # tiles of 8 steps: the run crosses two tile boundaries
+    n = 7
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 8 * n)
+    decay, sd = OU2D_COEFFS[coeffs]
+    z1, z2 = _noise(9, n, 19, (1.0, 2.0))
+    apart = np.empty((n, 20))
+    _kernels.ou2d_radius(0.7, decay, sd, z1, z2, apart)
+    own, b2 = _in_place(z1), _in_place(z2)
+    _kernels.ou2d_radius(0.7, decay, sd, own[:, 1:], b2[:, 1:], own)
+    assert _bits_equal(apart, own)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                          generator_apply, limit_exact_reduce,
                          limit_exact_terminal, radial_drift, square_fn,
                          stationary_mean, stationary_square_cdf)
-from ablab.model import replica_reduce
+from ablab.model import draw_buffer, replica_reduce
 from ablab.sde import TimeGrid, normal_matrix
 
 
@@ -31,8 +31,8 @@ def em_reduce(p, grid, master_seed, n, reduce_fn, batch_size=2048):
     chunks = []
     for b0 in range(0, n, batch_size):
         ids = np.arange(b0, min(b0 + batch_size, n), dtype=np.uint64)
-        z = normal_matrix(master_seed, ids, grid.n_steps)
-        chunks.append(reduce_fn(grid.times(), *_em_advance(p, grid, z, None)))
+        b = draw_buffer(master_seed, ids, grid.n_steps + 1)
+        chunks.append(reduce_fn(grid.times(), *_em_advance(p, grid, b, None)))
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
@@ -144,7 +144,7 @@ def test_exact_sampler_moments_and_agreement_with_em():
 
 
 def test_exact_sampler_rejects_no_dissipation(monkeypatch):
-    def no_draws(*args):
+    def no_draws(*args, **kwargs):
         raise AssertionError("noise drawn for a rejected variant")
 
     monkeypatch.setattr(model, "normal_matrix", no_draws)

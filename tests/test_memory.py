@@ -2,7 +2,9 @@
 
 numpy reports its buffers to ``tracemalloc``, so the traced peak of one
 call bounds what a batch of paths, a reducer's row block, a slice of
-exit-time draws and a tile of short noise rows hold at once.
+exit-time draws and a tile of short noise rows hold at once.  A batch
+draws its noise into the path buffers its kernel then overwrites, so it
+holds one path-sized array per stream.
 """
 
 import tracemalloc
@@ -11,7 +13,8 @@ import numpy as np
 
 from ablab.analysis import martingale_residual_limit, ou_exit_mc
 from ablab.limit import gauss_bump
-from ablab.sde import normal_matrix
+from ablab.model import ModelParams, rescaled_reduce, terminal_state
+from ablab.sde import TimeGrid, normal_matrix
 
 MB = 1 << 20
 
@@ -32,11 +35,21 @@ def test_exit_time_draws_come_in_row_slices():
 
 
 def test_reducer_runs_on_row_blocks():
-    # the T = 10 control: one batch of 256 paths of 10 001 points (20 MB
-    # per array); A f on the whole batch built about seven more such
-    # temporaries, on row blocks they are cache-sized
+    # the T = 10 control: one batch of 256 paths of 10 001 points (19.5 MB
+    # per array), two buffers while the kernel runs; A f on the whole batch
+    # built about seven more such temporaries, on row blocks they are
+    # cache-sized
     assert _peak_mb(martingale_residual_limit, 0.1, gauss_bump(), 10.0,
-                    256, 74) < 100
+                    256, 74) < 42
+
+
+def test_terminal_reducer_holds_two_path_arrays():
+    # one batch of 2000 paths of 1001 points: the draws are written over
+    # by xs and ys, so the batch holds two such arrays, not four
+    n, grid = 2000, TimeGrid(1.0, 1e-3)
+    path_mb = n * (grid.n_steps + 1) * 8 / MB
+    assert _peak_mb(rescaled_reduce, ModelParams(epsilon=0.1), grid, 11, n,
+                    terminal_state) < 2.5 * path_mb
 
 
 def test_short_noise_rows_come_in_row_tiles():

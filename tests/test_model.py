@@ -11,7 +11,7 @@ from ablab import model
 from ablab.analysis import ks_critical_value, ks_statistic
 from ablab.limit import limit_exact_terminal
 from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
-                         energy, flow_unperturbed, project_pi,
+                         draw_buffer, energy, flow_unperturbed, project_pi,
                          project_pi_flow, replica_reduce, rescaled_reduce,
                          unperturbed_rhs)
 from ablab.limit import (LimitParams, _em_advance, _exact_advance,
@@ -82,8 +82,9 @@ STEP = TimeGrid(0.25, 0.25)
 
 
 def _rows(*zs):
-    """Each draw sequence as a one-row batch."""
-    return [np.asarray(z, dtype=np.float64).reshape(1, -1) for z in zs]
+    """Each draw sequence as a one-row path buffer, in columns 1:."""
+    return [np.concatenate([[np.nan], np.asarray(z, dtype=np.float64)])
+            .reshape(1, -1) for z in zs]
 
 
 def _rescaled_path(p, grid, z1, z2, scheme="splitting"):
@@ -324,10 +325,10 @@ def _keep(ts, *arrays):
 
 def _assert_replicas_read_their_own_streams(advance, out, n):
     """Row i of out is the system run alone on streams 2i and 2i + 1."""
-    steps = DRIVER_GRID.n_steps
+    n_points = DRIVER_GRID.n_steps + 1
     for i in range(n):
-        alone = advance(normal_matrix(DRIVER_SEED, [2 * i], steps),
-                        normal_matrix(DRIVER_SEED, [2 * i + 1], steps))
+        alone = advance(draw_buffer(DRIVER_SEED, [2 * i], n_points),
+                        draw_buffer(DRIVER_SEED, [2 * i + 1], n_points))
         assert len(alone) == len(out)
         for k, arr in enumerate(alone):
             assert np.array_equal(arr[0], out[k][i]), (i, k)
@@ -376,9 +377,9 @@ def test_outputs_keep_no_dropped_batch_alive():
     # their memory, so a batch is freed before the next one is drawn
     made = []
 
-    def advance(z1, z2):
+    def advance(b1, b2):
         assert all(ref() is None for ref in made), "an earlier batch lives"
-        xs = np.cumsum(z1, axis=1)
+        xs = np.cumsum(b1[:, 1:], axis=1)
         made.append(weakref.ref(xs))
         return (xs,)
 
