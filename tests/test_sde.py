@@ -59,6 +59,21 @@ def test_normal_matrix_empty_ids():
     assert normal_matrix(7, np.array([], dtype=np.int64), 0).shape == (0, 0)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_normal_matrix_draws_into_columns_of_a_path_buffer(n):
+    # the driver's layout: the rows go to columns 1: of a wider buffer,
+    # by either path, and column 0 is left alone
+    buf = np.full((len(MATRIX_IDS), n + 1), -1.0)
+    got = normal_matrix(11, MATRIX_IDS, n, out=buf[:, 1:])
+    assert got.base is buf
+    assert np.array_equal(buf[:, 1:], normal_matrix(11, MATRIX_IDS, n))
+    assert (buf[:, 0] == -1.0).all()
+    for bad in (np.empty((len(MATRIX_IDS), n + 1)),
+                np.empty((len(MATRIX_IDS), n), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be float64"):
+            normal_matrix(11, MATRIX_IDS, n, out=bad)
+
+
 def test_normal_matrix_rows_independent_of_batch():
     ids = np.random.default_rng(9).integers(
         0, 2**64, size=1100, dtype=np.uint64, endpoint=False)
