@@ -21,13 +21,14 @@ With a few dozen lanes left, numpy's per-call cost, not arithmetic, sets the
 price of a step, and a step then costs three numpy calls instead of about
 thirty.
 
-Both step loops keep two rules.  They step on (steps x lanes) tiles or
-blocks of about ``_BLOCK_ELEMS`` elements stored steps-major, so that a step
-reads and writes contiguous rows: a column of a row-major (paths x steps)
-array touches one cache line per path, and each tile is copied in and out
-once instead.  And each constant operand of a per-step ufunc call is a 0-d
-float64 array, built once: numpy converts a Python float operand on every
-call, which on a few hundred lanes costs about as much as the arithmetic.
+Both step loops, and the tiled ``ou2d_radius``, keep two rules.  They step
+on (steps x lanes) tiles or blocks of about ``_BLOCK_ELEMS`` elements stored
+steps-major, so that a step reads and writes contiguous rows: a column of a
+row-major (paths x steps) array touches one cache line per path, and each
+tile is copied in and out once instead.  And each constant operand of a
+per-step ufunc call is a 0-d float64 array, built once: numpy converts a
+Python float operand on every call, which on a few hundred lanes costs about
+as much as the arithmetic.
 
 Every kernel that ``model.replica_reduce`` drives (``rescaled_split``,
 ``rescaled_euler``, ``slowtime_euler``, ``limit_sq_em`` and

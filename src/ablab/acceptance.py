@@ -17,12 +17,13 @@ import numpy as np
 from . import __version__, euler_arnold as ea
 from .analysis import (KS_COEFF_1PCT, MOMENT_SCALING_ALPHA,
                        MOMENT_SCALING_WINDOW, WEAK_GAP_SLACK, Z_GATE,
-                       crossing_stats, excursion_anatomy,
-                       excursion_probability, ks_critical_value, ks_statistic,
+                       StatReport, clipped_abs_x, crossing_stats,
+                       excursion_anatomy, excursion_probability,
+                       in_moment_window, ks_critical_value, ks_statistic,
                        martingale_residual_limit, martingale_residuals,
                        ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
-                       terminal_law_gap, x_collapse_gap,
-                       x_second_moment_scaling, z_threshold)
+                       strictly_decreasing, terminal_law_gap, within_z,
+                       x_collapse_gap, x_second_moment_scaling, z_threshold)
 from .limit import (expected_square, gauss_bump, limit_exact_terminal,
                     lorentzian, square_fn, stationary_mean,
                     stationary_square_cdf)
@@ -90,13 +91,12 @@ def criterion_stationary_law(seed: int) -> CriterionResult:
     stat = max(np.abs(np.arange(1, n + 1) / n - cdf).max(),
                np.abs(cdf - np.arange(0, n) / n).max())
     crit = KS_COEFF_1PCT / math.sqrt(n)
-    se = ys.std(ddof=1) / math.sqrt(n)
-    mean_ok = abs(ys.mean() - stationary_mean()) < z_threshold(se)
+    mean = StatReport.from_samples(ys)
     return CriterionResult(
         3, "stationary law of the limit process",
-        bool(stat < crit and mean_ok),
-        {"ks": stat, "critical": crit, "mean": float(ys.mean()),
-         "target_mean": stationary_mean(), "se": se})
+        bool(stat < crit and within_z(mean, stationary_mean())),
+        {"ks": stat, "critical": crit, "mean": mean.estimate,
+         "target_mean": stationary_mean(), "se": mean.std_error})
 
 
 def criterion_moment_closed_form(seed: int) -> CriterionResult:
@@ -132,10 +132,9 @@ def criterion_moment_scaling(seed: int) -> CriterionResult:
     eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
     fit = x_second_moment_scaling(eps, MOMENT_SCALING_ALPHA, 0.2, 4000,
                                   _seed(seed, 51), h=1e-3)
-    lo, hi = MOMENT_SCALING_WINDOW
-    ok = lo <= fit.slope <= hi
-    return CriterionResult(5, "fast-coordinate moment scaling", bool(ok),
-                           {"fit": fit, "window": [lo, hi]})
+    return CriterionResult(5, "fast-coordinate moment scaling",
+                           in_moment_window(fit.slope),
+                           {"fit": fit, "window": list(MOMENT_SCALING_WINDOW)})
 
 
 def criterion_exit_time_oracles(seed: int) -> CriterionResult:
@@ -176,63 +175,47 @@ def criterion_exit_time_oracles(seed: int) -> CriterionResult:
 def criterion_weak_convergence(seed: int) -> CriterionResult:
     """Martingale residuals and weak gaps strictly decrease along the
     epsilon ladder and are small at the finest epsilon."""
-    ladder = (0.1, 0.01, 0.001)
+    models = [ModelParams(epsilon=eps, x0=0.0, y0=2.0)
+              for eps in (0.1, 0.01, 0.001)]
     details = {}
     ok = True
     # both test functions read the same paths: one pass per epsilon
     fs = (gauss_bump(), lorentzian())
-    rungs = [martingale_residuals(ModelParams(epsilon=eps, x0=0.0, y0=2.0),
-                                  fs, 1.0, 20_000, _seed(seed, 71), h=1e-3)
-             for eps in ladder]
+    rungs = [martingale_residuals(p, fs, 1.0, 20_000, _seed(seed, 71), h=1e-3)
+             for p in models]
     for k, f in enumerate(fs):
         vals = [reps[k] for reps in rungs]
-        mags = [abs(r.estimate) for r in vals]
-        fin = vals[-1]
-        thresh = z_threshold(fin.std_error, WEAK_GAP_SLACK)
-        f_ok = mags[0] > mags[1] > mags[2] and mags[2] < thresh
+        decreasing = strictly_decreasing([abs(r.estimate) for r in vals])
         details[f"residual_{f.name}"] = {
-            "ladder": vals,
-            "decreasing": mags[0] > mags[1] > mags[2],
-            "final_threshold": thresh}
-        ok = ok and f_ok
+            "ladder": vals, "decreasing": decreasing,
+            "final_threshold": z_threshold(vals[-1].std_error, WEAK_GAP_SLACK)}
+        ok = ok and decreasing and within_z(vals[-1], slack=WEAK_GAP_SLACK)
     ctrl = martingale_residual_limit(2.0, gauss_bump(), 1.0, 50_000,
                                      _seed(seed, 74), h=1e-3)
-    ctrl_ok = abs(ctrl.estimate) < z_threshold(ctrl.std_error)
     details["limit_control"] = ctrl
-    ok = ok and ctrl_ok
+    ok = ok and within_z(ctrl)
     # terminal-law gap ladder
-    gaps = []
-    for eps in ladder:
-        rep = terminal_law_gap(ModelParams(epsilon=eps, x0=0.0, y0=2.0),
-                               gauss_bump(), 1.0, 10_000, _seed(seed, 75),
-                               h=1e-3)
-        gaps.append(rep)
-    mags = [abs(g.gap.estimate) for g in gaps]
-    thresh = z_threshold(gaps[-1].gap.std_error, WEAK_GAP_SLACK)
-    g_ok = mags[0] > mags[1] > mags[2] and mags[2] < thresh
-    details["terminal_gap"] = {"ladder": gaps,
-                               "final_threshold": thresh}
-    ok = ok and g_ok
+    gaps = [terminal_law_gap(p, gauss_bump(), 1.0, 10_000, _seed(seed, 75),
+                             h=1e-3) for p in models]
+    final = gaps[-1].gap
+    details["terminal_gap"] = {
+        "ladder": gaps,
+        "final_threshold": z_threshold(final.std_error, WEAK_GAP_SLACK)}
+    ok = ok and strictly_decreasing([abs(g.gap.estimate) for g in gaps]) \
+        and within_z(final, slack=WEAK_GAP_SLACK)
     # x-collapse gap: trend for a clipped observable, plus the linear
     # observable against the second-moment (Cauchy-Schwarz) bound
-    F = lambda x, y: np.minimum(np.abs(x), 1.0)
-    cols = []
-    for eps in ladder:
-        rep = x_collapse_gap(ModelParams(epsilon=eps, x0=0.0, y0=2.0), F,
-                             1.0, 10_000, _seed(seed, 78), h=1e-3)
-        cols.append(rep)
-    mags = [abs(c.estimate) for c in cols]
-    lin = x_collapse_gap(ModelParams(epsilon=1e-3, x0=0.0, y0=2.0),
-                         lambda x, y: x, 1.0, 10_000, _seed(seed, 79),
-                         h=1e-3)
-    lin_bound = z_threshold(lin.std_error,
-                            2.0 * math.sqrt(5.0 * 1e-3 ** 0.9))
-    c_ok = mags[0] > mags[1] > mags[2] \
-        and abs(lin.estimate) < lin_bound
-    details["collapse_gap"] = {"ladder": cols,
-                               "linear_gap": lin,
-                               "linear_bound": lin_bound}
-    ok = ok and c_ok
+    cols = [x_collapse_gap(p, clipped_abs_x, 1.0, 10_000, _seed(seed, 78),
+                           h=1e-3) for p in models]
+    lin = x_collapse_gap(models[-1], lambda x, y: x, 1.0, 10_000,
+                         _seed(seed, 79), h=1e-3)
+    lin_slack = 2.0 * math.sqrt(5.0 * 1e-3 ** 0.9)
+    details["collapse_gap"] = {
+        "ladder": cols,
+        "linear_gap": lin,
+        "linear_bound": z_threshold(lin.std_error, lin_slack)}
+    ok = ok and strictly_decreasing([abs(c.estimate) for c in cols]) \
+        and within_z(lin, slack=lin_slack)
     return CriterionResult(7, "weak convergence to the limit process",
                            bool(ok), details)
 
@@ -241,15 +224,10 @@ def criterion_metastability(seed: int) -> CriterionResult:
     """Deep-excursion probability decreases along an epsilon ladder;
     excursion anatomy records are produced at eps = 0.2."""
     ladder = (0.2, 0.1, 0.05)
-    probs = []
-    for eps in ladder:
-        rep = excursion_probability(ModelParams(epsilon=eps, x0=0.0,
-                                                y0=1.0),
-                                    0.5, 5.0, 3000, _seed(seed, 81),
-                                    h=1e-3)
-        probs.append(rep)
-    vals = [r.estimate for r in probs]
-    dec = vals[0] > vals[1] > vals[2]
+    probs = [excursion_probability(ModelParams(epsilon=eps, x0=0.0, y0=1.0),
+                                   0.5, 5.0, 3000, _seed(seed, 81), h=1e-3)
+             for eps in ladder]
+    dec = strictly_decreasing([r.estimate for r in probs])
     # anatomy at eps = 0.2
     p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0)
     grid = TimeGrid(20.0, 1e-3)
@@ -257,14 +235,13 @@ def criterion_metastability(seed: int) -> CriterionResult:
                             lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
     records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
                                 a=0.25)
-    rec_ok = len(records) > 0
     max_x = sorted(r.max_abs_x for r in records)
     details = {"ladder": probs,
-               "decreasing": bool(dec),
+               "decreasing": dec,
                "n_excursions": len(records),
                "median_max_abs_x":
                    max_x[len(max_x) // 2] if max_x else None}
-    return CriterionResult(8, "metastable excursions", bool(dec and rec_ok),
+    return CriterionResult(8, "metastable excursions", bool(dec and records),
                            details)
 
 
@@ -281,11 +258,10 @@ def criterion_cauchy_corollary(seed: int) -> CriterionResult:
         rep = cauchy_2d_mc(x0, y0, 1.0, f2, ModelParams(epsilon=1e-3),
                            10_000, _seed(seed, 91 + j))
         u_ref = float(sol.at(1.0, project_pi((x0, y0))))
-        tol = z_threshold(rep.std_error, WEAK_GAP_SLACK)
-        gap = abs(rep.estimate - u_ref)
-        details[f"probe_{x0}_{y0}"] = {"mc": rep.estimate, "pde": u_ref,
-                                       "gap": gap, "tol": tol}
-        ok = ok and gap < tol
+        details[f"probe_{x0}_{y0}"] = {
+            "mc": rep.estimate, "pde": u_ref, "gap": abs(rep.estimate - u_ref),
+            "tol": z_threshold(rep.std_error, WEAK_GAP_SLACK)}
+        ok = ok and within_z(rep, u_ref, WEAK_GAP_SLACK)
     return CriterionResult(9, "limit Cauchy problem", bool(ok), details)
 
 

@@ -25,7 +25,7 @@ from .model import ModelParams, batch_rows, block_rows, project_pi, \
 from .sde import RngStream, TimeGrid
 
 # ---------------------------------------------------------------------------
-# pass thresholds, shared by the acceptance battery and the CLI
+# pass thresholds and rules, shared by the acceptance battery and the CLI
 # ---------------------------------------------------------------------------
 
 # A Monte Carlo estimate passes when it lies within Z_GATE standard errors
@@ -49,6 +49,31 @@ MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
 def z_threshold(std_error: float, slack: float = 0.0) -> float:
     """Largest |estimate - target| that passes: Z_GATE * se + slack."""
     return Z_GATE * std_error + slack
+
+
+def within_z(rep: StatReport, target: float = 0.0,
+             slack: float = 0.0) -> bool:
+    """The estimate lies within ``z_threshold(se, slack)`` of target."""
+    return abs(rep.estimate - target) < z_threshold(rep.std_error, slack)
+
+
+def strictly_decreasing(ladder) -> bool:
+    """Each value along a ladder lies strictly below the one before."""
+    return all(u > v for u, v in zip(ladder, ladder[1:]))
+
+
+def in_moment_window(slope: float) -> bool:
+    """The log-log slope of E[X_t^2] lies in MOMENT_SCALING_WINDOW."""
+    return MOMENT_SCALING_WINDOW[0] <= slope <= MOMENT_SCALING_WINDOW[1]
+
+
+def clipped_abs_x(x, y):
+    """The bounded Lipschitz observable min(|x|, 1) of the x-collapse gap."""
+    return np.minimum(np.abs(x), 1.0)
+
+
+class DegenerateRun(RuntimeError):
+    """Too many replicas diverged or were excluded to form an estimate."""
 
 
 def check_replicas(n: int) -> None:
@@ -106,8 +131,7 @@ class ScalingFit:
     intercept: float
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons)
-        if len(eps) < 3 or not (np.diff(eps) < 0).all():
+        if len(self.epsilons) < 3 or not strictly_decreasing(self.epsilons):
             raise ValueError("need >= 3 strictly decreasing epsilon values")
 
     @classmethod
@@ -165,6 +189,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     Replicas violating the conditioning band are excluded and the exclusion
     rate reported (warning above 10%): the conditional statement is read as
     exclusion-and-report, with the discard rate itself a diagnostic.
+    Fewer than two kept replicas raise ``DegenerateRun``.
     """
     check_replicas(n)
     t0 = min_time_for_moment(p)
@@ -175,13 +200,16 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
                           batch_size=batch_rows(grid.n_steps + 1))
     kept = out["x"][(out["y_min"] >= delta) & ~out["div"]] ** 2
+    if kept.size < 2:
+        raise DegenerateRun(f"exclusion-dominated run: {kept.size} of {n} "
+                            f"replicas kept at epsilon = {p.epsilon:g}, "
+                            f"t = {t:g}, delta = {delta:.4g}")
     excl = 1.0 - kept.size / n
     if excl > 0.10:
         warnings.warn(f"exclusion rate {excl:.1%} above 10%", stacklevel=2)
-    rep = StatReport.from_samples(
+    return StatReport.from_samples(
         kept, epsilon=p.epsilon, alpha=p.alpha, t=t, h=h,
         seed=master_seed, exclusion_rate=excl)
-    return rep
 
 
 def x_second_moment_scaling(epsilons, alpha: float, t: float, n: int,

@@ -1,13 +1,14 @@
 """Batch orchestration: configure, run, and report every experiment.
 
-Every setting is declared once, in ``SETTINGS``, and each subcommand takes
-only the settings it reads.  A flat ``key = value`` file given with
-``--config`` may set any setting of the table, so one file can serve every
-subcommand.  The command line beats the file, and the file beats the
-table's default.
+Every setting is declared once, in ``SETTINGS`` (one ``horizon``, one start
+``x0``/``y0``, one test function ``f``), and each subcommand takes only the
+settings it reads.  A flat ``key = value`` file given with ``--config`` may
+set any setting of the table, so one file can serve every subcommand.  The
+command line beats the file, and the file beats the command's default.
+Each pass rule is an ``analysis`` function the acceptance battery calls.
 
 Exit codes: 0 all assertions in scope pass; 1 assertion failure;
-2 configuration error; 3 divergence-dominated run.
+2 configuration error; 3 divergence- or exclusion-dominated run.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 from . import __version__
 from .acceptance import algebra_identity_battery, run_acceptance
 from .analysis import (MOMENT_SCALING_ALPHA, MOMENT_SCALING_WINDOW,
-                       PDE_PROBE_SLACK, WEAK_GAP_SLACK, crossing_stats,
-                       excursion_anatomy, excursion_probability,
+                       PDE_PROBE_SLACK, WEAK_GAP_SLACK, DegenerateRun,
+                       clipped_abs_x, crossing_stats, excursion_anatomy,
+                       excursion_probability, in_moment_window,
                        martingale_residual, martingale_residual_limit,
-                       terminal_law_gap, x_collapse_gap,
-                       x_second_moment_scaling, z_threshold)
+                       strictly_decreasing, terminal_law_gap, within_z,
+                       x_collapse_gap, x_second_moment_scaling, z_threshold)
 from .limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                     limit_exact_reduce)
 from .model import (ModelParams, _slowtime_advance, project_pi,
@@ -38,8 +40,7 @@ from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
 from .reporting import path_to_csv, report_json, scaling_to_csv
 from .sde import PathSample, TimeGrid
 
-# Each setting's click option: ``--name`` with "_" written as "-".  ``t``
-# has no table default: the commands that read it give their own.
+# Each setting's click option: ``--name`` with "_" written as "-".
 SETTINGS = {
     "epsilon": dict(type=float, default=1e-3),
     "alpha": dict(type=float, default=0.1),
@@ -60,17 +61,11 @@ SETTINGS = {
                    default="splitting"),
     "polar": dict(is_flag=True, default=False,
                   help="append radius/angle columns to 2-d paths"),
-    "x": dict(type=float, default=0.0),
-    "y": dict(type=float, default=0.0),
-    "t": dict(type=float, help="time horizon"),
     "epsilons": dict(type=str, default="",
                      help="comma-separated decreasing ladder"),
     "f": dict(type=click.Choice(sorted(TEST_FUNCTIONS)), default="exp"),
     "a": dict(type=float, default=0.5,
               help="excursion depth below the unstable half-axis"),
-    "initial": dict(type=click.Choice(sorted(TEST_FUNCTIONS)),
-                    default="exp"),
-    "t_final": dict(type=float, default=1.0),
     "n_points": dict(type=int, default=601),
 }
 
@@ -116,7 +111,8 @@ def reads(*names, **defaults):
     """Give a command ``--config`` and the options of the settings it
     reads, with ``--fresh-seed`` beside ``--seed``.  ``defaults`` replaces
     the table's default for this command.  The command receives the
-    settings as keyword arguments; its ``ValueError`` is a config error."""
+    settings as keyword arguments; a ``ValueError`` exits 2, a
+    ``DegenerateRun`` 3."""
     def decorate(cmd):
         @wraps(cmd)
         def run(fresh_seed=False, **s):
@@ -127,6 +123,9 @@ def reads(*names, **defaults):
                 return cmd(**s)
             except ValueError as e:
                 _config_error(e)
+            except DegenerateRun as e:
+                click.echo(e, err=True)
+                sys.exit(3)
 
         options = [click.option("--config", type=str, is_eager=True,
                                 expose_value=False, callback=_load_config,
@@ -167,7 +166,7 @@ def _epsilon_ladder(s: dict, default: list[float]) -> list[float]:
         eps = [float(v) for v in s["epsilons"].split(",") if v.strip()]
     except ValueError:
         _config_error(f"bad epsilons {s['epsilons']!r}")
-    if len(eps) < 3 or not all(a > b for a, b in zip(eps, eps[1:])):
+    if len(eps) < 3 or not strictly_decreasing(eps):
         _config_error("epsilons must be >= 3 decreasing values")
     return eps
 
@@ -235,10 +234,9 @@ def simulate(**s):
                       stream_ids=stream_ids, scheme=scheme,
                       diverged=bool(first["div"][0]))
     if path.diverged:
-        click.echo("divergence guard tripped: step too large for this "
-                   "stiffness (reduce --step or use the splitting scheme)",
-                   err=True)
-        sys.exit(3)
+        raise DegenerateRun("divergence guard tripped: step too large for "
+                            "this stiffness (reduce --step or use the "
+                            "splitting scheme)")
     name = f"path_{s['system']}_seed{seed}.{s['format']}"
     out = _out_dir(s) / name
     if s["format"] == "csv":
@@ -254,31 +252,31 @@ def simulate(**s):
 
 
 @main.command()
-@reads("x", "y")
-def project(x, y):
+@reads("x0", "y0", y0=0.0)
+def project(x0, y0):
     """Print the projected start value on the stable half-axis."""
-    click.echo(project_pi((x, y)))
+    click.echo(project_pi((x0, y0)))
     _finish(True)
 
 
 @main.command()
-@reads("epsilons", "t", "alpha", *MONTE_CARLO, t=0.2)
+@reads("epsilons", "horizon", "alpha", *MONTE_CARLO, horizon=0.2)
 def lemma1(**s):
     """Scaling of the fast coordinate's second moment against epsilon."""
     if s["alpha"] != MOMENT_SCALING_ALPHA:
         raise ValueError(f"MOMENT_SCALING_WINDOW is stated for alpha = "
                          f"{MOMENT_SCALING_ALPHA:g} only, got {s['alpha']:g}")
     eps = _epsilon_ladder(s, [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5])
-    fit = x_second_moment_scaling(eps, s["alpha"], s["t"], s["replicas"],
-                                  s["seed"], h=s["step"])
+    fit = x_second_moment_scaling(eps, s["alpha"], s["horizon"],
+                                  s["replicas"], s["seed"], h=s["step"])
     lo, hi = MOMENT_SCALING_WINDOW
-    passed = lo <= fit.slope <= hi
+    passed = in_moment_window(fit.slope)
     with open(_out_dir(s) / "xmoment_scaling.csv", "w") as fh:
         scaling_to_csv(fit, fh, seed=s["seed"],
-                       config={"alpha": s["alpha"], "t": s["t"]})
+                       config={"alpha": s["alpha"], "t": s["horizon"]})
     _write_report(s, "xmoment_scaling.json", report_json(
         "x_second_moment_scaling",
-        {"epsilons": eps, "alpha": s["alpha"], "t": s["t"],
+        {"epsilons": eps, "alpha": s["alpha"], "t": s["horizon"],
          "replicas": s["replicas"]},
         fit.slope, fit.slope_se, s["replicas"], passed, [lo, hi],
         s["seed"]))
@@ -316,13 +314,11 @@ def martingale(**s):
                                      s["horizon"], s["replicas"],
                                      s["seed"] + 1, h=s["step"])
     if rep.config.get("diverged", 0) > 0.5 * s["replicas"]:
-        click.echo("divergence-dominated run: "
-                   f"{rep.config['diverged']} of {s['replicas']} replicas "
-                   "tripped the guard", err=True)
-        sys.exit(3)
+        raise DegenerateRun("divergence-dominated run: "
+                            f"{rep.config['diverged']} of {s['replicas']} "
+                            "replicas tripped the guard")
     thresh = z_threshold(rep.std_error, WEAK_GAP_SLACK)
-    passed = abs(rep.estimate) < thresh \
-        and abs(ctrl.estimate) < z_threshold(ctrl.std_error)
+    passed = within_z(rep, slack=WEAK_GAP_SLACK) and within_z(ctrl)
     _write_report(s, "martingale.json", report_json(
         "martingale_residual",
         {"epsilon": s["epsilon"], "f": f.name, "T": s["horizon"],
@@ -344,11 +340,10 @@ def weak_gap(**s):
     tg = terminal_law_gap(p, f, s["horizon"], s["replicas"], s["seed"],
                           h=s["step"])
     # seed + 1 is the KS reference sample of terminal_law_gap
-    cg = x_collapse_gap(p, lambda x, y: np.minimum(np.abs(x), 1.0),
-                        s["horizon"], s["replicas"], s["seed"] + 2,
-                        h=s["step"])
+    cg = x_collapse_gap(p, clipped_abs_x, s["horizon"], s["replicas"],
+                        s["seed"] + 2, h=s["step"])
     thresh = z_threshold(tg.gap.std_error, WEAK_GAP_SLACK)
-    passed = abs(tg.gap.estimate) < thresh
+    passed = within_z(tg.gap, slack=WEAK_GAP_SLACK)
     _write_report(s, "weak_gap.json", report_json(
         "weak_gap",
         {"epsilon": s["epsilon"], "f": f.name, "T": s["horizon"],
@@ -362,17 +357,18 @@ def weak_gap(**s):
 
 
 @main.command()
-@reads("epsilons", "a", "t", "x0", "y0", "variant", *MONTE_CARLO, t=5.0)
+@reads("epsilons", "a", "horizon", "x0", "y0", "variant", *MONTE_CARLO,
+       horizon=5.0)
 def excursions(**s):
     """Deep-excursion probabilities over an epsilon ladder, with anatomy
     records at the largest epsilon."""
     eps = _epsilon_ladder(s, [0.2, 0.1, 0.05])
-    a, t = s["a"], s["t"]
+    a, t = s["a"], s["horizon"]
     reps = [excursion_probability(_model_params(s, epsilon=e), a,
                                   t, s["replicas"], s["seed"], h=s["step"])
             for e in eps]
     vals = [r.estimate for r in reps]
-    passed = all(u > v for u, v in zip(vals, vals[1:]))
+    passed = strictly_decreasing(vals)
     grid = TimeGrid(t, s["step"])
     paths = rescaled_reduce(_model_params(s, epsilon=eps[0]),
                             grid, s["seed"] + 7, 20,
@@ -392,12 +388,12 @@ def excursions(**s):
 
 
 @main.command()
-@reads("initial", "t_final", "n_points", "seed", "out")
+@reads("f", "horizon", "n_points", "seed", "out")
 def pde(**s):
     """Solve the limit Cauchy problem and cross-check it against the
     probabilistic representation."""
-    f = TEST_FUNCTIONS[s["initial"]]
-    t_final = s["t_final"]
+    f = TEST_FUNCTIONS[s["f"]]
+    t_final = s["horizon"]
     grid = Grid1D(n_points=s["n_points"], t_final=t_final)
     sol = solve_limit_pde(f, grid)
     ys = grid.y_nodes()
@@ -411,17 +407,15 @@ def pde(**s):
             for y, u in zip(ys, sol.u[j]):
                 fh.write(f"{t:.17g},{y:.17g},{u:.17g}\n")
     click.echo(f"wrote {csv_path}")
-    probes = np.linspace(0.25, 3.0, 8)
     checks = []
     passed = True
-    for i, y in enumerate(probes):
+    for i, y in enumerate(np.linspace(0.25, 3.0, 8)):
         rep = feynman_kac_mc(float(y), t_final, f, 100_000, s["seed"] + i)
-        tol = z_threshold(rep.std_error, PDE_PROBE_SLACK)
         u = float(sol.at(t_final, y))
-        gap = abs(u - rep.estimate)
         checks.append({"y": float(y), "pde": u, "mc": rep.estimate,
-                       "gap": gap, "tol": tol})
-        passed = passed and gap < tol
+                       "gap": abs(u - rep.estimate),
+                       "tol": z_threshold(rep.std_error, PDE_PROBE_SLACK)})
+        passed = passed and within_z(rep, u, PDE_PROBE_SLACK)
     _write_report(s, "pde_probes.json", report_json(
         "solve_limit_pde",
         {"initial": f.name, "t_final": t_final, "n_points": s["n_points"],

@@ -36,9 +36,9 @@ class TestFunction:
 
     ``df_over_y_limit0`` is the analytic limit of f'(y)/y at 0+, supplied in
     closed form because the generator's value at the origin hinges on it.
-    ``af``, when given, is A f on y > 0 in one closed form: the same
-    expressions as ``0.5 * d2f + radial_drift * df`` in the same order, so
-    the same bits, with the factors that f' and f'' share computed once.
+    ``af`` is A f on y > 0 in one closed form: the same expressions as
+    ``0.5 * d2f + radial_drift * df`` in the same order, so the same bits,
+    with the factors that f' and f'' share computed once.
     """
 
     name: str
@@ -46,7 +46,7 @@ class TestFunction:
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
     df_over_y_limit0: float | None
-    af: Callable[[np.ndarray], np.ndarray] | None = None
+    af: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, y):
         return self.f(y)
@@ -96,6 +96,8 @@ def square_fn() -> TestFunction:
         df=lambda y: 2.0 * y,
         d2f=lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=np.float64)),
         df_over_y_limit0=2.0,
+        af=lambda y: 0.5 * (2.0 * np.ones_like(y))
+        + radial_drift(y) * (2.0 * y),
     )
 
 
@@ -147,9 +149,7 @@ def generator_apply(f: TestFunction, y):
     out = np.zeros_like(arr)
     pos = arr > 0.0
     if pos.any():
-        yp = arr[pos]
-        out[pos] = f.af(yp) if f.af is not None \
-            else 0.5 * f.d2f(yp) + radial_drift(yp) * f.df(yp)
+        out[pos] = f.af(arr[pos])
     zero = arr == 0.0
     if zero.any():
         if f.df_over_y_limit0 is None:

@@ -149,7 +149,7 @@ def test_martingale_residual_constant_function_is_zero():
     const = limit.TestFunction(
         name="const(3.0)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 3.0),
-        df=zero, d2f=zero, df_over_y_limit0=0.0)
+        df=zero, d2f=zero, df_over_y_limit0=0.0, af=zero)
     rep = martingale_residual(p, const, 0.5, 100, 14, h=1e-2)
     assert abs(rep.estimate) < 1e-13 and rep.std_error < 1e-13
 

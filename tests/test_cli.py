@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from ablab.acceptance import criterion_moment_scaling
 from ablab.analysis import WEAK_GAP_SLACK, z_threshold
 from ablab import __version__, model
-from ablab.cli import main
+from ablab.cli import SETTINGS, main
 
 
 def run(args, out=None):
@@ -20,7 +20,7 @@ def test_lemma1_passes_by_the_criterion_5_window(tmp_path):
     window = criterion_moment_scaling(42).details["window"]
     result = run(["lemma1", "--replicas", "64"], tmp_path)
     report = json.loads((tmp_path / "xmoment_scaling.json").read_text())
-    # without --t it runs at t = 0.2, and both reports say so
+    # without --horizon it runs at t = 0.2, and both reports say so
     assert report["params"]["t"] == 0.2
     header = (tmp_path / "xmoment_scaling.csv").read_text().splitlines()[0]
     assert "t=0.2" in header.split()
@@ -28,6 +28,18 @@ def test_lemma1_passes_by_the_criterion_5_window(tmp_path):
     lo, hi = window
     assert report["passed"] == (lo <= report["estimate"] <= hi)
     assert result.exit_code == (0 if report["passed"] else 1)
+
+
+@pytest.mark.parametrize("replicas", [50, 2])
+def test_an_exclusion_dominated_lemma1_run_exits_3(tmp_path, replicas):
+    # over t = 30 every replica dips below delta, so none is kept: a
+    # degenerate run, reported before any mean of an empty sample is taken
+    result = run(["lemma1", "--replicas", str(replicas), "--horizon", "30",
+                  "--seed", "0"], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert f"exclusion-dominated run: 0 of {replicas} replicas kept" \
+        in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lemma1_rejects_an_alpha_its_window_is_not_stated_for(tmp_path):
@@ -53,8 +65,8 @@ def test_config_errors_exit_2(tmp_path):
     assert not (tmp_path / "xmoment_scaling.json").exists()
     # values the package itself rejects with ValueError
     for args in (["simulate", "--step", "0"],
-                 ["lemma1", "--t", "0.01"],
-                 ["pde", "--t-final", "0"],
+                 ["lemma1", "--horizon", "0.01"],
+                 ["pde", "--horizon", "0"],
                  ["martingale", "--replicas", "1"],
                  ["martingale", "--replicas", "0"],
                  ["crossings", "--replicas", "0"]):
@@ -66,7 +78,7 @@ def test_config_errors_exit_2(tmp_path):
 
 
 def test_project_prints_the_projected_start():
-    result = run(["project", "--x", "3", "--y", "4"])
+    result = run(["project", "--x0", "3", "--y0", "4"])
     assert result.exit_code == 0
     assert result.output.strip() == "5.0"
 
@@ -211,8 +223,8 @@ OPTIONS = {
     "simulate": {"config", "system", "scheme", "epsilon", "x0", "y0",
                  "horizon", "variant", "step", "seed", "out", "format",
                  "polar", "fresh-seed"},
-    "project": {"config", "x", "y"},
-    "lemma1": {"config", "epsilons", "t", "alpha", "step", "replicas",
+    "project": {"config", "x0", "y0"},
+    "lemma1": {"config", "epsilons", "horizon", "alpha", "step", "replicas",
                "seed", "out", "fresh-seed"},
     "crossings": {"config", "epsilon", "alpha", "x0", "y0", "horizon",
                   "variant", "step", "replicas", "seed", "out",
@@ -221,9 +233,10 @@ OPTIONS = {
                    "f", "step", "replicas", "seed", "out", "fresh-seed"},
     "weak-gap": {"config", "epsilon", "x0", "y0", "horizon", "variant", "f",
                  "step", "replicas", "seed", "out", "fresh-seed"},
-    "excursions": {"config", "epsilons", "a", "t", "x0", "y0", "variant",
-                   "step", "replicas", "seed", "out", "fresh-seed"},
-    "pde": {"config", "initial", "t-final", "n-points", "seed", "out",
+    "excursions": {"config", "epsilons", "a", "horizon", "x0", "y0",
+                   "variant", "step", "replicas", "seed", "out",
+                   "fresh-seed"},
+    "pde": {"config", "f", "horizon", "n-points", "seed", "out",
             "fresh-seed"},
     "euler-arnold": {"config", "seed", "out", "fresh-seed"},
     "acceptance": {"config", "seed", "out", "fresh-seed"},
@@ -233,6 +246,10 @@ SHARED_BEFORE = ("epsilon", "alpha", "x0", "y0", "horizon", "step",
                  "replicas", "seed", "variant", "out", "format", "fresh-seed")
 REMOVED = [(command, option) for command, options in OPTIONS.items()
            for option in SHARED_BEFORE if option not in options]
+# The second names a horizon, a start and a test function once had: no
+# command takes them.
+RETIRED = [(command, option) for command in OPTIONS
+           for option in ("x", "y", "t", "t-final", "initial")]
 
 
 def test_each_command_takes_only_the_settings_it_reads():
@@ -241,10 +258,17 @@ def test_each_command_takes_only_the_settings_it_reads():
              for name, cmd in main.commands.items()}
     assert taken == OPTIONS
     assert sum(map(len, OPTIONS.values())) == 89
-    assert len(REMOVED) == 56
+    assert len(REMOVED) == 51
 
 
-@pytest.mark.parametrize("command, option", REMOVED)
+def test_every_setting_is_read_by_some_command():
+    read = {param.name for cmd in main.commands.values()
+            for param in cmd.params} - {"config", "fresh_seed", "help"}
+    assert read == set(SETTINGS)
+    assert len(SETTINGS) == 18
+
+
+@pytest.mark.parametrize("command, option", REMOVED + RETIRED)
 def test_an_option_the_command_does_not_read_exits_2(command, option):
     result = run([command, f"--{option}"])
     assert result.exit_code == 2
@@ -255,16 +279,39 @@ def test_an_option_the_command_does_not_read_exits_2(command, option):
 def test_config_precedence(tmp_path):
     cfg = tmp_path / "lab.cfg"
     # one file serves every command: project ignores replicas and polar
-    cfg.write_text("x = 3\ny = 4  # start\nreplicas = 5\npolar = true\n")
+    cfg.write_text("x0 = 3\ny0 = 4  # start\nreplicas = 5\npolar = true\n")
     assert run(["project", "--config", str(cfg)]).output == "5.0\n"
-    assert run(["project", "--config", str(cfg), "--y", "0"]).output \
+    assert run(["project", "--config", str(cfg), "--y0", "0"]).output \
         == "3.0\n"
-    assert run(["project", "--y", "0", "--config", str(cfg)]).output \
+    assert run(["project", "--y0", "0", "--config", str(cfg)]).output \
         == "3.0\n"
     cfg.write_text("delta = 0.1\n")
     result = run(["project", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "unknown key 'delta'" in result.output
+
+
+def test_one_config_file_sets_horizon_start_and_f_for_every_command(
+        tmp_path):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("horizon = 0.3\nx0 = 3\ny0 = 4\nf = inv\n"
+                   "replicas = 16\n")
+    assert run(["project", "--config", str(cfg)]).output == "5.0\n"
+    reports = {"lemma1": "xmoment_scaling.json",
+               "excursions": "excursions.json", "pde": "pde_probes.json"}
+    params = {}
+    for command, name in reports.items():
+        out = tmp_path / command
+        result = run([command, "--config", str(cfg)], out)
+        assert result.exit_code in (0, 1), result.output
+        params[command] = json.loads((out / name).read_text())["params"]
+    # each report keeps its own key for the horizon
+    assert params["lemma1"]["t"] == 0.3
+    assert params["excursions"]["t"] == 0.3
+    assert params["pde"]["t_final"] == 0.3
+    assert params["pde"]["initial"] == "1/(1+y^2)"
+    header = (tmp_path / "lemma1" / "xmoment_scaling.csv").read_text()
+    assert "t=0.3" in header.splitlines()[0].split()
 
 
 def test_polar_from_a_config_file_writes_the_polar_columns(tmp_path):

@@ -54,7 +54,7 @@ def test_generator_rejects_bad_function_at_origin():
     one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
     identity = limit.TestFunction(
         name="y", f=lambda y: np.asarray(y, dtype=np.float64), df=one,
-        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None)
+        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None, af=radial_drift)
     assert generator_apply(identity, 1.0) == 0.5 / 1.0 - 1.0
     with pytest.raises(ValueError):
         generator_apply(identity, 0.0)
@@ -73,9 +73,9 @@ def test_closed_form_generator_keeps_the_bits_of_its_derivatives():
     # af shares factors of f' and f'' but keeps their expressions and order
     ys = np.random.default_rng(4).exponential(1.5, size=10_000) + 1e-12
     ys[:3] = [1e-300, 1e-8, 40.0]
-    shared = [f for f in TEST_FUNCTIONS.values() if f.af is not None]
-    assert {f.name for f in shared} >= {"exp(-y^2)", "1/(1+y^2)"}
-    for f in shared:
+    assert {f.name for f in TEST_FUNCTIONS.values()} \
+        == {"exp(-y^2)", "1/(1+y^2)", "y^2", "cos(y^2)"}
+    for f in TEST_FUNCTIONS.values():
         split = 0.5 * f.d2f(ys) + radial_drift(ys) * f.df(ys)
         assert np.array_equal(f.af(ys), split), f.name
 
@@ -309,6 +309,6 @@ def test_constant_function_helpers():
     c = limit.TestFunction(
         name="const(2.5)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 2.5),
-        df=zero, d2f=zero, df_over_y_limit0=0.0)
+        df=zero, d2f=zero, df_over_y_limit0=0.0, af=zero)
     assert float(c(np.float64(0.3))) == 2.5
     assert (generator_apply(c, np.array([-1.0, 0.0, 1.0])) == 0.0).all()
