@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, euler_arnold as ea
-from .analysis import (KS_COEFF_1PCT, MOMENT_SCALING_ALPHA,
-                       MOMENT_SCALING_WINDOW, WEAK_GAP_SLACK, Z_GATE,
-                       StatReport, clipped_abs_x, crossing_stats,
-                       excursion_anatomy, excursion_probability,
-                       in_moment_window, ks_critical_value, ks_statistic,
+from .analysis import (KS_COEFF_1PCT, METASTABILITY_LADDER,
+                       MOMENT_SCALING_ALPHA, MOMENT_SCALING_LADDER,
+                       MOMENT_SCALING_WINDOW, WEAK_GAP_SLACK, StatReport,
+                       clipped_abs_x, crossing_stats, excursion_anatomy,
+                       excursion_probability, in_moment_window,
+                       ks_critical_value, ks_statistic,
                        martingale_residual_limit, martingale_residuals,
                        ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
                        strictly_decreasing, terminal_law_gap, within_z,
@@ -107,13 +108,12 @@ def criterion_moment_closed_form(seed: int) -> CriterionResult:
     details = {}
     ok = True
     for j, t in enumerate(times):
-        y2 = samples[:, j] ** 2
-        se = y2.std(ddof=1) / math.sqrt(n)
+        rep = StatReport.from_samples(samples[:, j] ** 2)
         target = float(expected_square(2.0, t))
-        z = abs(y2.mean() - target) / se
-        details[f"mc_t_{t}"] = {"estimate": float(y2.mean()),
-                                "target": target, "z": float(z)}
-        ok = ok and z < Z_GATE
+        details[f"mc_t_{t}"] = {
+            "estimate": rep.estimate, "target": target,
+            "z": abs(rep.estimate - target) / rep.std_error}
+        ok = ok and within_z(rep, target)
     grid = Grid1D(n_points=601, t_final=2.0)
     sol = solve_limit_pde(square_fn(), grid, snapshot_times=times)
     ys = grid.y_nodes()
@@ -129,9 +129,8 @@ def criterion_moment_closed_form(seed: int) -> CriterionResult:
 
 def criterion_moment_scaling(seed: int) -> CriterionResult:
     """Log-log slope of E[X_t^2] against epsilon at alpha = 0.1."""
-    eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
-    fit = x_second_moment_scaling(eps, MOMENT_SCALING_ALPHA, 0.2, 4000,
-                                  _seed(seed, 51), h=1e-3)
+    fit = x_second_moment_scaling(MOMENT_SCALING_LADDER, MOMENT_SCALING_ALPHA,
+                                  0.2, 4000, _seed(seed, 51), h=1e-3)
     return CriterionResult(5, "fast-coordinate moment scaling",
                            in_moment_window(fit.slope),
                            {"fit": fit, "window": list(MOMENT_SCALING_WINDOW)})
@@ -163,7 +162,7 @@ def criterion_exit_time_oracles(seed: int) -> CriterionResult:
                                    "se": rep.std_error, "z": float(z),
                                    "censored": rep.config["censored"],
                                    "bias_bound": rep.config["bias_bound"]}
-        ok = ok and z < Z_GATE
+        ok = ok and within_z(rep, oracle)
     # crossing statistics against the oracle bounds
     cs = crossing_stats(ModelParams(epsilon=1e-2, x0=0.0, y0=2.0), 5.0,
                         2000, _seed(seed, 67), h=1e-3)
@@ -223,13 +222,12 @@ def criterion_weak_convergence(seed: int) -> CriterionResult:
 def criterion_metastability(seed: int) -> CriterionResult:
     """Deep-excursion probability decreases along an epsilon ladder;
     excursion anatomy records are produced at eps = 0.2."""
-    ladder = (0.2, 0.1, 0.05)
     probs = [excursion_probability(ModelParams(epsilon=eps, x0=0.0, y0=1.0),
                                    0.5, 5.0, 3000, _seed(seed, 81), h=1e-3)
-             for eps in ladder]
+             for eps in METASTABILITY_LADDER]
     dec = strictly_decreasing([r.estimate for r in probs])
-    # anatomy at eps = 0.2
-    p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0)
+    # anatomy at the ladder's largest epsilon
+    p = ModelParams(epsilon=METASTABILITY_LADDER[0], x0=0.0, y0=1.0)
     grid = TimeGrid(20.0, 1e-3)
     paths = rescaled_reduce(p, grid, _seed(seed, 82), 30,
                             lambda ts, xs, ys, div: {"xs": xs, "ys": ys})

@@ -44,6 +44,11 @@ KS_COEFF_1PCT = math.sqrt(-math.log(0.01 / 2.0) / 2.0)
 # alpha = MOMENT_SCALING_ALPHA only (criterion 5 and ``ablab lemma1``).
 MOMENT_SCALING_ALPHA = 0.1
 MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
+# Default epsilon ladders of the moment scaling (criterion 5 and
+# ``ablab lemma1``) and of the deep-excursion probability (criterion 8 and
+# ``ablab excursions``).
+MOMENT_SCALING_LADDER = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5)
+METASTABILITY_LADDER = (0.2, 0.1, 0.05)
 
 
 def z_threshold(std_error: float, slack: float = 0.0) -> float:

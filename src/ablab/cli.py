@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .acceptance import algebra_identity_battery, run_acceptance
-from .analysis import (MOMENT_SCALING_ALPHA, MOMENT_SCALING_WINDOW,
+from .analysis import (METASTABILITY_LADDER, MOMENT_SCALING_ALPHA,
+                       MOMENT_SCALING_LADDER, MOMENT_SCALING_WINDOW,
                        PDE_PROBE_SLACK, WEAK_GAP_SLACK, DegenerateRun,
                        clipped_abs_x, crossing_stats, excursion_anatomy,
                        excursion_probability, in_moment_window,
@@ -159,9 +160,9 @@ def _model_params(s: dict, **fixed) -> ModelParams:
     return ModelParams(**dict(given, **fixed))
 
 
-def _epsilon_ladder(s: dict, default: list[float]) -> list[float]:
+def _epsilon_ladder(s: dict, default: tuple[float, ...]) -> list[float]:
     if not s["epsilons"]:
-        return default
+        return list(default)
     try:
         eps = [float(v) for v in s["epsilons"].split(",") if v.strip()]
     except ValueError:
@@ -266,7 +267,7 @@ def lemma1(**s):
     if s["alpha"] != MOMENT_SCALING_ALPHA:
         raise ValueError(f"MOMENT_SCALING_WINDOW is stated for alpha = "
                          f"{MOMENT_SCALING_ALPHA:g} only, got {s['alpha']:g}")
-    eps = _epsilon_ladder(s, [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5])
+    eps = _epsilon_ladder(s, MOMENT_SCALING_LADDER)
     fit = x_second_moment_scaling(eps, s["alpha"], s["horizon"],
                                   s["replicas"], s["seed"], h=s["step"])
     lo, hi = MOMENT_SCALING_WINDOW
@@ -362,7 +363,7 @@ def weak_gap(**s):
 def excursions(**s):
     """Deep-excursion probabilities over an epsilon ladder, with anatomy
     records at the largest epsilon."""
-    eps = _epsilon_ladder(s, [0.2, 0.1, 0.05])
+    eps = _epsilon_ladder(s, METASTABILITY_LADDER)
     a, t = s["a"], s["horizon"]
     reps = [excursion_probability(_model_params(s, epsilon=e), a,
                                   t, s["replicas"], s["seed"], h=s["step"])

@@ -32,43 +32,31 @@ VARIANTS = ("damped", "no_dissipation")
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function with closed-form derivatives.
+    """A test function f with f'(0+) = 0 and its generator in closed form.
 
-    ``df_over_y_limit0`` is the analytic limit of f'(y)/y at 0+, supplied in
-    closed form because the generator's value at the origin hinges on it.
-    ``af`` is A f on y > 0 in one closed form: the same expressions as
-    ``0.5 * d2f + radial_drift * df`` in the same order, so the same bits,
-    with the factors that f' and f'' share computed once.
+    ``af`` is A f on y > 0, written as f''/2 + radial_drift * f' with the
+    factors that f' and f'' share computed once.  ``af0`` is A f(0+) =
+    (f''(0) + lim f'(y)/y) / 2, the generator's value at the origin.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
-    df_over_y_limit0: float | None
     af: Callable[[np.ndarray], np.ndarray]
+    af0: float
 
     def __call__(self, y):
         return self.f(y)
 
 
 def gauss_bump() -> TestFunction:
-    e = lambda y: np.exp(-np.square(y))
-
     def af(y):
         s = np.square(y)
         ey = np.exp(-s)
         return 0.5 * ((4.0 * s - 2.0) * ey) \
             + radial_drift(y) * (-2.0 * y * ey)
 
-    return TestFunction(
-        name="exp(-y^2)",
-        f=e,
-        df=lambda y: -2.0 * y * e(y),
-        d2f=lambda y: (4.0 * np.square(y) - 2.0) * e(y),
-        df_over_y_limit0=-2.0,
-        af=af,
-    )
+    return TestFunction("exp(-y^2)", lambda y: np.exp(-np.square(y)), af,
+                        af0=-2.0)
 
 
 def lorentzian() -> TestFunction:
@@ -78,27 +66,16 @@ def lorentzian() -> TestFunction:
         return 0.5 * ((6.0 * s - 2.0) / q ** 3) \
             + radial_drift(y) * (-2.0 * y / q ** 2)
 
-    return TestFunction(
-        name="1/(1+y^2)",
-        f=lambda y: 1.0 / (1.0 + np.square(y)),
-        df=lambda y: -2.0 * y / (1.0 + np.square(y)) ** 2,
-        d2f=lambda y: (6.0 * np.square(y) - 2.0) / (1.0 + np.square(y)) ** 3,
-        df_over_y_limit0=-2.0,
-        af=af,
-    )
+    return TestFunction("1/(1+y^2)", lambda y: 1.0 / (1.0 + np.square(y)),
+                        af, af0=-2.0)
 
 
 def square_fn() -> TestFunction:
     # unbounded: pointwise tests only
     return TestFunction(
-        name="y^2",
-        f=lambda y: np.square(y),
-        df=lambda y: 2.0 * y,
-        d2f=lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=np.float64)),
-        df_over_y_limit0=2.0,
-        af=lambda y: 0.5 * (2.0 * np.ones_like(y))
-        + radial_drift(y) * (2.0 * y),
-    )
+        "y^2", np.square,
+        lambda y: 0.5 * (2.0 * np.ones_like(y)) + radial_drift(y) * (2.0 * y),
+        af0=2.0)
 
 
 def cos_square() -> TestFunction:
@@ -108,15 +85,8 @@ def cos_square() -> TestFunction:
         return 0.5 * (-2.0 * sin_s - 4.0 * s * np.cos(s)) \
             + radial_drift(y) * (-2.0 * y * sin_s)
 
-    return TestFunction(
-        name="cos(y^2)",
-        f=lambda y: np.cos(np.square(y)),
-        df=lambda y: -2.0 * y * np.sin(np.square(y)),
-        d2f=lambda y: -2.0 * np.sin(np.square(y))
-        - 4.0 * np.square(y) * np.cos(np.square(y)),
-        df_over_y_limit0=0.0,
-        af=af,
-    )
+    return TestFunction("cos(y^2)", lambda y: np.cos(np.square(y)), af,
+                        af0=0.0)
 
 
 # The shipped test functions by CLI name; all satisfy f'(0) = 0.
@@ -150,12 +120,7 @@ def generator_apply(f: TestFunction, y):
     pos = arr > 0.0
     if pos.any():
         out[pos] = f.af(arr[pos])
-    zero = arr == 0.0
-    if zero.any():
-        if f.df_over_y_limit0 is None:
-            raise ValueError(
-                f"{f.name}: generator limit at 0 needs f'(y)/y -> const")
-        out[zero] = 0.5 * f.d2f(np.zeros(1))[0] + 0.5 * f.df_over_y_limit0
+    out[arr == 0.0] = f.af0
     return out
 
 

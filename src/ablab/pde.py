@@ -65,7 +65,6 @@ class PDESolution:
     grid: Grid1D
     times: np.ndarray
     u: np.ndarray  # (len(times), n_points)
-    initial: str
     u_min: float
     u_max: float
     constant_drift_per_step: float
@@ -154,9 +153,8 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
 
     times = np.asarray(snapshot_times)
     u_hist = np.stack(snaps) if snaps else np.empty((0, ys.size))
-    return PDESolution(grid=grid, times=times, u=u_hist, initial=f.name,
-                       u_min=u_min, u_max=u_max,
-                       constant_drift_per_step=drift_const)
+    return PDESolution(grid=grid, times=times, u=u_hist, u_min=u_min,
+                       u_max=u_max, constant_drift_per_step=drift_const)
 
 
 def feynman_kac_mc(y: float, t: float, f: TestFunction, n: int,

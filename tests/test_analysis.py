@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ablab import analysis, limit, model
-from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_WINDOW,
-                            ExcursionRecord, ScalingFit, StatReport, _scan_batch,
+from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_LADDER,
+                            MOMENT_SCALING_WINDOW, ExcursionRecord,
+                            ScalingFit, StatReport, _scan_batch,
                             crossing_stats, excursion_anatomy,
                             excursion_probability, ks_critical_value,
                             ks_statistic, martingale_residual,
@@ -137,8 +138,8 @@ def test_x_second_moment_out_of_asymptotics_control():
 
 
 def test_x_second_moment_scaling_slope():
-    eps = [1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5]
-    fit = x_second_moment_scaling(eps, 0.1, 0.2, 2000, 13, h=1e-3)
+    fit = x_second_moment_scaling(MOMENT_SCALING_LADDER, 0.1, 0.2, 2000, 13,
+                                  h=1e-3)
     lo, hi = MOMENT_SCALING_WINDOW
     assert lo <= fit.slope <= hi
 
@@ -149,7 +150,7 @@ def test_martingale_residual_constant_function_is_zero():
     const = limit.TestFunction(
         name="const(3.0)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 3.0),
-        df=zero, d2f=zero, df_over_y_limit0=0.0, af=zero)
+        af=zero, af0=0.0)
     rep = martingale_residual(p, const, 0.5, 100, 14, h=1e-2)
     assert abs(rep.estimate) < 1e-13 and rep.std_error < 1e-13
 

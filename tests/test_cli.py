@@ -140,6 +140,16 @@ def test_euler_arnold_exits_0(tmp_path):
     assert report["passed"] and report["estimate"] == 0
 
 
+def test_fresh_seed_replaces_the_given_seed(tmp_path):
+    result = run(["euler-arnold", "--seed", "5", "--fresh-seed"], tmp_path)
+    assert result.exit_code == 0
+    first = result.output.splitlines()[0]
+    assert first.startswith("fresh seed: ")
+    seed = int(first.removeprefix("fresh seed: "))
+    report = json.loads((tmp_path / "euler_arnold.json").read_text())
+    assert report["seed"] == seed != 5
+
+
 def _martingale_rule(report):
     ctrl = report["params"]["control"]
     return abs(ctrl["estimate"]) < z_threshold(ctrl["std_error"])

@@ -16,6 +16,29 @@ from ablab.model import draw_buffer, replica_reduce
 from ablab.sde import TimeGrid, normal_matrix
 
 
+# An oracle for the closed-form generators: the derivatives of each shipped
+# test function, f' and f'', and the limit of f'(y)/y at 0+.
+DERIVATIVES = {
+    "exp(-y^2)": (
+        lambda y: -2.0 * y * np.exp(-np.square(y)),
+        lambda y: (4.0 * np.square(y) - 2.0) * np.exp(-np.square(y)),
+        -2.0),
+    "1/(1+y^2)": (
+        lambda y: -2.0 * y / (1.0 + np.square(y)) ** 2,
+        lambda y: (6.0 * np.square(y) - 2.0) / (1.0 + np.square(y)) ** 3,
+        -2.0),
+    "y^2": (
+        lambda y: 2.0 * y,
+        lambda y: 2.0 * np.ones_like(np.asarray(y, dtype=np.float64)),
+        2.0),
+    "cos(y^2)": (
+        lambda y: -2.0 * y * np.sin(np.square(y)),
+        lambda y: -2.0 * np.sin(np.square(y))
+        - 4.0 * np.square(y) * np.cos(np.square(y)),
+        0.0),
+}
+
+
 def ks_one_sample(samples, cdf):
     s = np.sort(samples)
     n = s.size
@@ -49,17 +72,6 @@ def test_generator_zero_below_origin():
         assert generator_apply(f, -1.0) == 0.0
 
 
-def test_generator_rejects_bad_function_at_origin():
-    # f(y) = y: f'(0) = 1 != 0, so f is not in the generator's domain
-    one = lambda y: np.ones_like(np.asarray(y, dtype=np.float64))
-    identity = limit.TestFunction(
-        name="y", f=lambda y: np.asarray(y, dtype=np.float64), df=one,
-        d2f=lambda y: 0.0 * one(y), df_over_y_limit0=None, af=radial_drift)
-    assert generator_apply(identity, 1.0) == 0.5 / 1.0 - 1.0
-    with pytest.raises(ValueError):
-        generator_apply(identity, 0.0)
-
-
 def test_generator_vectorized_matches_scalar():
     f = gauss_bump()
     ys = np.array([-1.0, 0.0, 0.5, 2.0])
@@ -73,30 +85,41 @@ def test_closed_form_generator_keeps_the_bits_of_its_derivatives():
     # af shares factors of f' and f'' but keeps their expressions and order
     ys = np.random.default_rng(4).exponential(1.5, size=10_000) + 1e-12
     ys[:3] = [1e-300, 1e-8, 40.0]
-    assert {f.name for f in TEST_FUNCTIONS.values()} \
-        == {"exp(-y^2)", "1/(1+y^2)", "y^2", "cos(y^2)"}
+    assert {f.name for f in TEST_FUNCTIONS.values()} == set(DERIVATIVES)
     for f in TEST_FUNCTIONS.values():
-        split = 0.5 * f.d2f(ys) + radial_drift(ys) * f.df(ys)
+        df, d2f, _ = DERIVATIVES[f.name]
+        split = 0.5 * d2f(ys) + radial_drift(ys) * df(ys)
         assert np.array_equal(f.af(ys), split), f.name
 
 
+def test_generator_at_the_origin_is_the_limit_of_its_derivatives():
+    # A f(0+) = (f''(0) + lim f'(y)/y) / 2, bit for bit, and af tends to it
+    for f in TEST_FUNCTIONS.values():
+        df, d2f, df_over_y0 = DERIVATIVES[f.name]
+        assert f.af0 == 0.5 * d2f(np.zeros(1))[0] + 0.5 * df_over_y0, f.name
+        assert generator_apply(f, 0.0) == f.af0
+        assert abs(f.af(np.array([1e-6]))[0] - f.af0) < 1e-9, f.name
+
+
 def test_derivative_evaluators_match_finite_differences():
-    # the closed-form derivatives are the substance; check them against
+    # the oracle's derivatives are the substance; check them against
     # central differences at scattered points
     eps = 1e-5
     ys = np.array([0.1, 0.7, 1.3, 2.4])
     for f in TEST_FUNCTIONS.values():
+        df, d2f, _ = DERIVATIVES[f.name]
         fd1 = (f(ys + eps) - f(ys - eps)) / (2 * eps)
         fd2 = (f(ys + eps) - 2 * f(ys) + f(ys - eps)) / eps ** 2
-        assert np.allclose(f.df(ys), fd1, rtol=1e-6, atol=1e-6), f.name
-        assert np.allclose(f.d2f(ys), fd2, rtol=1e-4, atol=1e-4), f.name
+        assert np.allclose(df(ys), fd1, rtol=1e-6, atol=1e-6), f.name
+        assert np.allclose(d2f(ys), fd2, rtol=1e-4, atol=1e-4), f.name
 
 
 def test_domain_flag_consistency():
     # in-domain functions have f'(y)/y bounded near 0
     ys = 10.0 ** -np.arange(1, 7)
     for f in TEST_FUNCTIONS.values():
-        ratios = f.df(ys) / ys
+        df, _, _ = DERIVATIVES[f.name]
+        ratios = df(ys) / ys
         assert np.isfinite(ratios).all() and np.abs(ratios).max() < 10.0
 
 
@@ -309,6 +332,6 @@ def test_constant_function_helpers():
     c = limit.TestFunction(
         name="const(2.5)",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), 2.5),
-        df=zero, d2f=zero, df_over_y_limit0=0.0, af=zero)
+        af=zero, af0=0.0)
     assert float(c(np.float64(0.3))) == 2.5
     assert (generator_apply(c, np.array([-1.0, 0.0, 1.0])) == 0.0).all()

@@ -16,7 +16,7 @@ def constant_fn(c):
     return limit.TestFunction(
         name=f"const({c})",
         f=lambda y: np.full_like(np.asarray(y, dtype=np.float64), c),
-        df=zero, d2f=zero, df_over_y_limit0=0.0, af=zero)
+        af=zero, af0=0.0)
 
 
 def closed_form_square(t, y):
