@@ -474,6 +474,9 @@ def scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig, overflow):
     # taus: entries into |y| <= delta, sigmas: the exits to |y| >= 2 delta
     # that follow them (for delta > 0 no index is both).  A row with more
     # taus than tau_idx holds is flagged in overflow and keeps the first.
+    # The package's own buffers (analysis._scan_batch) are (L + 1) // 2
+    # wide for rows of length L and cannot overflow; the flag serves
+    # fixed-width callers such as benchmarks/layer_timings.py.
     capacity = tau_idx.shape[1]
     ay = np.abs(ys)
     for r, (enter, leave) in enumerate(zip(ay <= delta, ay >= 2.0 * delta)):

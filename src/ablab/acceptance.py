@@ -120,7 +120,7 @@ def criterion_moment_closed_form(seed: int) -> CriterionResult:
     sel = ys <= 3.0
     max_err = 0.0
     for j, t in enumerate(times):
-        closed = 1.0 + (ys[sel] ** 2 - 1.0) * math.exp(-2.0 * t)
+        closed = expected_square(ys[sel], t)
         max_err = max(max_err, float(np.abs(sol.u[j][sel] - closed).max()))
     details["pde_interior_error"] = max_err
     ok = ok and max_err < 1e-3

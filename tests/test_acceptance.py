@@ -5,12 +5,16 @@
 changes a draw, an operation order or a threshold changes these bytes.  The
 whole command takes minutes, so only the cheap criteria (1, 3, 4, 5 and 10)
 and criterion 8 (metastable excursions, about 5 s, through the rescaled
-driver) are checked against their entries here; a refactor is proven
-against the whole file by hand.  The criteria left out, with their times in
-seconds in the two passes of one run (``BENCH_17.json``, 2-core host):
+driver) are checked against their entries here, with two parts of criterion
+6: its crossing statistics and its one-sided exit-time Monte Carlo at
+delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
+scan and of the exit-time loop.  A refactor is proven against the whole
+file by hand.  The criteria left out, with their times in seconds in the
+two passes of one run (``BENCH_17.json``, 2-core host):
 
 - 2, exact radial identity: 23.2, 24.9;
-- 6, exit-time oracles: 15.7, 17.0;
+- 6's other three exit-time Monte Carlo runs and its asymptotics (the
+  whole criterion: 15.7, 17.0);
 - 7, weak convergence to the limit process: 32.2, 30.8;
 - 9, limit Cauchy problem: 14.8, 15.3;
 - 11, the rerun of the whole battery, byte for byte.
@@ -22,7 +26,10 @@ import inspect
 import textwrap
 from pathlib import Path
 
-from ablab.acceptance import BATTERY, results_to_json
+from ablab.acceptance import BATTERY, _seed, results_to_json
+from ablab.analysis import crossing_stats, ou_exit_mc
+from ablab.model import ModelParams
+from ablab.reporting import _jsonable
 
 FULL = Path(__file__).parent / "data" / "acceptance_seed42.json"
 CHEAP = (1, 3, 4, 5, 10)
@@ -65,3 +72,25 @@ def test_criterion_8_matches_its_stored_entry():
     assert result.cid == 8
     assert json.loads(results_to_json([result], 42))["criteria"] \
         == _stored_entries((8,))
+
+
+def _as_stored(obj):
+    """obj as the report stores it: through _jsonable and a JSON round trip."""
+    return json.loads(json.dumps(_jsonable(obj)))
+
+
+def test_criterion_6_crossings_match_their_stored_entry():
+    (stored,) = _stored_entries((6,))
+    cs = crossing_stats(ModelParams(epsilon=1e-2, x0=0.0, y0=2.0), 5.0,
+                        2000, _seed(42, 67), h=1e-3)
+    assert _as_stored(cs) == stored["details"]["crossings"]
+
+
+def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
+    (stored,) = _stored_entries((6,))
+    rep = ou_exit_mc(0.1, "one_sided", 50_000, _seed(42, 64))
+    got = {"mc": rep.estimate, "se": rep.std_error,
+           "censored": rep.config["censored"],
+           "bias_bound": rep.config["bias_bound"]}
+    want = stored["details"]["one_sided_0.1"]
+    assert _as_stored(got) == {k: want[k] for k in got}

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ablab import analysis, limit, model
-from ablab.analysis import (MAX_CROSSINGS, MOMENT_SCALING_LADDER,
-                            MOMENT_SCALING_WINDOW, ExcursionRecord,
-                            ScalingFit, StatReport, _scan_batch,
-                            crossing_stats, excursion_anatomy,
+from ablab.analysis import (MOMENT_SCALING_LADDER, MOMENT_SCALING_WINDOW,
+                            ExcursionRecord, ScalingFit, StatReport,
+                            _scan_batch, crossing_stats, excursion_anatomy,
                             excursion_probability, ks_critical_value,
                             ks_statistic, martingale_residual,
                             martingale_residual_limit, martingale_residuals,
@@ -91,14 +90,16 @@ def test_stopping_record_interleaving_property(rows, delta):
     assert_rows_match_oracle(rows, delta)
 
 
-def test_scan_batch_raises_past_max_crossings():
+def test_scan_batch_reads_every_crossing_of_a_zigzag():
+    # a 10,001-point zigzag enters the band at every even index and leaves
+    # it at every odd one: 5,001 taus and 5,000 sigmas, all read, beside a
+    # constant row that has none
     delta = 0.3
-    zigzag = np.tile([0.0, 1.0], MAX_CROSSINGS)  # MAX_CROSSINGS taus
-    (taus, sigmas), = scan_rows([zigzag], delta)
-    assert len(taus) == MAX_CROSSINGS == len(sigmas)
-    one_more = np.append(zigzag, 0.0)
-    with pytest.raises(RuntimeError, match="more than 2048"):
-        scan_rows([np.full(9, 0.9), one_more], delta)
+    zigzag = np.append(np.tile([0.0, 1.0], 5000), 0.0)
+    assert zigzag.size == 10_001
+    got = scan_rows([zigzag, np.full(10_001, 0.9)], delta)
+    assert got == [(list(range(0, 10_001, 2)), list(range(1, 10_001, 2))),
+                   ([], [])]
 
 
 def test_stat_report_basics():
