@@ -113,14 +113,30 @@ def radial_drift(y):
     return 0.5 / y - y
 
 
+# Points per tile of generator_apply.  On a 262 x 1001 block, A f cost
+# 38-45 ns/point through a boolean gather of the whole block, 21-35 with
+# np.where on the whole block, and 11-18 on tiles of 4096-16384 points,
+# where each temporary of the closed form fits in cache (2-core x86-64 VM).
+_GENERATOR_TILE = 1 << 14
+
+
 def generator_apply(f: TestFunction, y):
-    """A f at y: the displayed formula for y > 0, its limit at 0, 0 below."""
+    """A f at y: the displayed formula for y > 0, its limit at 0, 0 below.
+
+    ``f.af`` runs on every point of a tile and ``where`` keeps its values
+    at y > 0 only; af is elementwise, so each kept value has the bits it
+    has on the positive points alone.  The values thrown away include
+    0.5/y at y = 0 and the products it feeds, hence the errstate.
+    """
     arr = np.asarray(y, dtype=np.float64)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if pos.any():
-        out[pos] = f.af(arr[pos])
-    out[arr == 0.0] = f.af0
+    out = np.empty(arr.shape)  # C-contiguous, so its flat view is a view
+    flat, out_flat = arr.reshape(-1), out.reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _GENERATOR_TILE):
+            tile = flat[start:start + _GENERATOR_TILE]
+            dest = out_flat[start:start + _GENERATOR_TILE]
+            dest[...] = np.where(tile > 0.0, f.af(tile), 0.0)
+            dest[tile == 0.0] = f.af0
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._kernels import _BLOCK_ELEMS, _const
 from .analysis import StatReport, check_replicas
 from .limit import TestFunction, limit_exact_terminal, radial_drift
 from .model import ModelParams, batch_rows, project_pi, rescaled_reduce, \
@@ -87,17 +88,21 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
     generator limit at the origin discretizes to 2 (u_1 - u_0) / dy^2.
     The far boundary is reflecting (zero-derivative outflow).
 
-    The step loop allocates nothing: each step writes the interior stencil
-    through ``out=`` into two preallocated work buffers and the other of
-    two solution buffers, computes the two boundary nodes in Python
-    floats, and folds the new values into running elementwise minima and
-    maxima, which are reduced once at the end.  Every product and sum is
-    the one of the plain array expression, in the same order.
+    The steps run on a steps-major block of (K + 1) x n_points rows, with
+    K x n_points <= ``_kernels._BLOCK_ELEMS``: row j + 1 gets the state
+    after step j.  A step writes the interior stencil into its row through
+    ``out=`` in five ufunc calls with one work buffer, whose constant
+    operands are arrays built once per span, and computes the two
+    boundary nodes in Python floats.  Once per block the rows'
+    minima and maxima are folded into the running extrema, and the last
+    row is carried to row 0.  Every product and sum is the one of the
+    plain array expression, in the same order, and min and max are exact,
+    so the extrema are those of every step.
     """
     ys = grid.y_nodes()
     dy = grid.dy
     dt = grid.dt
-    u = np.asarray(f(ys), dtype=np.float64).copy()
+    u = np.asarray(f(ys), dtype=np.float64)
     if snapshot_times is None:
         snapshot_times = [grid.t_final]
     snapshot_times = sorted(float(t) for t in snapshot_times)
@@ -108,44 +113,49 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
 
     b = radial_drift(ys[1:-1])  # drift at interior nodes
     dy2 = dy * dy
-    # (whole, interior, upper and lower neighbours) of each solution buffer
-    cur, nxt = ((w, w[1:-1], w[2:], w[:-2]) for w in (u, np.empty_like(u)))
-    work, term = np.empty(b.size), np.empty(b.size)
+    k_steps = max(1, _BLOCK_ELEMS // ys.size)
+    block = np.empty((k_steps + 1, ys.size))
+    block[0] = u
+    # (whole, interior, upper and lower neighbours) of each row
+    rows = [(r, r[1:-1], r[2:], r[:-2]) for r in block]
+    term = np.empty(b.size)
     run_min, run_max = u.copy(), u.copy()
 
     def step_many(span, dt_cap):
         # integrate over span, landing exactly on its end
-        nonlocal cur, nxt, drift_const
+        nonlocal drift_const
         if span <= 0.0:
             return
         n = max(1, math.ceil(span / dt_cap - 1e-12))
         dt_k = span / n
         c_up = dt_k * (0.5 / dy2 + b / (2.0 * dy))
         c_dn = dt_k * (0.5 / dy2 - b / (2.0 * dy))
-        c_mid = 1.0 - dt_k / dy2
+        c_mid = _const(1.0 - dt_k / dy2)
         c0 = 2.0 * dt_k / dy2
         ones_step = c_mid + c_up + c_dn  # row sums of the interior stencil
         drift_const = max(drift_const, float(np.abs(ones_step - 1.0).max()))
-        for _ in range(n):
-            w, mid, up, dn = cur
-            wn, mid_n = nxt[0], nxt[1]
+        for done in range(0, n, k_steps):
+            k = min(k_steps, n - done)
             # c_mid u_i + c_up u_{i+1} + c_dn u_{i-1}, summed left to right
-            np.multiply(c_mid, mid, out=work)
-            np.add(work, np.multiply(c_up, up, out=term), out=work)
-            np.add(work, np.multiply(c_dn, dn, out=term), out=mid_n)
-            u0, ul = w.item(0), w.item(-1)
-            wn[0] = u0 + c0 * (w.item(1) - u0)
-            wn[-1] = ul + dt_k * (w.item(-2) - ul) / dy2
-            np.minimum(run_min, wn, out=run_min)
-            np.maximum(run_max, wn, out=run_max)
-            cur, nxt = nxt, cur
+            for (w, mid, up, dn), (wn, mid_n, _, _) in zip(rows[:k],
+                                                           rows[1:k + 1]):
+                np.multiply(c_mid, mid, out=mid_n)
+                np.add(mid_n, np.multiply(c_up, up, out=term), out=mid_n)
+                np.add(mid_n, np.multiply(c_dn, dn, out=term), out=mid_n)
+                u0, ul = w.item(0), w.item(-1)
+                wn[0] = u0 + c0 * (w.item(1) - u0)
+                wn[-1] = ul + dt_k * (w.item(-2) - ul) / dy2
+            states = block[1:k + 1]
+            np.minimum(run_min, states.min(axis=0), out=run_min)
+            np.maximum(run_max, states.max(axis=0), out=run_max)
+            block[0] = block[k]
 
     drift_const = 0.0
     snaps = []
     t_prev = 0.0
     for t in snapshot_times:
         step_many(t - t_prev, dt)
-        snaps.append(cur[0].copy())
+        snaps.append(block[0].copy())
         t_prev = t
     if t_prev < grid.t_final * (1 - 1e-12):
         step_many(grid.t_final - t_prev, dt)

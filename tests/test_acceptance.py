@@ -9,14 +9,16 @@ driver) are checked against their entries here, with two parts of criterion
 6: its crossing statistics and its one-sided exit-time Monte Carlo at
 delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
 scan and of the exit-time loop.  A refactor is proven against the whole
-file by hand.  The criteria left out, with their times in seconds in the
-two passes of one run (``BENCH_17.json``, 2-core host):
+file by hand.  The stored bytes hold only where numpy dispatches the
+package's float64 ufuncs to the SIMD targets in ``data/simd_targets.json``
+(``simd_targets.py``).  The criteria left out, with their times in seconds
+in the two passes of one run (``BENCH_21.json``, 2-core host):
 
-- 2, exact radial identity: 23.2, 24.9;
+- 2, exact radial identity: 17.3, 16.6;
 - 6's other three exit-time Monte Carlo runs and its asymptotics (the
-  whole criterion: 15.7, 17.0);
-- 7, weak convergence to the limit process: 32.2, 30.8;
-- 9, limit Cauchy problem: 14.8, 15.3;
+  whole criterion: 12.0, 13.6);
+- 7, weak convergence to the limit process: 20.8, 23.2;
+- 9, limit Cauchy problem: 10.4, 10.4;
 - 11, the rerun of the whole battery, byte for byte.
 """
 
@@ -26,10 +28,14 @@ import inspect
 import textwrap
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from ablab.acceptance import BATTERY, _seed, results_to_json
 from ablab.analysis import crossing_stats, ou_exit_mc
 from ablab.model import ModelParams
 from ablab.reporting import _jsonable
+from simd_targets import RECORD, UFUNCS, require_recorded_targets
 
 FULL = Path(__file__).parent / "data" / "acceptance_seed42.json"
 CHEAP = (1, 3, 4, 5, 10)
@@ -61,6 +67,7 @@ def test_full_report_holds_the_cheap_criteria_and_passes():
 
 
 def test_cheap_criteria_match_the_stored_report():
+    require_recorded_targets()
     results = [BATTERY[cid - 1](42) for cid in CHEAP]
     assert [r.cid for r in results] == list(CHEAP)
     assert json.loads(results_to_json(results, 42))["criteria"] \
@@ -68,6 +75,7 @@ def test_cheap_criteria_match_the_stored_report():
 
 
 def test_criterion_8_matches_its_stored_entry():
+    require_recorded_targets()
     result = BATTERY[7](42)
     assert result.cid == 8
     assert json.loads(results_to_json([result], 42))["criteria"] \
@@ -94,3 +102,29 @@ def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
            "bias_bound": rep.config["bias_bound"]}
     want = stored["details"]["one_sided_0.1"]
     assert _as_stored(got) == {k: want[k] for k in got}
+
+
+def test_simd_record_names_every_ufunc_the_package_calls():
+    # each ufunc named as np.<name> in the package has its targets recorded
+    named = set()
+    for path in (Path(__file__).parents[1] / "src" / "ablab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and getattr(node.value, "id", None) == "np" \
+                    and isinstance(getattr(np, node.attr, None), np.ufunc):
+                named.add(getattr(np, node.attr).__name__)
+    assert named <= set(UFUNCS)
+    assert set(json.loads(RECORD.read_text())["targets"]) \
+        == set(UFUNCS)
+
+
+def test_other_simd_targets_fail_naming_both_sets(monkeypatch):
+    recorded = json.loads(RECORD.read_text())["targets"]
+    host = {**recorded, "exp": {"dd": "X86_V3"}}
+    monkeypatch.setattr("simd_targets.host_targets", lambda: host)
+    with pytest.raises(pytest.fail.Exception) as failed:
+        require_recorded_targets()
+    message = str(failed.value)
+    assert json.dumps(recorded) in message and json.dumps(host) in message
+    assert json.dumps({"exp": {"recorded": recorded["exp"],
+                               "host": {"dd": "X86_V3"}}}) in message

@@ -8,6 +8,7 @@ from ablab.acceptance import criterion_moment_scaling
 from ablab.analysis import WEAK_GAP_SLACK, z_threshold
 from ablab import __version__, model
 from ablab.cli import SETTINGS, main
+from simd_targets import require_recorded_targets
 
 
 def run(args, out=None):
@@ -111,6 +112,7 @@ GOLDEN_VERSION = "0.1.0"  # the package version the golden files carry
     ("limit-exact.json", ["--system", "limit-exact", "--format", "json"]),
 ])
 def test_simulate_writes_the_golden_path(tmp_path, case, args):
+    require_recorded_targets()
     # the golden files were written by the per-system single-path
     # simulators that replica 0 of the batch driver replaced
     result = run(["simulate", "--seed", "7", "--horizon", "0.01", "--step",
@@ -214,6 +216,7 @@ def _with_version(golden: str) -> str:
     ("euler-arnold", ["euler_arnold.json"]),
 ])
 def test_report_commands_write_the_golden_reports(tmp_path, command, files):
+    require_recorded_targets()
     # the golden files and printed lines were written while every command
     # still took the same shared options
     args = [command] if command == "euler-arnold" \
@@ -325,6 +328,7 @@ def test_one_config_file_sets_horizon_start_and_f_for_every_command(
 
 
 def test_polar_from_a_config_file_writes_the_polar_columns(tmp_path):
+    require_recorded_targets()
     cfg = tmp_path / "polar.cfg"
     cfg.write_text("polar = true\nseed = 7\nhorizon = 0.01\n"
                    "step = 0.001\nepsilon = 0.01\n")

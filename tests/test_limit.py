@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -79,6 +80,56 @@ def test_generator_vectorized_matches_scalar():
     assert vec.shape == (4,)
     for y, v in zip(ys, vec):
         assert generator_apply(f, float(y)) == pytest.approx(v, rel=1e-14)
+
+
+def _generator_gather_oracle(f, y):
+    """A f as generator_apply computed it before its tiles: af on the
+    gathered positive points, scattered back, and af0 where y == 0."""
+    arr = np.asarray(y, dtype=np.float64)
+    out = np.zeros_like(arr)
+    pos = arr > 0.0
+    if pos.any():
+        out[pos] = f.af(arr[pos])
+    out[arr == 0.0] = f.af0
+    return out
+
+
+def _assert_generator_matches_gather_oracle(y):
+    for f in TEST_FUNCTIONS.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = generator_apply(f, y)
+        want = _generator_gather_oracle(f, y)
+        assert got.shape == want.shape and got.flags.c_contiguous, f.name
+        assert got.tobytes() == want.tobytes(), f.name
+
+
+@pytest.mark.parametrize("size", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1,
+                                  3 * (1 << 14) + 5])
+def test_generator_tiles_match_the_gather_oracle(size):
+    # one tile short of, at, just past and a few points past the tile size;
+    # af overflows or gives inf/inf at +inf, subnormals and huge y, where
+    # the gather warns too, so those stay out
+    rng = np.random.default_rng(size)
+    y = rng.normal(0.5, 2.0, size)
+    y[rng.integers(0, size, 40)] = 0.0
+    y[rng.integers(0, size, 40)] = -0.0
+    y[rng.integers(0, size, 40)] = np.nan
+    y[:4] = [0.0, -0.0, np.nan, 1e-8]
+    y[-3:] = [-0.0, 2.5, 0.0]
+    _assert_generator_matches_gather_oracle(y)
+
+
+def test_generator_tiles_keep_0d_and_transposed_inputs():
+    # a transposed block's flat view is a copy: the writes must go to the
+    # C-contiguous output, not to that copy
+    _assert_generator_matches_gather_oracle(np.float64(0.7))
+    _assert_generator_matches_gather_oracle(np.array(0.0))
+    block = np.random.default_rng(6).normal(0.5, 2.0, (300, 130))
+    block[::7, ::5] = 0.0
+    block[3, 4], block[5, 6] = -0.0, np.nan
+    assert block.T.flags.f_contiguous
+    _assert_generator_matches_gather_oracle(block.T)
 
 
 def test_closed_form_generator_keeps_the_bits_of_its_derivatives():

@@ -4,15 +4,18 @@ numpy reports its buffers to ``tracemalloc``, so the traced peak of one
 call bounds what a batch of paths, a reducer's row block, a slice of
 exit-time draws and a tile of short noise rows hold at once.  A batch
 draws its noise into the path buffers its kernel then overwrites, so it
-holds one path-sized array per stream.
+holds one path-sized array per stream.  The generator A f runs on
+cache-sized tiles of the reducer's row block, so beyond its output it holds
+a few tile-sized temporaries.
 """
 
 import tracemalloc
 
 import numpy as np
 
-from ablab.analysis import martingale_residual_limit, ou_exit_mc
-from ablab.limit import gauss_bump
+from ablab.analysis import martingale_residual, martingale_residual_limit, \
+    ou_exit_mc
+from ablab.limit import gauss_bump, generator_apply, lorentzian
 from ablab.model import ModelParams, rescaled_reduce, terminal_state
 from ablab.sde import TimeGrid, normal_matrix
 
@@ -37,10 +40,25 @@ def test_exit_time_draws_come_in_row_slices():
 def test_reducer_runs_on_row_blocks():
     # the T = 10 control: one batch of 256 paths of 10 001 points (19.5 MB
     # per array), two buffers while the kernel runs; A f on the whole batch
-    # built about seven more such temporaries, on row blocks they are
-    # cache-sized
+    # built about seven more such temporaries, on row blocks of 2^18 points
+    # they are 2 MB each, and on the generator's tiles 128 kB
     assert _peak_mb(martingale_residual_limit, 0.1, gauss_bump(), 10.0,
                     256, 74) < 42
+
+
+def test_generator_holds_its_output_and_tiles():
+    # 2^18 points, the size of a reducer's row block: the output is 2 MB;
+    # a boolean gather of the whole block held 11-13 MB
+    y = np.random.default_rng(3).normal(0.5, 2.0, 1 << 18)
+    assert _peak_mb(generator_apply, lorentzian(), y) < 3.5
+
+
+def test_martingale_residual_holds_no_block_sized_generator_temporaries():
+    # fastslow's shape, 1024 paths of 1001 points: two 8 MB path buffers,
+    # then the reducer's 2^18-point row blocks; a boolean gather of A f
+    # on a row block added about 13 MB (34 MB in all)
+    assert _peak_mb(martingale_residual, ModelParams(epsilon=1e-2),
+                    lorentzian(), 1.0, 1024, 72) < 24
 
 
 def test_terminal_reducer_holds_two_path_arrays():
