@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf, erfcx, erfi
 
 from . import _kernels
 from .limit import LimitParams, TestFunction, _exact_step_coeffs, \
@@ -353,6 +351,10 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
 # exit-time oracles for the auxiliary OU process dY = -Y dt + dW
 # ---------------------------------------------------------------------------
 
+# The quadratures here and model.flow_unperturbed are the package's only
+# scipy calls, so each imports scipy where it calls it: the import costs
+# about 0.5 s and 45 MB, and only a process that reaches an oracle pays it.
+
 def ou_exit_two_sided(delta: float) -> float:
     """Expected exit time of the unit-rate OU process from (-2d, 2d)
     started at d, by quadrature of the closed-form double integral."""
@@ -361,6 +363,8 @@ def ou_exit_two_sided(delta: float) -> float:
 
 def _mean_exit_two_sided(delta: float, x: float) -> float:
     # the same quadrature, from any start x in (-2d, 2d)
+    from scipy import integrate
+    from scipy.special import erf, erfi
     if not 0.0 < delta <= 5.0:
         raise ValueError("delta must lie in (0, 5] for stable quadrature")
     d = delta
@@ -394,6 +398,8 @@ def ou_exit_one_sided(delta: float) -> float:
 
 def _mean_exit_one_sided(delta: float, x: float) -> float:
     # the same quadrature, from any start x > d
+    from scipy import integrate
+    from scipy.special import erfcx
     if not 0.0 < delta <= 5.0:
         raise ValueError("delta must lie in (0, 5] for stable quadrature")
     val, err = integrate.quad(erfcx, delta, x, epsabs=0.0,
@@ -427,13 +433,14 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
 
     Between chunks only the running paths are kept, packed in path order:
     ``live`` (their indices) with their positions ``x`` and clocks ``t``.
-    Each chunk is drawn and stepped in row slices of ``block_rows(chunk)``
-    running paths, so at most about BLOCK_ELEMS normals are held at once,
-    and the kernel updates each slice in place.  Each generator fills its
-    slices in row order, so the draws, and the result, are those of one
-    draw per chunk.  Every running path draws a full chunk, of which it may
-    read only the first few steps.  The chunk's exit times go into ``tau``
-    and the paths that exited are dropped.
+    Each chunk is drawn, into two buffers made once per call, and stepped
+    in row slices of ``block_rows(chunk)`` running paths, so at most about
+    BLOCK_ELEMS normals are held at once, and the kernel updates each
+    slice in place.  Each generator fills its slices in row order, so the
+    draws, and the result, are those of one draw per chunk.  Every running
+    path draws a full chunk, of which it may read only the first few steps.
+    The chunk's exit times go into ``tau`` and the paths that exited are
+    dropped.
     """
     check_replicas(n)
     if mode == "two_sided":
@@ -456,16 +463,20 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     gen_z = RngStream(master_seed, 0).generator()
     gen_u = RngStream(master_seed, 1).generator()
     rows = block_rows(chunk)
+    # every slice is drawn into the same two buffers: a slice's draws
+    # allocated and freed each time give their pages back to the system,
+    # and every slice faults them in again (18x the page faults at
+    # n = 10,000)
+    zbuf = np.empty((min(rows, n), chunk))
+    ubuf = np.empty((min(rows, n), chunk, 2))
     while live.size and not (t >= t_max).any():
         tau_c = np.full(live.size, np.nan)
         exited = np.zeros(live.size, dtype=bool)
         for r0 in range(0, live.size, rows):
-            # z and u stay bound until the next slice's draws replace them:
-            # freed at once, their pages go back to the system and every
-            # slice faults them in again (18x the page faults at n = 10,000)
             sl = slice(r0, r0 + rows)
-            z = gen_z.standard_normal((tau_c[sl].size, chunk))
-            u = gen_u.random((tau_c[sl].size, chunk, 2))
+            r = tau_c[sl].size
+            z = gen_z.standard_normal(out=zbuf[:r])
+            u = gen_u.random(out=ubuf[:r])
             _kernels.ou_exit_chunk(x[sl], t[sl], tau_c[sl], exited[sl],
                                    z, u, lo, hi, decay, sd, h)
         tau[live[exited]] = tau_c[exited]

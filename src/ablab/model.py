@@ -16,7 +16,6 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _kernels
 from .sde import DEFAULT_GUARD, TimeGrid, normal_matrix
@@ -76,6 +75,8 @@ def flow_unperturbed(s0, t: float, tol: float = 1e-8) -> State2:
     Adaptive Runge-Kutta (DOP853), retried at tighter tolerances until the
     relative energy drift along the trajectory stays below ``tol``.
     """
+    # imported here for the reason given above analysis.ou_exit_two_sided
+    from scipy.integrate import solve_ivp
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x0, y0 = float(s0[0]), float(s0[1])

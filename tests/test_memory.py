@@ -7,19 +7,29 @@ draws its noise into the path buffers its kernel then overwrites, so it
 holds one path-sized array per stream.  The generator A f runs on
 cache-sized tiles of the reducer's row block, so beyond its output it holds
 a few tile-sized temporaries.
+
+scipy is imported at the first exit-time quadrature, and that import alone
+traces about 27 MB, so the oracles run once before any peak is traced.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from ablab.analysis import martingale_residual, martingale_residual_limit, \
-    ou_exit_mc
+    ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided
 from ablab.limit import gauss_bump, generator_apply, lorentzian
 from ablab.model import ModelParams, rescaled_reduce, terminal_state
 from ablab.sde import TimeGrid, normal_matrix
 
 MB = 1 << 20
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _oracles_loaded():
+    ou_exit_two_sided(0.1)
+    ou_exit_one_sided(0.1)
 
 
 def _peak_mb(fn, *args) -> float:
@@ -33,8 +43,10 @@ def _peak_mb(fn, *args) -> float:
 
 def test_exit_time_draws_come_in_row_slices():
     # a whole first chunk of 20 000 paths is 20 000 x 512 x 3 doubles
-    # (246 MB); row slices hold a few MB of draws at a time
-    assert _peak_mb(ou_exit_mc, 0.1, "two_sided", 20_000, 7) < 64
+    # (246 MB); slices of 512 rows drawn into two buffers hold 6 MB of
+    # draws (9.1 MB in all), and drawing each slice anew, while the last
+    # slice's draws were still bound, held 10.8 MB
+    assert _peak_mb(ou_exit_mc, 0.1, "two_sided", 20_000, 7) < 10
 
 
 def test_reducer_runs_on_row_blocks():
