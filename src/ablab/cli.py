@@ -51,9 +51,6 @@ SETTINGS = {
     "step": dict(type=float, default=1e-3),
     "replicas": dict(type=int, default=10_000),
     "seed": dict(type=int, default=42),
-    "variant": dict(type=click.Choice(["dissipative", "no-dissipation"]),
-                    default="dissipative",
-                    callback=lambda ctx, param, v: v.replace("-", "_")),
     "out": dict(type=str, default=".", help="output directory"),
     "format": dict(type=click.Choice(["csv", "json"]), default="csv"),
     "system": dict(type=click.Choice(["rescaled", "slowtime", "limit-em",
@@ -203,12 +200,11 @@ def _system_reduce(s: dict, grid: TimeGrid):
         return (partial(replica_reduce, partial(_slowtime_advance,
                                                 _model_params(s), grid),
                         grid.times()), "slowtime_euler", (0, 1))
-    variant = "damped" if s["variant"] == "dissipative" else "no_dissipation"
-    lp = LimitParams(y0=s["y0"], variant=variant)
+    lp = LimitParams(y0=s["y0"])
     if system == "limit-em":
         # the direct scheme reads the first stream only
         return (partial(replica_reduce, partial(_em_advance, lp, grid),
-                        grid.times()), f"limit_sq_em_{variant}", (0,))
+                        grid.times()), "limit_sq_em_damped", (0,))
     return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d", (0, 1)
 
 
@@ -222,8 +218,8 @@ def _path_columns(ts, *arrays) -> dict:
 
 
 @main.command()
-@reads("system", "scheme", "epsilon", "x0", "y0", "horizon", "variant",
-       "step", "seed", "out", "format", "polar")
+@reads("system", "scheme", "epsilon", "x0", "y0", "horizon", "step",
+       "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
     which reads streams (seed, 0) and (seed, 1)."""
@@ -286,7 +282,7 @@ def lemma1(**s):
 
 
 @main.command()
-@reads("epsilon", "alpha", "x0", "y0", "horizon", "variant", *MONTE_CARLO)
+@reads("epsilon", "alpha", "x0", "y0", "horizon", *MONTE_CARLO)
 def crossings(**s):
     """Band-crossing statistics against the exit-time oracles."""
     cs = crossing_stats(_model_params(s), s["horizon"], s["replicas"],
@@ -303,17 +299,19 @@ def crossings(**s):
 
 
 @main.command()
-@reads("epsilon", "x0", "y0", "horizon", "variant", "f", *MONTE_CARLO)
+@reads("epsilon", "x0", "y0", "horizon", "f", *MONTE_CARLO)
 def martingale(**s):
     """Generator residual along the perturbed system, with the exact-limit
     control."""
     p = _model_params(s)
     f = TEST_FUNCTIONS[s["f"]]
-    rep = martingale_residual(p, f, s["horizon"], s["replicas"], s["seed"],
-                              h=s["step"])
+    # the control first: a start the limit rejects exits before the
+    # perturbed system is simulated
     ctrl = martingale_residual_limit(project_pi((p.x0, p.y0)), f,
                                      s["horizon"], s["replicas"],
                                      s["seed"] + 1, h=s["step"])
+    rep = martingale_residual(p, f, s["horizon"], s["replicas"], s["seed"],
+                              h=s["step"])
     if rep.config.get("diverged", 0) > 0.5 * s["replicas"]:
         raise DegenerateRun("divergence-dominated run: "
                             f"{rep.config['diverged']} of {s['replicas']} "
@@ -333,7 +331,7 @@ def martingale(**s):
 
 
 @main.command(name="weak-gap")
-@reads("epsilon", "x0", "y0", "horizon", "variant", "f", *MONTE_CARLO)
+@reads("epsilon", "x0", "y0", "horizon", "f", *MONTE_CARLO)
 def weak_gap(**s):
     """Terminal-law and x-collapse gaps against the limit process."""
     p = _model_params(s)
@@ -358,8 +356,7 @@ def weak_gap(**s):
 
 
 @main.command()
-@reads("epsilons", "a", "horizon", "x0", "y0", "variant", *MONTE_CARLO,
-       horizon=5.0)
+@reads("epsilons", "a", "horizon", "x0", "y0", *MONTE_CARLO, horizon=5.0)
 def excursions(**s):
     """Deep-excursion probabilities over an epsilon ladder, with anatomy
     records at the largest epsilon."""

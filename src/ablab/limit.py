@@ -27,8 +27,6 @@ from .model import replica_reduce
 # not called here: the benchmark tracer wraps normal_matrix by this name
 from .sde import TimeGrid, normal_matrix  # noqa: F401
 
-VARIANTS = ("damped", "no_dissipation")
-
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -96,16 +94,13 @@ TEST_FUNCTIONS = {"exp": gauss_bump(), "inv": lorentzian(),
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Start and variant of the limit process; the horizon is the grid's."""
+    """Start of the limit process; the horizon is the grid's."""
 
     y0: float
-    variant: str = "damped"
 
     def __post_init__(self):
         if not self.y0 > 0.0:
             raise ValueError("y0 must be positive (the origin is never hit)")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
 
 
 def radial_drift(y):
@@ -140,24 +135,15 @@ def generator_apply(f: TestFunction, y):
     return out
 
 
-def _drift_coeffs(variant: str) -> tuple[float, float]:
-    # d(Y^2) = (a - b Y^2) dt + 2|Y| dW
-    if variant == "damped":
-        return 2.0, 2.0
-    return 3.0, 0.0
-
-
 def _em_advance(p: LimitParams, grid: TimeGrid, b1, b2):
     """Direct discretization, positivity-preserving: (ys,) from one batch
     of draws, written over the draws in b1.  It reads b1 only.
 
-    The square S = Y^2 satisfies dS = (a - b S) dt + 2 sqrt(S) dW with
-    (a, b) = (2, 2) for the damped variant and (3, 0) without dissipation;
-    S is stepped explicitly, reflecting rare negative excursions, and the
-    path returned is sqrt(S) > 0.
+    The square S = Y^2 satisfies dS = (2 - 2S) dt + 2 sqrt(S) dW; S is
+    stepped explicitly, reflecting rare negative excursions, and the path
+    returned is sqrt(S) > 0.
     """
-    a, b = _drift_coeffs(p.variant)
-    _kernels.limit_sq_em(p.y0, a, b, grid.step, b1[:, 1:], b1)
+    _kernels.limit_sq_em(p.y0, 2.0, 2.0, grid.step, b1[:, 1:], b1)
     return (b1,)
 
 
@@ -180,8 +166,6 @@ def limit_exact_reduce(p: LimitParams, grid: TimeGrid, master_seed: int,
                        n_replicas: int, reduce_fn,
                        batch_size: int | None = None) -> dict:
     """``replica_reduce`` over the exact sampler; ``reduce_fn(times, rs)``."""
-    if p.variant != "damped":
-        raise ValueError("exact sampler exists for the damped variant only")
     advance = partial(_exact_advance, p.y0, *_exact_step_coeffs(grid.step))
     return replica_reduce(advance, grid.times(), master_seed, n_replicas,
                           reduce_fn, batch_size)
@@ -207,18 +191,18 @@ def limit_exact_terminal(y0: float, times, n: int,
 
 
 def expected_square(y0: float, t):
-    """Closed-form E[Y_t^2] of the damped variant from the generator applied
-    to y^2: d/dt E[Y^2] = 2 - 2 E[Y^2], so E[Y_t^2] = 1 + (y0^2 - 1)e^{-2t}.
+    """Closed-form E[Y_t^2] from the generator applied to y^2:
+    d/dt E[Y^2] = 2 - 2 E[Y^2], so E[Y_t^2] = 1 + (y0^2 - 1)e^{-2t}.
     """
     t = np.asarray(t, dtype=np.float64)
     return 1.0 + (y0 * y0 - 1.0) * np.exp(-2.0 * t)
 
 
 def stationary_square_cdf(s):
-    """Stationary CDF of Y^2 (damped variant): Exp(1), i.e. 1 - e^{-s}."""
+    """Stationary CDF of Y^2: Exp(1), i.e. 1 - e^{-s}."""
     return -np.expm1(-np.asarray(s, dtype=np.float64))
 
 
 def stationary_mean() -> float:
-    """Stationary E[Y] for the damped variant: sqrt(pi)/2."""
+    """Stationary E[Y]: sqrt(pi)/2."""
     return math.sqrt(math.pi) / 2.0

@@ -20,8 +20,6 @@ import numpy as np
 from . import _kernels
 from .sde import DEFAULT_GUARD, TimeGrid, normal_matrix
 
-VARIANTS = ("dissipative", "no_dissipation")
-
 # Fast angular motion is resolved to this many radians per drift substep.
 DTHETA_MAX = 0.02
 
@@ -38,7 +36,6 @@ class ModelParams:
 
     epsilon: float
     alpha: float = 0.1
-    variant: str = "dissipative"
     x0: float = 0.0
     y0: float = 2.0
 
@@ -47,16 +44,10 @@ class ModelParams:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
 
     def delta(self) -> float:
         """Crossing-band half width eps**alpha (always derived, never stored)."""
         return self.epsilon ** self.alpha
-
-    @property
-    def damping(self) -> float:
-        return 1.0 if self.variant == "dissipative" else 0.0
 
 
 def unperturbed_rhs(s) -> State2:
@@ -208,7 +199,7 @@ def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, b1, b2):
     draws in b1 and b2.
 
     Default scheme: per step, X advances by an exact OU substep with the
-    rate Y/eps + damping frozen (removing the stiffness of the X-equation),
+    rate Y/eps + 1 frozen (removing the stiffness of the X-equation),
     then Y advances by an explicit Euler-Maruyama step.  While the fast
     angular motion |x|/eps exceeds DTHETA_MAX radians per step, the drift
     part of the step is subdivided so near-deterministic sweeps from the
@@ -216,11 +207,11 @@ def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, b1, b2):
     """
     div = np.zeros(b1.shape[0], dtype=bool)
     if scheme == "splitting":
-        _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
+        _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, 1.0,
                                 grid.step, DTHETA_MAX, DEFAULT_GUARD,
                                 b1[:, 1:], b2[:, 1:], b1, b2, div)
     elif scheme == "euler":
-        _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, p.damping,
+        _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, 1.0,
                                 grid.step, DEFAULT_GUARD, b1[:, 1:],
                                 b2[:, 1:], b1, b2, div)
     else:
@@ -258,6 +249,6 @@ def _slowtime_advance(p: ModelParams, grid: TimeGrid, b1, b2):
     diverged) from one batch of draws, with xs and ys written over the
     draws in b1 and b2."""
     div = np.zeros(b1.shape[0], dtype=bool)
-    _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, p.damping, grid.step,
+    _kernels.slowtime_euler(p.x0, p.y0, p.epsilon, 1.0, grid.step,
                             DEFAULT_GUARD, b1[:, 1:], b2[:, 1:], b1, b2, div)
     return b1, b2, div

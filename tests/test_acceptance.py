@@ -8,17 +8,20 @@ and criterion 8 (metastable excursions, about 5 s, through the rescaled
 driver) are checked against their entries here, with two parts of criterion
 6: its crossing statistics and its one-sided exit-time Monte Carlo at
 delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
-scan and of the exit-time loop.  A refactor is proven against the whole
-file by hand.  The stored bytes hold only where numpy dispatches the
-package's float64 ufuncs to the SIMD targets in ``data/simd_targets.json``
-(``simd_targets.py``).  The criteria left out, with their times in seconds
-in the two passes of one run (``BENCH_21.json``, 2-core host):
+scan and of the exit-time loop.  Of criterion 9, the five limit-PDE values
+(0.2 s) and the Monte Carlo value of the probe (2, 0) (2-3.5 s) are
+checked, the only stored output of ``cauchy_2d_mc``.  A refactor is proven
+against the whole file by hand.  The stored bytes hold only where numpy
+dispatches the package's float64 ufuncs to the SIMD targets in
+``data/simd_targets.json`` (``simd_targets.py``).  The criteria left out,
+with their times in seconds in the two passes of one run
+(``BENCH_21.json``, 2-core host):
 
 - 2, exact radial identity: 17.3, 16.6;
 - 6's other three exit-time Monte Carlo runs and its asymptotics (the
   whole criterion: 12.0, 13.6);
 - 7, weak convergence to the limit process: 20.8, 23.2;
-- 9, limit Cauchy problem: 10.4, 10.4;
+- 9's other four Monte Carlo probes (the whole criterion: 10.4, 10.4);
 - 11, the rerun of the whole battery, byte for byte.
 """
 
@@ -33,7 +36,9 @@ import pytest
 
 from ablab.acceptance import BATTERY, _seed, results_to_json
 from ablab.analysis import crossing_stats, ou_exit_mc
-from ablab.model import ModelParams
+from ablab.limit import gauss_bump
+from ablab.model import ModelParams, project_pi
+from ablab.pde import Grid1D, cauchy_2d_mc, solve_limit_pde
 from ablab.reporting import _jsonable
 from simd_targets import RECORD, UFUNCS, require_recorded_targets
 
@@ -102,6 +107,22 @@ def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
            "bias_bound": rep.config["bias_bound"]}
     want = stored["details"]["one_sided_0.1"]
     assert _as_stored(got) == {k: want[k] for k in got}
+
+
+def test_criterion_9_pde_values_and_one_probe_match_their_stored_entry():
+    require_recorded_targets()
+    (stored,) = _stored_entries((9,))
+    probes = stored["details"]
+    sol = solve_limit_pde(gauss_bump(), Grid1D(n_points=601, t_final=1.0))
+    for key, want in probes.items():
+        x0, y0 = map(float, key.removeprefix("probe_").split("_"))
+        assert _as_stored(float(sol.at(1.0, project_pi((x0, y0))))) \
+            == want["pde"], key
+    # the last of the five probes, (2, 0), reads seed _seed(42, 91 + 4)
+    f2 = lambda x, y: np.exp(-np.square(y)) / (1.0 + np.square(x))
+    rep = cauchy_2d_mc(2.0, 0.0, 1.0, f2, ModelParams(epsilon=1e-3), 10_000,
+                       _seed(42, 95))
+    assert _as_stored(rep.estimate) == probes["probe_2.0_0.0"]["mc"]
 
 
 def test_simd_record_names_every_ufunc_the_package_calls():

@@ -106,8 +106,6 @@ GOLDEN_VERSION = "0.1.0"  # the package version the golden files carry
     ("slowtime.json", ["--system", "slowtime", "--format", "json"]),
     ("limit-em.csv", ["--system", "limit-em"]),
     ("limit-em.json", ["--system", "limit-em", "--format", "json"]),
-    ("limit-em_nodiss.json", ["--system", "limit-em", "--variant",
-                              "no-dissipation", "--format", "json"]),
     ("limit-exact.csv", ["--system", "limit-exact"]),
     ("limit-exact.json", ["--system", "limit-exact", "--format", "json"]),
 ])
@@ -189,12 +187,18 @@ def test_weak_gap_draws_each_stream_once(tmp_path, monkeypatch):
     assert len(set(drawn)) == len(drawn)
 
 
-def test_simulate_limit_exact_rejects_no_dissipation(tmp_path):
-    # the exact sampler exists for the damped variant only
-    result = run(["simulate", "--system", "limit-exact", "--variant",
-                  "no-dissipation", "--horizon", "0.01"], tmp_path)
+def test_martingale_rejects_a_start_at_the_origin_before_drawing(
+        tmp_path, monkeypatch):
+    # the limit control starts at the projected start, 0 here, which
+    # LimitParams rejects: no path of the perturbed system is simulated
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn for a rejected start")
+
+    monkeypatch.setattr(model, "normal_matrix", no_draws)
+    result = run(["martingale", "--x0", "0", "--y0", "0", "--replicas",
+                  "32"], tmp_path)
     assert result.exit_code == 2
-    assert "damped variant only" in result.output
+    assert "y0 must be positive" in result.output
     assert list(tmp_path.iterdir()) == []
 
 
@@ -234,21 +238,19 @@ def test_report_commands_write_the_golden_reports(tmp_path, command, files):
 # Each command takes --config plus the settings it reads.
 OPTIONS = {
     "simulate": {"config", "system", "scheme", "epsilon", "x0", "y0",
-                 "horizon", "variant", "step", "seed", "out", "format",
-                 "polar", "fresh-seed"},
+                 "horizon", "step", "seed", "out", "format", "polar",
+                 "fresh-seed"},
     "project": {"config", "x0", "y0"},
     "lemma1": {"config", "epsilons", "horizon", "alpha", "step", "replicas",
                "seed", "out", "fresh-seed"},
     "crossings": {"config", "epsilon", "alpha", "x0", "y0", "horizon",
-                  "variant", "step", "replicas", "seed", "out",
-                  "fresh-seed"},
-    "martingale": {"config", "epsilon", "x0", "y0", "horizon", "variant",
-                   "f", "step", "replicas", "seed", "out", "fresh-seed"},
-    "weak-gap": {"config", "epsilon", "x0", "y0", "horizon", "variant", "f",
-                 "step", "replicas", "seed", "out", "fresh-seed"},
-    "excursions": {"config", "epsilons", "a", "horizon", "x0", "y0",
-                   "variant", "step", "replicas", "seed", "out",
-                   "fresh-seed"},
+                  "step", "replicas", "seed", "out", "fresh-seed"},
+    "martingale": {"config", "epsilon", "x0", "y0", "horizon", "f", "step",
+                   "replicas", "seed", "out", "fresh-seed"},
+    "weak-gap": {"config", "epsilon", "x0", "y0", "horizon", "f", "step",
+                 "replicas", "seed", "out", "fresh-seed"},
+    "excursions": {"config", "epsilons", "a", "horizon", "x0", "y0", "step",
+                   "replicas", "seed", "out", "fresh-seed"},
     "pde": {"config", "f", "horizon", "n-points", "seed", "out",
             "fresh-seed"},
     "euler-arnold": {"config", "seed", "out", "fresh-seed"},
@@ -270,15 +272,15 @@ def test_each_command_takes_only_the_settings_it_reads():
                     for opt in param.opts}
              for name, cmd in main.commands.items()}
     assert taken == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 89
-    assert len(REMOVED) == 51
+    assert sum(map(len, OPTIONS.values())) == 84
+    assert len(REMOVED) == 56
 
 
 def test_every_setting_is_read_by_some_command():
     read = {param.name for cmd in main.commands.values()
             for param in cmd.params} - {"config", "fresh_seed", "help"}
     assert read == set(SETTINGS)
-    assert len(SETTINGS) == 18
+    assert len(SETTINGS) == 17
 
 
 @pytest.mark.parametrize("command, option", REMOVED + RETIRED)
@@ -298,10 +300,12 @@ def test_config_precedence(tmp_path):
         == "3.0\n"
     assert run(["project", "--y0", "0", "--config", str(cfg)]).output \
         == "3.0\n"
-    cfg.write_text("delta = 0.1\n")
-    result = run(["project", "--config", str(cfg)])
-    assert result.exit_code == 2
-    assert "unknown key 'delta'" in result.output
+    # a key outside SETTINGS is an error, variant included
+    for key, value in (("delta", "0.1"), ("variant", "dissipative")):
+        cfg.write_text(f"{key} = {value}\n")
+        result = run(["project", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert f"unknown key {key!r}" in result.output
 
 
 def test_one_config_file_sets_horizon_start_and_f_for_every_command(

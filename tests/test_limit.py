@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ncx2
 
-from ablab import _kernels, limit, model
+from ablab import _kernels, limit
 from ablab.analysis import KS_COEFF_1PCT, ks_critical_value, ks_statistic
 from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
                          _exact_step_coeffs, expected_square, gauss_bump,
@@ -177,8 +177,6 @@ def test_domain_flag_consistency():
 def test_limit_params_validation():
     with pytest.raises(ValueError):
         LimitParams(y0=0.0)
-    with pytest.raises(ValueError):
-        LimitParams(y0=1.0, variant="weird")
 
 
 def test_em_drift_only_fixed_point():
@@ -215,18 +213,6 @@ def test_exact_sampler_moments_and_agreement_with_em():
     ref = limit_exact_terminal(2.0, [1.0], 60_000, 5)[:, 0]
     se = (ref ** 2).std(ddof=1) / math.sqrt(ref.size)
     assert abs((ref ** 2).mean() - target) < 3 * se
-
-
-def test_exact_sampler_rejects_no_dissipation(monkeypatch):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("noise drawn for a rejected variant")
-
-    monkeypatch.setattr(model, "normal_matrix", no_draws)
-    p = LimitParams(y0=1.0, variant="no_dissipation")
-    for n_replicas in (0, 2):
-        with pytest.raises(ValueError, match="damped variant only"):
-            limit_exact_reduce(p, TimeGrid(1.0, 0.1), 0, n_replicas,
-                               lambda ts, rs: {"rs": rs})
 
 
 def test_exact_terminal_is_the_last_column_of_a_one_step_path():
@@ -363,19 +349,6 @@ def test_martingale_property_of_generator():
     for f in (TEST_FUNCTIONS["exp"], TEST_FUNCTIONS["inv"]):
         rep = martingale_residual_limit(1.5, f, 1.0, 30_000, 55, h=1e-3)
         assert abs(rep.estimate) < 3 * rep.std_error, f.name
-
-
-def test_no_dissipation_growth():
-    # the oracle: without damping the generator applied to y^2 is 3, so
-    # d/dt E[Y^2] = 3 and E[Y_t^2] = y0^2 + 3t
-    y0, t = 1.0, 1.0
-    p = LimitParams(y0=y0, variant="no_dissipation")
-    grid = TimeGrid(t, 1e-3)
-    out = em_reduce(p, grid, 66, 20_000,
-                    lambda ts, ys: {"y2": ys[:, -1] ** 2})
-    target = y0 * y0 + 3.0 * t
-    se = out["y2"].std(ddof=1) / math.sqrt(out["y2"].size)
-    assert abs(out["y2"].mean() - target) < 3 * se
 
 
 def test_constant_function_helpers():

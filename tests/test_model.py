@@ -113,8 +113,6 @@ def test_rescaled_drift_values():
     assert _rescaled_step(p) == (0.0, 3.0 - 3.0 / 4)
     p = ModelParams(epsilon=0.1, x0=1.0, y0=1.0)
     assert _rescaled_step(p) == (1.0 - 11.0 / 4, 1.0 + 9.0 / 4)
-    pn = ModelParams(epsilon=0.1, x0=1.0, y0=1.0, variant="no_dissipation")
-    assert _rescaled_step(pn) == (1.0 - 10.0 / 4, 1.0 + 10.0 / 4)
     p = ModelParams(epsilon=0.1, x0=2.0, y0=3.0)
     assert _rescaled_step(p) == (2.0 - 62.0 / 4, 3.0 + 37.0 / 4)
     # unit noise: sqrt(h) = 1/2
@@ -128,8 +126,6 @@ def test_slowtime_drift_values():
     assert _slowtime_step(p) == (1.0 - 1.25 / 4, 1.0 + 0.75 / 4)
     p = ModelParams(epsilon=0.25, x0=2.0, y0=3.0)
     assert _slowtime_step(p) == (2.0 - 6.5 / 4, 3.0 + 3.25 / 4)
-    pn = ModelParams(epsilon=0.25, x0=2.0, y0=3.0, variant="no_dissipation")
-    assert _slowtime_step(pn) == (2.0 - 6.0 / 4, 3.0 + 4.0 / 4)
     # noise sqrt(eps): sqrt(eps h) = 1/4
     p = ModelParams(epsilon=0.25, x0=0.0, y0=0.0)
     assert _slowtime_step(p, (1.0, -1.0)) == (0.25, -0.25)
@@ -140,8 +136,6 @@ def test_params_validation():
         ModelParams(epsilon=0.0)
     with pytest.raises(ValueError):
         ModelParams(epsilon=0.1, alpha=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(epsilon=0.1, variant="weird")
     assert ModelParams(epsilon=1e-3).delta() == pytest.approx(
         (1e-3) ** 0.1, rel=1e-15)
 
@@ -310,9 +304,7 @@ SYSTEMS = {
     "rescaled": partial(_rescaled_advance, _P, DRIVER_GRID, "splitting"),
     "rescaled_euler": partial(_rescaled_advance, _P, DRIVER_GRID, "euler"),
     "slowtime": partial(_slowtime_advance, _P, DRIVER_GRID),
-    "limit-em": partial(_em_advance, LimitParams(y0=1.0,
-                                                 variant="no_dissipation"),
-                        DRIVER_GRID),
+    "limit-em": partial(_em_advance, _LP, DRIVER_GRID),
     "limit-exact": partial(_exact_advance, _LP.y0,
                            *_exact_step_coeffs(DRIVER_GRID.step)),
 }
