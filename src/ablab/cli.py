@@ -53,10 +53,9 @@ SETTINGS = {
     "seed": dict(type=int, default=42),
     "out": dict(type=str, default=".", help="output directory"),
     "format": dict(type=click.Choice(["csv", "json"]), default="csv"),
-    "system": dict(type=click.Choice(["rescaled", "slowtime", "limit-em",
+    "system": dict(type=click.Choice(["rescaled", "rescaled-euler",
+                                      "slowtime", "limit-em",
                                       "limit-exact"]), default="rescaled"),
-    "scheme": dict(type=click.Choice(["splitting", "euler"]),
-                   default="splitting"),
     "polar": dict(is_flag=True, default=False,
                   help="append radius/angle columns to 2-d paths"),
     "epsilons": dict(type=str, default="",
@@ -107,16 +106,12 @@ def _load_config(ctx, param, path):
 
 def reads(*names, **defaults):
     """Give a command ``--config`` and the options of the settings it
-    reads, with ``--fresh-seed`` beside ``--seed``.  ``defaults`` replaces
-    the table's default for this command.  The command receives the
-    settings as keyword arguments; a ``ValueError`` exits 2, a
-    ``DegenerateRun`` 3."""
+    reads.  ``defaults`` replaces the table's default for this command.
+    The command receives the settings as keyword arguments; a
+    ``ValueError`` exits 2, a ``DegenerateRun`` 3."""
     def decorate(cmd):
         @wraps(cmd)
-        def run(fresh_seed=False, **s):
-            if fresh_seed:
-                s["seed"] = int(np.random.SeedSequence().entropy % 2 ** 31)
-                click.echo(f"fresh seed: {s['seed']}")
+        def run(**s):
             try:
                 return cmd(**s)
             except ValueError as e:
@@ -134,10 +129,6 @@ def reads(*names, **defaults):
                 spec["default"] = defaults[name]
             options.append(click.option("--" + name.replace("_", "-"),
                                         name, **spec))
-        if "seed" in names:
-            options.append(click.option(
-                "--fresh-seed", is_flag=True,
-                help="replace the fixed default seed with new entropy"))
         for option in reversed(options):
             run = option(run)
         return run
@@ -190,17 +181,17 @@ def main():
 def _system_reduce(s: dict, grid: TimeGrid):
     """The batch-driver binding that ``simulate --system`` runs, as
     ``run(master_seed, n_replicas, reduce_fn)``, with its scheme label and
-    the streams it reads."""
+    the streams it reads.  A limit path starts at the projected start."""
     system = s["system"]
-    if system == "rescaled":
+    if system.startswith("rescaled"):
+        scheme = "euler" if system == "rescaled-euler" else "splitting"
         return (partial(rescaled_reduce, _model_params(s), grid,
-                        scheme=s["scheme"]), f"rescaled_{s['scheme']}",
-                (0, 1))
+                        scheme=scheme), f"rescaled_{scheme}", (0, 1))
     if system == "slowtime":
         return (partial(replica_reduce, partial(_slowtime_advance,
                                                 _model_params(s), grid),
                         grid.times()), "slowtime_euler", (0, 1))
-    lp = LimitParams(y0=s["y0"])
+    lp = LimitParams(y0=project_pi((s["x0"], s["y0"])))
     if system == "limit-em":
         # the direct scheme reads the first stream only
         return (partial(replica_reduce, partial(_em_advance, lp, grid),
@@ -218,7 +209,7 @@ def _path_columns(ts, *arrays) -> dict:
 
 
 @main.command()
-@reads("system", "scheme", "epsilon", "x0", "y0", "horizon", "step",
+@reads("system", "epsilon", "x0", "y0", "horizon", "step",
        "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
@@ -232,8 +223,7 @@ def simulate(**s):
                       diverged=bool(first["div"][0]))
     if path.diverged:
         raise DegenerateRun("divergence guard tripped: step too large for "
-                            "this stiffness (reduce --step or use the "
-                            "splitting scheme)")
+                            "this stiffness (reduce --step)")
     name = f"path_{s['system']}_seed{seed}.{s['format']}"
     out = _out_dir(s) / name
     if s["format"] == "csv":
@@ -257,23 +247,22 @@ def project(x0, y0):
 
 
 @main.command()
-@reads("epsilons", "horizon", "alpha", *MONTE_CARLO, horizon=0.2)
+@reads("epsilons", "horizon", *MONTE_CARLO, horizon=0.2)
 def lemma1(**s):
-    """Scaling of the fast coordinate's second moment against epsilon."""
-    if s["alpha"] != MOMENT_SCALING_ALPHA:
-        raise ValueError(f"MOMENT_SCALING_WINDOW is stated for alpha = "
-                         f"{MOMENT_SCALING_ALPHA:g} only, got {s['alpha']:g}")
+    """Scaling of the fast coordinate's second moment against epsilon, at
+    the one alpha its pass window is stated for."""
     eps = _epsilon_ladder(s, MOMENT_SCALING_LADDER)
-    fit = x_second_moment_scaling(eps, s["alpha"], s["horizon"],
+    alpha = MOMENT_SCALING_ALPHA
+    fit = x_second_moment_scaling(eps, alpha, s["horizon"],
                                   s["replicas"], s["seed"], h=s["step"])
     lo, hi = MOMENT_SCALING_WINDOW
     passed = in_moment_window(fit.slope)
     with open(_out_dir(s) / "xmoment_scaling.csv", "w") as fh:
         scaling_to_csv(fit, fh, seed=s["seed"],
-                       config={"alpha": s["alpha"], "t": s["horizon"]})
+                       config={"alpha": alpha, "t": s["horizon"]})
     _write_report(s, "xmoment_scaling.json", report_json(
         "x_second_moment_scaling",
-        {"epsilons": eps, "alpha": s["alpha"], "t": s["horizon"],
+        {"epsilons": eps, "alpha": alpha, "t": s["horizon"],
          "replicas": s["replicas"]},
         fit.slope, fit.slope_se, s["replicas"], passed, [lo, hi],
         s["seed"]))

@@ -96,14 +96,11 @@ def project_pi(s0) -> float:
     """Limit y-value of the conservative flow started at s0.
 
     Energy conservation forces orbits onto circles that terminate on the
-    positive y-axis, so the value is sqrt(x0^2 + y0^2) away from the origin
-    (this also realizes the small-angle extension used on the negative
-    y-axis, independently of the tilt angle) and 0 at the origin.
+    positive y-axis, so the value is sqrt(x0^2 + y0^2) (this also realizes
+    the small-angle extension used on the negative y-axis, independently of
+    the tilt angle, and gives 0 at the origin).
     """
-    x0, y0 = float(s0[0]), float(s0[1])
-    if x0 == 0.0 and y0 == 0.0:
-        return 0.0
-    return math.hypot(x0, y0)
+    return math.hypot(float(s0[0]), float(s0[1]))
 
 
 def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:

@@ -10,7 +10,8 @@ driver) are checked against their entries here, with two parts of criterion
 delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
 scan and of the exit-time loop.  Of criterion 9, the five limit-PDE values
 (0.2 s) and the Monte Carlo value of the probe (2, 0) (2-3.5 s) are
-checked, the only stored output of ``cauchy_2d_mc``.  A refactor is proven
+checked, the only stored output of ``cauchy_2d_mc``.  Of criterion 7, the
+linear x-collapse gap (about 2.3 s) is checked.  A refactor is proven
 against the whole file by hand.  The stored bytes hold only where numpy
 dispatches the package's float64 ufuncs to the SIMD targets in
 ``data/simd_targets.json`` (``simd_targets.py``).  The criteria left out,
@@ -20,7 +21,8 @@ with their times in seconds in the two passes of one run
 - 2, exact radial identity: 17.3, 16.6;
 - 6's other three exit-time Monte Carlo runs and its asymptotics (the
   whole criterion: 12.0, 13.6);
-- 7, weak convergence to the limit process: 20.8, 23.2;
+- 7's martingale residuals, limit control, terminal-law gaps and clipped
+  x-collapse ladder (the whole criterion: 20.8, 23.2);
 - 9's other four Monte Carlo probes (the whole criterion: 10.4, 10.4);
 - 11, the rerun of the whole battery, byte for byte.
 """
@@ -35,7 +37,7 @@ import numpy as np
 import pytest
 
 from ablab.acceptance import BATTERY, _seed, results_to_json
-from ablab.analysis import crossing_stats, ou_exit_mc
+from ablab.analysis import crossing_stats, ou_exit_mc, x_collapse_gap
 from ablab.limit import gauss_bump
 from ablab.model import ModelParams, project_pi
 from ablab.pde import Grid1D, cauchy_2d_mc, solve_limit_pde
@@ -107,6 +109,14 @@ def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
            "bias_bound": rep.config["bias_bound"]}
     want = stored["details"]["one_sided_0.1"]
     assert _as_stored(got) == {k: want[k] for k in got}
+
+
+def test_criterion_7_linear_collapse_gap_matches_its_stored_entry():
+    require_recorded_targets()
+    (stored,) = _stored_entries((7,))
+    lin = x_collapse_gap(ModelParams(epsilon=1e-3, x0=0.0, y0=2.0),
+                         lambda x, y: x, 1.0, 10_000, _seed(42, 79), h=1e-3)
+    assert _as_stored(lin) == stored["details"]["collapse_gap"]["linear_gap"]
 
 
 def test_criterion_9_pde_values_and_one_probe_match_their_stored_entry():

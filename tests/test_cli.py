@@ -43,15 +43,6 @@ def test_an_exclusion_dominated_lemma1_run_exits_3(tmp_path, replicas):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_lemma1_rejects_an_alpha_its_window_is_not_stated_for(tmp_path):
-    # the pass window is the slope expected at alpha = 0.1 alone
-    result = run(["lemma1", "--alpha", "0.2"], tmp_path)
-    assert result.exit_code == 2
-    assert "config error:" in result.output
-    assert "alpha = 0.1 only" in result.output
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_config_errors_exit_2(tmp_path):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("epsilon = 1e-3\nepsilonn = 1e-2\n")
@@ -85,30 +76,52 @@ def test_project_prints_the_projected_start():
 
 
 def test_simulate_euler_divergence_exits_3(tmp_path):
-    result = run(["simulate", "--scheme", "euler", "--epsilon", "1e-4",
-                  "--step", "0.01"], tmp_path)
+    result = run(["simulate", "--system", "rescaled-euler", "--epsilon",
+                  "1e-4", "--step", "0.01"], tmp_path)
     assert result.exit_code == 3
     assert "divergence guard tripped" in result.output
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("system", ["limit-em", "limit-exact"])
+def test_a_limit_path_starts_at_the_projected_start(tmp_path, system):
+    # the planar path from (3, 4) has radius 5, so its limit starts at 5
+    result = run(["simulate", "--system", system, "--x0", "3", "--y0", "4",
+                  "--horizon", "0.01"], tmp_path)
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / f"path_{system}_seed42.csv").read_text().splitlines()
+    assert rows[1:3] == ["t,y", "0,5"]
+
+
 GOLDEN = Path(__file__).parent / "data" / "simulate"
 GOLDEN_VERSION = "0.1.0"  # the package version the golden files carry
+# Each case's id is written out, so adding or deleting a case renames no
+# other; the ids are the ones pytest first gave the cases by position.
+GOLDEN_CASES = {
+    "rescaled.csv-args0": ("rescaled.csv", ["--system", "rescaled"]),
+    "rescaled.json-args1": ("rescaled.json", ["--system", "rescaled",
+                                              "--format", "json"]),
+    "rescaled_euler.json-args2": ("rescaled_euler.json",
+                                  ["--system", "rescaled-euler",
+                                   "--format", "json"]),
+    "rescaled_polar.csv-args3": ("rescaled_polar.csv",
+                                 ["--system", "rescaled", "--polar"]),
+    "slowtime.csv-args4": ("slowtime.csv", ["--system", "slowtime"]),
+    "slowtime.json-args5": ("slowtime.json", ["--system", "slowtime",
+                                              "--format", "json"]),
+    "limit-em.csv-args6": ("limit-em.csv", ["--system", "limit-em"]),
+    "limit-em.json-args7": ("limit-em.json", ["--system", "limit-em",
+                                              "--format", "json"]),
+    "limit-exact.csv-args8": ("limit-exact.csv", ["--system",
+                                                  "limit-exact"]),
+    "limit-exact.json-args9": ("limit-exact.json", ["--system",
+                                                    "limit-exact",
+                                                    "--format", "json"]),
+}
 
 
-@pytest.mark.parametrize("case, args", [
-    ("rescaled.csv", ["--system", "rescaled"]),
-    ("rescaled.json", ["--system", "rescaled", "--format", "json"]),
-    ("rescaled_euler.json", ["--system", "rescaled", "--scheme", "euler",
-                             "--format", "json"]),
-    ("rescaled_polar.csv", ["--system", "rescaled", "--polar"]),
-    ("slowtime.csv", ["--system", "slowtime"]),
-    ("slowtime.json", ["--system", "slowtime", "--format", "json"]),
-    ("limit-em.csv", ["--system", "limit-em"]),
-    ("limit-em.json", ["--system", "limit-em", "--format", "json"]),
-    ("limit-exact.csv", ["--system", "limit-exact"]),
-    ("limit-exact.json", ["--system", "limit-exact", "--format", "json"]),
-])
+@pytest.mark.parametrize("case, args", list(GOLDEN_CASES.values()),
+                         ids=list(GOLDEN_CASES))
 def test_simulate_writes_the_golden_path(tmp_path, case, args):
     require_recorded_targets()
     # the golden files were written by the per-system single-path
@@ -138,16 +151,6 @@ def test_euler_arnold_exits_0(tmp_path):
     assert result.exit_code == 0
     report = json.loads((tmp_path / "euler_arnold.json").read_text())
     assert report["passed"] and report["estimate"] == 0
-
-
-def test_fresh_seed_replaces_the_given_seed(tmp_path):
-    result = run(["euler-arnold", "--seed", "5", "--fresh-seed"], tmp_path)
-    assert result.exit_code == 0
-    first = result.output.splitlines()[0]
-    assert first.startswith("fresh seed: ")
-    seed = int(first.removeprefix("fresh seed: "))
-    report = json.loads((tmp_path / "euler_arnold.json").read_text())
-    assert report["seed"] == seed != 5
 
 
 def _martingale_rule(report):
@@ -237,34 +240,32 @@ def test_report_commands_write_the_golden_reports(tmp_path, command, files):
 
 # Each command takes --config plus the settings it reads.
 OPTIONS = {
-    "simulate": {"config", "system", "scheme", "epsilon", "x0", "y0",
-                 "horizon", "step", "seed", "out", "format", "polar",
-                 "fresh-seed"},
+    "simulate": {"config", "system", "epsilon", "x0", "y0", "horizon",
+                 "step", "seed", "out", "format", "polar"},
     "project": {"config", "x0", "y0"},
-    "lemma1": {"config", "epsilons", "horizon", "alpha", "step", "replicas",
-               "seed", "out", "fresh-seed"},
+    "lemma1": {"config", "epsilons", "horizon", "step", "replicas", "seed",
+               "out"},
     "crossings": {"config", "epsilon", "alpha", "x0", "y0", "horizon",
-                  "step", "replicas", "seed", "out", "fresh-seed"},
+                  "step", "replicas", "seed", "out"},
     "martingale": {"config", "epsilon", "x0", "y0", "horizon", "f", "step",
-                   "replicas", "seed", "out", "fresh-seed"},
+                   "replicas", "seed", "out"},
     "weak-gap": {"config", "epsilon", "x0", "y0", "horizon", "f", "step",
-                 "replicas", "seed", "out", "fresh-seed"},
+                 "replicas", "seed", "out"},
     "excursions": {"config", "epsilons", "a", "horizon", "x0", "y0", "step",
-                   "replicas", "seed", "out", "fresh-seed"},
-    "pde": {"config", "f", "horizon", "n-points", "seed", "out",
-            "fresh-seed"},
-    "euler-arnold": {"config", "seed", "out", "fresh-seed"},
-    "acceptance": {"config", "seed", "out", "fresh-seed"},
+                   "replicas", "seed", "out"},
+    "pde": {"config", "f", "horizon", "n-points", "seed", "out"},
+    "euler-arnold": {"config", "seed", "out"},
+    "acceptance": {"config", "seed", "out"},
 }
 # The options every command used to take, whether it read them or not.
 SHARED_BEFORE = ("epsilon", "alpha", "x0", "y0", "horizon", "step",
                  "replicas", "seed", "variant", "out", "format", "fresh-seed")
 REMOVED = [(command, option) for command, options in OPTIONS.items()
            for option in SHARED_BEFORE if option not in options]
-# The second names a horizon, a start and a test function once had: no
-# command takes them.
+# The second names a horizon, a start and a test function once had, and the
+# scheme option that --system rescaled-euler replaced: no command takes them.
 RETIRED = [(command, option) for command in OPTIONS
-           for option in ("x", "y", "t", "t-final", "initial")]
+           for option in ("x", "y", "t", "t-final", "initial", "scheme")]
 
 
 def test_each_command_takes_only_the_settings_it_reads():
@@ -272,15 +273,15 @@ def test_each_command_takes_only_the_settings_it_reads():
                     for opt in param.opts}
              for name, cmd in main.commands.items()}
     assert taken == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 84
-    assert len(REMOVED) == 56
+    assert sum(map(len, OPTIONS.values())) == 73
+    assert len(REMOVED) == 66
 
 
 def test_every_setting_is_read_by_some_command():
     read = {param.name for cmd in main.commands.values()
-            for param in cmd.params} - {"config", "fresh_seed", "help"}
+            for param in cmd.params} - {"config", "help"}
     assert read == set(SETTINGS)
-    assert len(SETTINGS) == 17
+    assert len(SETTINGS) == 16
 
 
 @pytest.mark.parametrize("command, option", REMOVED + RETIRED)
@@ -300,8 +301,9 @@ def test_config_precedence(tmp_path):
         == "3.0\n"
     assert run(["project", "--y0", "0", "--config", str(cfg)]).output \
         == "3.0\n"
-    # a key outside SETTINGS is an error, variant included
-    for key, value in (("delta", "0.1"), ("variant", "dissipative")):
+    # a key outside SETTINGS is an error, variant and scheme included
+    for key, value in (("delta", "0.1"), ("variant", "dissipative"),
+                       ("scheme", "euler")):
         cfg.write_text(f"{key} = {value}\n")
         result = run(["project", "--config", str(cfg)])
         assert result.exit_code == 2
