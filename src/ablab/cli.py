@@ -22,6 +22,7 @@ from typing import NoReturn
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .acceptance import algebra_identity_battery, run_acceptance
@@ -213,7 +214,18 @@ def _path_columns(ts, *arrays) -> dict:
        "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
-    which reads streams (seed, 0) and (seed, 1)."""
+    which reads streams (seed, 0) and (seed, 1), or (seed, 0) alone for
+    ``--system limit-em``.  A limit path has no epsilon and one coordinate,
+    so ``--epsilon`` and ``--polar`` on the command line are errors for the
+    two limit systems; a config file's keys stay ignored."""
+    if s["system"].startswith("limit"):
+        ctx = click.get_current_context()
+        given = [f"--{name}" for name in ("epsilon", "polar")
+                 if ctx.get_parameter_source(name)
+                 is ParameterSource.COMMANDLINE]
+        if given:
+            raise ValueError(f"--system {s['system']} does not read "
+                             + " or ".join(given))
     grid = TimeGrid(s["horizon"], s["step"])
     seed = s["seed"]
     run, scheme, stream_ids = _system_reduce(s, grid)

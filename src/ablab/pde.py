@@ -4,6 +4,12 @@ Solves u_t = (1/(2y) - y) u_y + u_yy / 2 on [0, Y_MAX] with the reflecting
 condition u_y(0+) = 0, cross-validated against probabilistic
 representations: the exact limit sampler in one dimension and the full
 fast-slow system in two.
+
+The scheme is Crank-Nicolson with a backward-Euler start (Rannacher), at
+dt = dy / 5: second order in dt and dy.  Each step is one tridiagonal
+solve by cyclic reduction, in numpy alone, so a solve loads no scipy.
+References: Crank and Nicolson, Proc. Camb. Phil. Soc. 43 (1947);
+Rannacher, Numer. Math. 43 (1984).
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import _BLOCK_ELEMS, _const
 from .analysis import StatReport, check_replicas
 from .limit import TestFunction, limit_exact_terminal, radial_drift
 from .model import ModelParams, batch_rows, project_pi, rescaled_reduce, \
@@ -27,13 +33,18 @@ Y_MAX = 6.0
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Space-time grid for the explicit scheme on [0, Y_MAX].
+    """Space-time grid of the Crank-Nicolson solver on [0, Y_MAX].
 
-    ``dt`` is 0.9 times the singular-node bound dy^2 / 2, shortened to land
-    on ``t_final``.  The stability bound dy^2 / (1 + max|drift| * dy) is
-    never smaller, because max|drift| * dy <= 1: at y = dy, |drift| * dy =
-    |1/2 - dy^2| <= 1/2, since n_points >= 8 gives dy <= 6/7; at the other
-    nodes |drift| <= Y_MAX, and Y_MAX * dy <= 1 by the monotonicity check.
+    ``dt`` is dy / 5, shortened so that ``n_steps`` whole steps land on
+    ``t_final``.  The scheme is second order in dt and in dy, so dt scales
+    with dy and halving dy quarters the error.  ``n_steps`` counts the steps
+    of a run with no snapshot before ``t_final``; ``solve_limit_pde`` takes
+    ceil(span / dt - 1e-12) equal steps in each snapshot interval.
+
+    dy * Y_MAX <= 1 keeps |drift| * dy <= 1 at every node (at y = dy,
+    |drift| * dy = |1/2 - dy^2| <= 1/2, since n_points >= 8 gives
+    dy <= 6/7), so the step matrix has off-diagonals of one sign and is
+    strictly diagonally dominant at every dt.
     """
 
     n_points: int = 601
@@ -49,16 +60,102 @@ class Grid1D:
             raise ValueError("t_final must be positive")
         dy = Y_MAX / (self.n_points - 1)
         if dy * Y_MAX > 1.0:
-            raise ValueError("dy too coarse for a monotone scheme: "
-                             "need dy * Y_MAX <= 1")
-        dt = 0.9 * (0.5 * dy * dy)
-        dt = self.t_final / math.ceil(self.t_final / dt)
+            raise ValueError("dy too coarse for a diagonally dominant "
+                             "scheme: need dy * Y_MAX <= 1")
+        dt = self.t_final / math.ceil(self.t_final / (dy / 5.0))
         object.__setattr__(self, "dy", dy)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n_steps", int(round(self.t_final / dt)))
 
     def y_nodes(self) -> np.ndarray:
         return np.linspace(0.0, Y_MAX, self.n_points)
+
+
+# The first steps after t = 0, each taken as two backward-Euler half-steps
+# (Rannacher's start): they damp the high modes of rough initial data, which
+# Crank-Nicolson carries undamped.
+_EULER_STEPS = 2
+
+
+class _CrankNicolson:
+    """Steps of length dt, in place on ``u``, with the matrix
+    M = I - (dt/2) L factored once.
+
+    M is tridiagonal and strictly diagonally dominant (``Grid1D``), so
+    odd-even cyclic reduction solves it without pivoting.  Each level
+    eliminates the odd unknowns of the current system from its even rows,
+    which leaves a system half the size on every second unknown, until one
+    unknown is left; back-substitution then recovers the odd unknowns level
+    by level.  The reduced coefficients depend on dt alone and are computed
+    here.  The unknowns of a level are a strided view of one zero-padded
+    buffer, and a (3, m) window over it holds each row's left, centre and
+    right neighbour, so each half-level costs one multiply by fixed
+    coefficients and one sum over the three rows.
+    """
+
+    def __init__(self, grid: Grid1D, dt: float):
+        n, dy = grid.n_points, grid.dy
+        h, dy2 = 0.5 * dt, dy * dy
+        b = radial_drift(grid.y_nodes()[1:-1])
+        # (dt/2) L as the weights of the left, centre and right neighbour
+        hl = np.zeros((3, n))
+        hl[0, 1:-1] = h * (0.5 / dy2 - b / (2.0 * dy))
+        hl[1, 1:-1] = -h / dy2
+        hl[2, 1:-1] = h * (0.5 / dy2 + b / (2.0 * dy))
+        # the ghost value u(-dy) = u(dy) at 0, a reflecting far node
+        hl[1, 0], hl[2, 0] = -2.0 * h / dy2, 2.0 * h / dy2
+        hl[0, -1], hl[1, -1] = h / dy2, -h / dy2
+        self.explicit = hl + np.array([[0.0], [1.0], [0.0]])  # I + (dt/2) L
+        a, d, c = -hl[0], 1.0 - hl[1], -hl[2]  # the three diagonals of M
+        # u is buf[n:2n]; the zeros around it meet zero weights only
+        buf = np.zeros(3 * n)
+        self.u = buf[n:2 * n]
+        self._window = sliding_window_view(buf[n - 1:2 * n + 1], 3).T
+        self._work = np.empty((3, n))
+        down, up = [], []
+        s, m = 1, n  # stride and size of the current system
+        while m > 1:
+            # x[k + 1] is unknown k of this level, x[0] and x[m + 1] zeros;
+            # row r of the window is (x[r], x[r + 1], x[r + 2])
+            x = buf[n - s:n + m * s + 1:s]
+            rows = sliding_window_view(x, 3)
+            ne, no = (m + 1) // 2, m // 2
+            inv = 1.0 / d[1::2]
+            alpha, gamma = np.zeros(ne), np.zeros(ne)
+            alpha[1:] = -a[2::2] * inv[:ne - 1]
+            gamma[:no] = -c[:2 * no:2] * inv
+            down.append((rows[0::2].T, np.stack([alpha, np.ones(ne), gamma]),
+                         self._work[:, :ne], x[1:m + 1:2]))
+            up.append((rows[1::2].T, np.stack([-a[1::2] * inv, inv,
+                                               -c[1::2] * inv]),
+                       self._work[:, :no], x[2:m + 1:2]))
+            # the even rows, with their odd neighbours eliminated
+            a_odd, c_odd = a[1::2], c[1::2]
+            a, d, c = np.zeros(ne), d[0::2].copy(), np.zeros(ne)
+            a[1:] = alpha[1:] * a_odd[:ne - 1]
+            d[1:] += alpha[1:] * c_odd[:ne - 1]
+            d[:no] += gamma[:no] * a_odd
+            c[:no] = gamma[:no] * c_odd
+            s, m = 2 * s, ne
+        top = buf[n:n + 1]  # the one unknown left: d u = rhs
+        self._sweep = [*down, (top[None], (1.0 / d)[None],
+                               self._work[:1, :1], top), *reversed(up)]
+
+    def solve(self) -> None:
+        """u <- M^{-1} u."""
+        for rows, coeffs, work, out in self._sweep:
+            np.multiply(rows, coeffs, out=work)
+            np.add.reduce(work, axis=0, out=out)
+
+    def step(self, euler: bool = False) -> None:
+        """One step of length dt: M u' = (I + (dt/2) L) u, or with
+        ``euler`` two backward-Euler half-steps, M u' = u twice."""
+        if euler:
+            self.solve()
+        else:
+            np.multiply(self._window, self.explicit, out=self._work)
+            np.add.reduce(self._work, axis=0, out=self.u)
+        self.solve()
 
 
 @dataclass
@@ -81,27 +178,25 @@ class PDESolution:
 
 def solve_limit_pde(f: TestFunction, grid: Grid1D,
                     snapshot_times=None) -> PDESolution:
-    """Explicit finite differences for the limit Cauchy problem.
+    """Crank-Nicolson for the limit Cauchy problem, u_t = L u.
 
-    Interior nodes use central differences.  The singular node y = 0 uses
-    the even-extension ghost value u(-dy) = u(dy), under which the
-    generator limit at the origin discretizes to 2 (u_1 - u_0) / dy^2.
-    The far boundary is reflecting (zero-derivative outflow).
+    L is the finite-difference generator.  Interior nodes use central
+    differences.  The singular node y = 0 uses the even-extension ghost
+    value u(-dy) = u(dy), under which the generator limit at the origin
+    discretizes to 2 (u_1 - u_0) / dy^2.  The far boundary is reflecting
+    (zero-derivative outflow).
 
-    The steps run on a steps-major block of (K + 1) x n_points rows, with
-    K x n_points <= ``_kernels._BLOCK_ELEMS``: row j + 1 gets the state
-    after step j.  A step writes the interior stencil into its row through
-    ``out=`` in five ufunc calls with one work buffer, whose constant
-    operands are arrays built once per span, and computes the two
-    boundary nodes in Python floats.  Once per block the rows'
-    minima and maxima are folded into the running extrema, and the last
-    row is carried to row 0.  Every product and sum is the one of the
-    plain array expression, in the same order, and min and max are exact,
-    so the extrema are those of every step.
+    Each snapshot interval is cut into ceil(span / dt - 1e-12) equal steps
+    of length k, and one matrix I - (k/2) L is factored per interval.  A
+    step solves (I - (k/2) L) u' = (I + (k/2) L) u.  The first
+    ``_EULER_STEPS`` steps after t = 0 are two backward-Euler half-steps
+    each, (I - (k/2) L) u' = u twice (Rannacher's start).
+
+    ``u_min`` and ``u_max`` are extrema over the states after every step.
+    ``constant_drift_per_step`` is max |S 1 - 1| over the intervals' steps
+    S: how far a step moves a constant, by rounding alone.
     """
     ys = grid.y_nodes()
-    dy = grid.dy
-    dt = grid.dt
     u = np.asarray(f(ys), dtype=np.float64)
     if snapshot_times is None:
         snapshot_times = [grid.t_final]
@@ -111,54 +206,35 @@ def solve_limit_pde(f: TestFunction, grid: Grid1D,
     if any(t < 0.0 for t in snapshot_times):
         raise ValueError("snapshot times must be nonnegative")
 
-    b = radial_drift(ys[1:-1])  # drift at interior nodes
-    dy2 = dy * dy
-    k_steps = max(1, _BLOCK_ELEMS // ys.size)
-    block = np.empty((k_steps + 1, ys.size))
-    block[0] = u
-    # (whole, interior, upper and lower neighbours) of each row
-    rows = [(r, r[1:-1], r[2:], r[:-2]) for r in block]
-    term = np.empty(b.size)
     run_min, run_max = u.copy(), u.copy()
+    drift_const, steps_done = 0.0, 0
 
-    def step_many(span, dt_cap):
+    def advance(u, span):
         # integrate over span, landing exactly on its end
-        nonlocal drift_const
+        nonlocal drift_const, steps_done
         if span <= 0.0:
-            return
-        n = max(1, math.ceil(span / dt_cap - 1e-12))
-        dt_k = span / n
-        c_up = dt_k * (0.5 / dy2 + b / (2.0 * dy))
-        c_dn = dt_k * (0.5 / dy2 - b / (2.0 * dy))
-        c_mid = _const(1.0 - dt_k / dy2)
-        c0 = 2.0 * dt_k / dy2
-        ones_step = c_mid + c_up + c_dn  # row sums of the interior stencil
-        drift_const = max(drift_const, float(np.abs(ones_step - 1.0).max()))
-        for done in range(0, n, k_steps):
-            k = min(k_steps, n - done)
-            # c_mid u_i + c_up u_{i+1} + c_dn u_{i-1}, summed left to right
-            for (w, mid, up, dn), (wn, mid_n, _, _) in zip(rows[:k],
-                                                           rows[1:k + 1]):
-                np.multiply(c_mid, mid, out=mid_n)
-                np.add(mid_n, np.multiply(c_up, up, out=term), out=mid_n)
-                np.add(mid_n, np.multiply(c_dn, dn, out=term), out=mid_n)
-                u0, ul = w.item(0), w.item(-1)
-                wn[0] = u0 + c0 * (w.item(1) - u0)
-                wn[-1] = ul + dt_k * (w.item(-2) - ul) / dy2
-            states = block[1:k + 1]
-            np.minimum(run_min, states.min(axis=0), out=run_min)
-            np.maximum(run_max, states.max(axis=0), out=run_max)
-            block[0] = block[k]
+            return u
+        n = max(1, math.ceil(span / grid.dt - 1e-12))
+        cn = _CrankNicolson(grid, span / n)
+        cn.u[:] = cn.explicit.sum(axis=0)  # (I + (k/2) L) 1
+        cn.solve()
+        drift_const = max(drift_const, float(np.abs(cn.u - 1.0).max()))
+        cn.u[:] = u
+        for _ in range(n):
+            cn.step(euler=steps_done < _EULER_STEPS)
+            steps_done += 1
+            np.minimum(run_min, cn.u, out=run_min)
+            np.maximum(run_max, cn.u, out=run_max)
+        return cn.u.copy()
 
-    drift_const = 0.0
     snaps = []
     t_prev = 0.0
     for t in snapshot_times:
-        step_many(t - t_prev, dt)
-        snaps.append(block[0].copy())
+        u = advance(u, t - t_prev)
+        snaps.append(u)
         t_prev = t
     if t_prev < grid.t_final * (1 - 1e-12):
-        step_many(grid.t_final - t_prev, dt)
+        advance(u, grid.t_final - t_prev)
     u_min, u_max = float(run_min.min()), float(run_max.max())
 
     times = np.asarray(snapshot_times)

@@ -9,21 +9,24 @@ driver) are checked against their entries here, with two parts of criterion
 6: its crossing statistics and its one-sided exit-time Monte Carlo at
 delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
 scan and of the exit-time loop.  Of criterion 9, the five limit-PDE values
-(0.2 s) and the Monte Carlo value of the probe (2, 0) (2-3.5 s) are
-checked, the only stored output of ``cauchy_2d_mc``.  Of criterion 7, the
-linear x-collapse gap (about 2.3 s) is checked.  A refactor is proven
-against the whole file by hand.  The stored bytes hold only where numpy
-dispatches the package's float64 ufuncs to the SIMD targets in
-``data/simd_targets.json`` (``simd_targets.py``).  The criteria left out,
+(one Crank-Nicolson solve, about 0.05 s) and the Monte Carlo value of the
+probe (2, 0) (2-3.5 s) are checked, the only stored output of
+``cauchy_2d_mc``.  Of criterion 7, the linear x-collapse gap (about
+2.3 s) is checked.  A refactor is proven against the whole file by hand.
+The stored bytes hold only where numpy dispatches the package's float64
+ufuncs to the SIMD targets in ``data/simd_targets.json``
+(``simd_targets.py``).  The criteria left out,
 with their times in seconds in the two passes of one run
-(``BENCH_21.json``, 2-core host):
+(``BENCH_21.json``, 2-core host; criterion 9 from ``BENCH_25.json``):
 
 - 2, exact radial identity: 17.3, 16.6;
 - 6's other three exit-time Monte Carlo runs and its asymptotics (the
   whole criterion: 12.0, 13.6);
 - 7's martingale residuals, limit control, terminal-law gaps and clipped
   x-collapse ladder (the whole criterion: 20.8, 23.2);
-- 9's other four Monte Carlo probes (the whole criterion: 10.4, 10.4);
+- 9's other four Monte Carlo probes (the whole criterion: 16.6, 12.3,
+  against 15.9, 15.1 with the explicit solver it replaced, timed in the
+  same session; 10.4, 10.4 in ``BENCH_21.json``);
 - 11, the rerun of the whole battery, byte for byte.
 """
 

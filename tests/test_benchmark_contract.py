@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from ablab import pde
+from test_pde import PDE_CASES
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 INSTRUMENT = BENCHMARKS / "instrument.py"
 
@@ -134,3 +137,23 @@ def test_every_direct_call_binds_the_callee_signature(caller, expected):
         bound.add(label)
     # the extraction above sees the calls it is meant to guard
     assert expected <= bound, sorted(expected - bound)
+
+
+@pytest.mark.parametrize("initial, n_points, t_final, times", PDE_CASES)
+def test_pde_node_steps_count_the_steps_the_solver_takes(
+        instrument, monkeypatch, initial, n_points, t_final, times):
+    # the tracer keeps its own copy of the solver's step rule
+    taken = []
+    step = pde._CrankNicolson.step
+
+    def counted(self, *args, **kwargs):
+        taken.append(1)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde._CrankNicolson, "step", counted)
+    grid = pde.Grid1D(n_points=n_points, t_final=t_final)
+    pde.solve_limit_pde(initial(), grid, snapshot_times=times)
+    counts = {}
+    instrument._count_pde(counts, {"grid": grid, "snapshot_times": times},
+                          None, None)
+    assert counts["node_steps"] == n_points * len(taken) > 0

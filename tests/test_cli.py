@@ -93,6 +93,26 @@ def test_a_limit_path_starts_at_the_projected_start(tmp_path, system):
     assert rows[1:3] == ["t,y", "0,5"]
 
 
+@pytest.mark.parametrize("system", ["limit-em", "limit-exact"])
+def test_a_limit_system_rejects_epsilon_and_polar(tmp_path, system):
+    args = ["simulate", "--system", system, "--horizon", "0.01"]
+    for option in (["--epsilon", "0.5"], ["--polar"]):
+        out = tmp_path / option[0][2:]
+        result = run([*args, *option], out)
+        assert result.exit_code == 2, result.output
+        assert f"--system {system} does not read {option[0]}" \
+            in result.output
+        assert not out.exists() or list(out.iterdir()) == []
+    # a config file serves every command, so its keys stay ignored
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("epsilon = 0.5\npolar = true\n")
+    out = tmp_path / "config"
+    result = run([*args, "--config", str(cfg)], out)
+    assert result.exit_code == 0, result.output
+    rows = (out / f"path_{system}_seed42.csv").read_text().splitlines()
+    assert rows[1] == "t,y"
+
+
 GOLDEN = Path(__file__).parent / "data" / "simulate"
 GOLDEN_VERSION = "0.1.0"  # the package version the golden files carry
 # Each case's id is written out, so adding or deleting a case renames no
@@ -126,10 +146,12 @@ def test_simulate_writes_the_golden_path(tmp_path, case, args):
     require_recorded_targets()
     # the golden files were written by the per-system single-path
     # simulators that replica 0 of the batch driver replaced
-    result = run(["simulate", "--seed", "7", "--horizon", "0.01", "--step",
-                  "0.001", "--epsilon", "0.01", *args], tmp_path)
-    assert result.exit_code == 0, result.output
     system = args[1]
+    # the limit systems have no epsilon, and reject one given to them
+    epsilon = [] if system.startswith("limit") else ["--epsilon", "0.01"]
+    result = run(["simulate", "--seed", "7", "--horizon", "0.01", "--step",
+                  "0.001", *epsilon, *args], tmp_path)
+    assert result.exit_code == 0, result.output
     fmt = case.rsplit(".", 1)[1]
     written = (tmp_path / f"path_{system}_seed7.{fmt}").read_text()
     golden = (GOLDEN / case).read_text()

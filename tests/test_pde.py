@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ablab import limit
+from ablab import limit, pde
 from ablab.limit import radial_drift
 from ablab.limit import expected_square, gauss_bump, square_fn
 from ablab.model import ModelParams, project_pi
@@ -34,12 +34,11 @@ def test_grid_validation():
 @pytest.mark.parametrize("n_points", [37, 301, 601, 1201, 2001])
 @pytest.mark.parametrize("t_final", [1e-3, 0.5, 2.0])
 def test_derived_dt_meets_both_bounds(n_points, t_final):
-    # the explicit scheme is stable and monotone only below these bounds,
-    # and whole steps must land on t_final
+    # dt is at most dy / 5, and no fewer whole steps of at most dy / 5
+    # would reach t_final, on which the steps land
     g = Grid1D(n_points=n_points, t_final=t_final)
-    max_drift = max(abs(radial_drift(g.dy)), Y_MAX)
-    assert g.dt <= g.dy ** 2 / (1.0 + max_drift * g.dy)
-    assert g.dt <= g.dy ** 2 / 2.0
+    assert g.dt <= g.dy / 5.0 * (1.0 + 1e-12)
+    assert (g.n_steps - 1) * g.dy / 5.0 < t_final
     assert g.n_steps * g.dt == pytest.approx(t_final, rel=1e-12, abs=0.0)
 
 
@@ -62,7 +61,7 @@ def test_square_initial_matches_closed_form():
 
 
 def test_grid_convergence_second_order():
-    # halving dy (and with it dt ~ dy^2) shrinks the closed-form error ~4x
+    # halving dy (and with it dt ~ dy) shrinks the closed-form error ~4x
     errs = []
     for n_pts in (151, 301):
         g = Grid1D(n_points=n_pts, t_final=0.5)
@@ -139,58 +138,77 @@ def test_cauchy_2d_approaches_limit_solution():
     assert rep.config["y_pi"] == 2.0
 
 
-def _solve_oracle(f, grid, snapshot_times):
-    """The explicit scheme with a fresh array expression per step: the
-    reference the buffered step loop of solve_limit_pde must match bit for
-    bit."""
-    ys = grid.y_nodes()
-    dy, dt = grid.dy, grid.dt
-    u = np.asarray(f(ys), dtype=np.float64).copy()
-    b = radial_drift(ys[1:-1])
+def _generator_matrix(grid):
+    """L as a dense matrix: central differences inside, the ghost value
+    u(-dy) = u(dy) at 0 and a reflecting far node."""
+    n, dy = grid.n_points, grid.dy
+    b = radial_drift(grid.y_nodes()[1:-1])
+    i = np.arange(1, n - 1)
+    L = np.zeros((n, n))
+    L[i, i - 1] = 0.5 / dy ** 2 - b / (2.0 * dy)
+    L[i, i] = -1.0 / dy ** 2
+    L[i, i + 1] = 0.5 / dy ** 2 + b / (2.0 * dy)
+    L[0, :2] = -2.0 / dy ** 2, 2.0 / dy ** 2
+    L[-1, -2:] = 1.0 / dy ** 2, -1.0 / dy ** 2
+    return L
 
-    def step_many(u, span, dt_cap):
-        nonlocal u_min, u_max, drift_const
+
+def _solve_oracle(f, grid, snapshot_times):
+    """Crank-Nicolson with each step a dense array expression, through
+    np.linalg.solve on M = I - (k/2) L: the reference the cyclic-reduction
+    steps of solve_limit_pde must match to rounding."""
+    ys = grid.y_nodes()
+    u = np.asarray(f(ys), dtype=np.float64)
+    L = _generator_matrix(grid)
+    eye = np.eye(grid.n_points)
+    step_matrix = {}  # k -> (M, M^{-1} (I + (k/2) L))
+
+    def step_many(u, span):
+        nonlocal u_min, u_max, drift_const, steps_done
         if span <= 0.0:
             return u
-        n = max(1, math.ceil(span / dt_cap - 1e-12))
-        dt_k = span / n
-        c_up = dt_k * (0.5 / (dy * dy) + b / (2.0 * dy))
-        c_dn = dt_k * (0.5 / (dy * dy) - b / (2.0 * dy))
-        c_mid = 1.0 - dt_k / (dy * dy)
-        c0 = 2.0 * dt_k / (dy * dy)
-        ones_step = c_mid + c_up + c_dn
-        drift_const = max(drift_const, float(np.abs(ones_step - 1.0).max()))
-        un = np.empty_like(u)
+        n = max(1, math.ceil(span / grid.dt - 1e-12))
+        k = span / n
+        if k not in step_matrix:
+            m = eye - 0.5 * k * L
+            step_matrix[k] = m, np.linalg.solve(m, 2.0 * eye - m)
+        m, cn = step_matrix[k]
+        drift_const = max(drift_const, float(np.abs(cn.sum(axis=1)
+                                                    - 1.0).max()))
         for _ in range(n):
-            un[1:-1] = c_mid * u[1:-1] + c_up * u[2:] + c_dn * u[:-2]
-            un[0] = u[0] + c0 * (u[1] - u[0])
-            un[-1] = u[-1] + dt_k * (u[-2] - u[-1]) / (dy * dy)
-            u, un = un, u
+            if steps_done < 2:  # two backward-Euler half-steps
+                u = np.linalg.solve(m, np.linalg.solve(m, u))
+            else:
+                u = cn @ u
+            steps_done += 1
             u_min = min(u_min, float(u.min()))
             u_max = max(u_max, float(u.max()))
         return u
 
-    u_min, u_max, drift_const = float(u.min()), float(u.max()), 0.0
+    u_min, u_max, drift_const, steps_done = float(u.min()), float(u.max()), \
+        0.0, 0
     snaps, t_prev = [], 0.0
     for t in sorted(snapshot_times):
-        u = step_many(u, t - t_prev, dt)
+        u = step_many(u, t - t_prev)
         snaps.append(u.copy())
         t_prev = t
     if t_prev < grid.t_final * (1 - 1e-12):
-        u = step_many(u, grid.t_final - t_prev, dt)
+        u = step_many(u, grid.t_final - t_prev)
     return np.stack(snaps), u_min, u_max, drift_const
 
 
 # (initial, n_points, t_final, snapshot times): the benchmark's and the
 # battery's grids at a reduced t_final, one with an interval dt does not
-# divide and one with a snapshot at t = 0, and a constant, whose extrema
-# move only by rounding, away from the initial value
+# divide, one with a snapshot at t = 0, one with an interval shorter than
+# dt, and a constant, whose extrema move only by rounding, away from the
+# initial value
 PDE_CASES = [
     (square_fn, 601, 0.2, [0.05, 0.1, 0.2]),
     (square_fn, 1201, 0.1, [0.05, 0.1]),
     (gauss_bump, 601, 0.2, [0.2]),
     (gauss_bump, 601, 0.2, [0.0, 0.0333]),
     (lambda: constant_fn(0.3), 601, 0.2, [0.1]),
+    (square_fn, 601, 0.2, [0.001, 0.2]),
 ]
 
 
@@ -201,7 +219,33 @@ def test_step_loop_matches_array_expression_oracle(initial, n_points,
     g = Grid1D(n_points=n_points, t_final=t_final)
     sol = solve_limit_pde(f, g, snapshot_times=times)
     u, u_min, u_max, drift_const = _solve_oracle(f, g, times)
-    assert u.tobytes() == sol.u.tobytes()
-    for a, b in ((sol.u_min, u_min), (sol.u_max, u_max),
-                 (sol.constant_drift_per_step, drift_const)):
-        assert math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+    scale = np.abs(u).max()
+    assert np.abs(sol.u - u).max() <= 1e-12 * scale
+    assert abs(sol.u_min - u_min) <= 1e-12 * scale
+    assert abs(sol.u_max - u_max) <= 1e-12 * scale
+    assert sol.constant_drift_per_step < 1e-12 and drift_const < 1e-12
+
+
+@pytest.mark.parametrize("initial, n_points, t_final, times", PDE_CASES)
+def test_tridiagonal_solve_matches_dense_solve(monkeypatch, initial,
+                                               n_points, t_final, times):
+    # each matrix the solver factors, one per snapshot interval
+    factored = []
+
+    class Recorded(pde._CrankNicolson):
+        def __init__(self, grid, dt):
+            super().__init__(grid, dt)
+            factored.append((self, dt))
+
+    monkeypatch.setattr(pde, "_CrankNicolson", Recorded)
+    g = Grid1D(n_points=n_points, t_final=t_final)
+    solve_limit_pde(initial(), g, snapshot_times=times)
+    L = _generator_matrix(g)
+    rng = np.random.default_rng(n_points)
+    assert factored
+    for cn, dt in factored:
+        rhs = rng.standard_normal(n_points)
+        cn.u[:] = rhs
+        cn.solve()
+        want = np.linalg.solve(np.eye(n_points) - 0.5 * dt * L, rhs)
+        assert np.abs(cn.u - want).max() <= 1e-12 * np.abs(want).max(), dt
