@@ -31,16 +31,19 @@ Python float operand on every call, which on a few hundred lanes costs about
 as much as the arithmetic.
 
 Every kernel that ``model.replica_reduce`` drives (``rescaled_split``,
-``rescaled_euler``, ``slowtime_euler``, ``limit_sq_em`` and
-``ou2d_radius``) keeps one more rule: it reads the draws of step k before it
-writes the state after step k, column k + 1 of its outputs.  So its draws
-may be columns ``1:`` of its own output arrays, and the paths overwrite
-their noise in place: the driver holds two path-sized arrays per batch, not
-two of draws and two of paths.  The tiled kernels copy a tile's draws
-before they write the tile's states.
+``rescaled_euler``, ``slowtime_euler`` and ``ou2d_radius``) keeps one more
+rule: it reads the draws of step k before it writes the state after step k,
+column k + 1 of its outputs.  So its draws may be columns ``1:`` of its own
+output arrays, and the paths overwrite their noise in place: the driver
+holds two path-sized arrays per batch, not two of draws and two of paths.
+The tiled kernels copy a tile's draws before they write the tile's states.
 
 ``first_passages`` is the one alternating first-passage walk along a
 stored row: the band crossings and the excursions are both read with it.
+
+``limit_sq_em``, an Euler scheme on the square of the limit process, has
+no caller in the package: ``ou2d_radius`` samples the same process exactly.
+It is kept for the layer timings only, and keeps the in-place rule.
 
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """

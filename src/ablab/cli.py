@@ -34,8 +34,7 @@ from .analysis import (METASTABILITY_LADDER, MOMENT_SCALING_ALPHA,
                        martingale_residual, martingale_residual_limit,
                        strictly_decreasing, terminal_law_gap, within_z,
                        x_collapse_gap, x_second_moment_scaling, z_threshold)
-from .limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
-                    limit_exact_reduce)
+from .limit import TEST_FUNCTIONS, LimitParams, limit_exact_reduce
 from .model import (ModelParams, _slowtime_advance, project_pi,
                     replica_reduce, rescaled_reduce)
 from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
@@ -55,8 +54,8 @@ SETTINGS = {
     "out": dict(type=str, default=".", help="output directory"),
     "format": dict(type=click.Choice(["csv", "json"]), default="csv"),
     "system": dict(type=click.Choice(["rescaled", "rescaled-euler",
-                                      "slowtime", "limit-em",
-                                      "limit-exact"]), default="rescaled"),
+                                      "slowtime", "limit-exact"]),
+                   default="rescaled"),
     "polar": dict(is_flag=True, default=False,
                   help="append radius/angle columns to 2-d paths"),
     "epsilons": dict(type=str, default="",
@@ -179,25 +178,21 @@ def main():
     damped radial Bessel limit."""
 
 
-def _system_reduce(s: dict, grid: TimeGrid):
+def _system_driver(s: dict, grid: TimeGrid):
     """The batch-driver binding that ``simulate --system`` runs, as
-    ``run(master_seed, n_replicas, reduce_fn)``, with its scheme label and
-    the streams it reads.  A limit path starts at the projected start."""
+    ``run(master_seed, n_replicas, reduce_fn)``, with its scheme label.
+    A limit path starts at the projected start."""
     system = s["system"]
     if system.startswith("rescaled"):
         scheme = "euler" if system == "rescaled-euler" else "splitting"
         return (partial(rescaled_reduce, _model_params(s), grid,
-                        scheme=scheme), f"rescaled_{scheme}", (0, 1))
+                        scheme=scheme), f"rescaled_{scheme}")
     if system == "slowtime":
         return (partial(replica_reduce, partial(_slowtime_advance,
                                                 _model_params(s), grid),
-                        grid.times()), "slowtime_euler", (0, 1))
+                        grid.times()), "slowtime_euler")
     lp = LimitParams(y0=project_pi((s["x0"], s["y0"])))
-    if system == "limit-em":
-        # the direct scheme reads the first stream only
-        return (partial(replica_reduce, partial(_em_advance, lp, grid),
-                        grid.times()), "limit_sq_em_damped", (0,))
-    return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d", (0, 1)
+    return partial(limit_exact_reduce, lp, grid), "limit_exact_ou2d"
 
 
 def _path_columns(ts, *arrays) -> dict:
@@ -214,11 +209,11 @@ def _path_columns(ts, *arrays) -> dict:
        "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
-    which reads streams (seed, 0) and (seed, 1), or (seed, 0) alone for
-    ``--system limit-em``.  A limit path has no epsilon and one coordinate,
-    so ``--epsilon`` and ``--polar`` on the command line are errors for the
-    two limit systems; a config file's keys stay ignored."""
-    if s["system"].startswith("limit"):
+    which reads streams (seed, 0) and (seed, 1) for every system.  A limit
+    path has no epsilon and one coordinate, so ``--epsilon`` and
+    ``--polar`` on the command line are errors for ``--system
+    limit-exact``; a config file's keys stay ignored."""
+    if s["system"] == "limit-exact":
         ctx = click.get_current_context()
         given = [f"--{name}" for name in ("epsilon", "polar")
                  if ctx.get_parameter_source(name)
@@ -228,10 +223,10 @@ def simulate(**s):
                              + " or ".join(given))
     grid = TimeGrid(s["horizon"], s["step"])
     seed = s["seed"]
-    run, scheme, stream_ids = _system_reduce(s, grid)
+    run, scheme = _system_driver(s, grid)
     first = run(seed, 1, _path_columns)
     path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
-                      stream_ids=stream_ids, scheme=scheme,
+                      stream_ids=(0, 1), scheme=scheme,
                       diverged=bool(first["div"][0]))
     if path.diverged:
         raise DegenerateRun("divergence guard tripped: step too large for "

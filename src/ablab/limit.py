@@ -135,18 +135,6 @@ def generator_apply(f: TestFunction, y):
     return out
 
 
-def _em_advance(p: LimitParams, grid: TimeGrid, b1, b2):
-    """Direct discretization, positivity-preserving: (ys,) from one batch
-    of draws, written over the draws in b1.  It reads b1 only.
-
-    The square S = Y^2 satisfies dS = (2 - 2S) dt + 2 sqrt(S) dW; S is
-    stepped explicitly, reflecting rare negative excursions, and the path
-    returned is sqrt(S) > 0.
-    """
-    _kernels.limit_sq_em(p.y0, 2.0, 2.0, grid.step, b1[:, 1:], b1)
-    return (b1,)
-
-
 def _exact_step_coeffs(h: float) -> tuple[float, float]:
     decay = math.exp(-h)
     sd = math.sqrt(-math.expm1(-2.0 * h) / 2.0)

@@ -19,7 +19,6 @@ A row with any draw off the fast path is redrawn one stream at a time.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,8 +208,9 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid covering [0, horizon] with n_steps steps of size step:
-    the one place a run states its horizon."""
+    """Uniform grid on [0, horizon] with n_steps steps of size step: the
+    one place a run states its horizon.  The horizon must be a whole number
+    of steps, so the last point is the horizon."""
 
     horizon: float
     step: float
@@ -221,9 +221,13 @@ class TimeGrid:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        # tolerate float noise in horizon/step before taking the ceiling
-        n = math.ceil(self.horizon / self.step - 1e-9)
-        object.__setattr__(self, "n_steps", max(n, 1))
+        # 1e-9 forgives the float noise of horizon / step
+        ratio = self.horizon / self.step
+        n = round(ratio)
+        if n < 1 or abs(ratio - n) > 1e-9:
+            raise ValueError(f"horizon {self.horizon} is not a whole number "
+                             f"of steps of {self.step}")
+        object.__setattr__(self, "n_steps", n)
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.n_steps + 1)

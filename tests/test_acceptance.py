@@ -12,7 +12,9 @@ scan and of the exit-time loop.  Of criterion 9, the five limit-PDE values
 (one Crank-Nicolson solve, about 0.05 s) and the Monte Carlo value of the
 probe (2, 0) (2-3.5 s) are checked, the only stored output of
 ``cauchy_2d_mc``.  Of criterion 7, the linear x-collapse gap (about
-2.3 s) is checked.  A refactor is proven against the whole file by hand.
+2.3 s) and the limit control (about 5 s, 50,000 exact paths in six
+batches: the only stored output of ``limit_exact_reduce`` over many
+batches) are checked.  A refactor is proven against the whole file by hand.
 The stored bytes hold only where numpy dispatches the package's float64
 ufuncs to the SIMD targets in ``data/simd_targets.json``
 (``simd_targets.py``).  The criteria left out,
@@ -22,8 +24,8 @@ with their times in seconds in the two passes of one run
 - 2, exact radial identity: 17.3, 16.6;
 - 6's other three exit-time Monte Carlo runs and its asymptotics (the
   whole criterion: 12.0, 13.6);
-- 7's martingale residuals, limit control, terminal-law gaps and clipped
-  x-collapse ladder (the whole criterion: 20.8, 23.2);
+- 7's martingale residuals, terminal-law gaps and clipped x-collapse
+  ladder (the whole criterion: 20.8, 23.2);
 - 9's other four Monte Carlo probes (the whole criterion: 16.6, 12.3,
   against 15.9, 15.1 with the explicit solver it replaced, timed in the
   same session; 10.4, 10.4 in ``BENCH_21.json``);
@@ -40,7 +42,8 @@ import numpy as np
 import pytest
 
 from ablab.acceptance import BATTERY, _seed, results_to_json
-from ablab.analysis import crossing_stats, ou_exit_mc, x_collapse_gap
+from ablab.analysis import (crossing_stats, martingale_residual_limit,
+                            ou_exit_mc, x_collapse_gap)
 from ablab.limit import gauss_bump
 from ablab.model import ModelParams, project_pi
 from ablab.pde import Grid1D, cauchy_2d_mc, solve_limit_pde
@@ -120,6 +123,14 @@ def test_criterion_7_linear_collapse_gap_matches_its_stored_entry():
     lin = x_collapse_gap(ModelParams(epsilon=1e-3, x0=0.0, y0=2.0),
                          lambda x, y: x, 1.0, 10_000, _seed(42, 79), h=1e-3)
     assert _as_stored(lin) == stored["details"]["collapse_gap"]["linear_gap"]
+
+
+def test_criterion_7_limit_control_matches_its_stored_entry():
+    require_recorded_targets()
+    (stored,) = _stored_entries((7,))
+    ctrl = martingale_residual_limit(2.0, gauss_bump(), 1.0, 50_000,
+                                     _seed(42, 74), h=1e-3)
+    assert _as_stored(ctrl) == stored["details"]["limit_control"]
 
 
 def test_criterion_9_pde_values_and_one_probe_match_their_stored_entry():

@@ -57,6 +57,8 @@ def test_config_errors_exit_2(tmp_path):
     assert not (tmp_path / "xmoment_scaling.json").exists()
     # values the package itself rejects with ValueError
     for args in (["simulate", "--step", "0"],
+                 # a horizon that is not a whole number of steps
+                 ["simulate", "--horizon", "0.25", "--step", "0.1"],
                  ["lemma1", "--horizon", "0.01"],
                  ["pde", "--horizon", "0"],
                  ["martingale", "--replicas", "1"],
@@ -83,7 +85,7 @@ def test_simulate_euler_divergence_exits_3(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("system", ["limit-em", "limit-exact"])
+@pytest.mark.parametrize("system", ["limit-exact"])
 def test_a_limit_path_starts_at_the_projected_start(tmp_path, system):
     # the planar path from (3, 4) has radius 5, so its limit starts at 5
     result = run(["simulate", "--system", system, "--x0", "3", "--y0", "4",
@@ -93,7 +95,7 @@ def test_a_limit_path_starts_at_the_projected_start(tmp_path, system):
     assert rows[1:3] == ["t,y", "0,5"]
 
 
-@pytest.mark.parametrize("system", ["limit-em", "limit-exact"])
+@pytest.mark.parametrize("system", ["limit-exact"])
 def test_a_limit_system_rejects_epsilon_and_polar(tmp_path, system):
     args = ["simulate", "--system", system, "--horizon", "0.01"]
     for option in (["--epsilon", "0.5"], ["--polar"]):
@@ -129,9 +131,6 @@ GOLDEN_CASES = {
     "slowtime.csv-args4": ("slowtime.csv", ["--system", "slowtime"]),
     "slowtime.json-args5": ("slowtime.json", ["--system", "slowtime",
                                               "--format", "json"]),
-    "limit-em.csv-args6": ("limit-em.csv", ["--system", "limit-em"]),
-    "limit-em.json-args7": ("limit-em.json", ["--system", "limit-em",
-                                              "--format", "json"]),
     "limit-exact.csv-args8": ("limit-exact.csv", ["--system",
                                                   "limit-exact"]),
     "limit-exact.json-args9": ("limit-exact.json", ["--system",
@@ -147,8 +146,8 @@ def test_simulate_writes_the_golden_path(tmp_path, case, args):
     # the golden files were written by the per-system single-path
     # simulators that replica 0 of the batch driver replaced
     system = args[1]
-    # the limit systems have no epsilon, and reject one given to them
-    epsilon = [] if system.startswith("limit") else ["--epsilon", "0.01"]
+    # the limit system has no epsilon, and rejects one given to it
+    epsilon = [] if system == "limit-exact" else ["--epsilon", "0.01"]
     result = run(["simulate", "--seed", "7", "--horizon", "0.01", "--step",
                   "0.001", *epsilon, *args], tmp_path)
     assert result.exit_code == 0, result.output
@@ -166,6 +165,15 @@ def test_simulate_writes_the_golden_path(tmp_path, case, args):
         assert meta == want_meta.replace(f"ablab={GOLDEN_VERSION}",
                                          f"ablab={__version__}")
         assert body == want_body
+
+
+def test_simulate_takes_only_the_systems_with_a_golden_path(tmp_path):
+    systems = {args[1] for _, args in GOLDEN_CASES.values()}
+    assert set(SETTINGS["system"]["type"].choices) == systems
+    result = run(["simulate", "--system", "limit"], tmp_path)
+    assert result.exit_code == 2
+    assert "Invalid value for '--system'" in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_euler_arnold_exits_0(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +7,11 @@ from scipy.stats import ncx2
 
 from ablab import _kernels, limit
 from ablab.analysis import KS_COEFF_1PCT, ks_critical_value, ks_statistic
-from ablab.limit import (TEST_FUNCTIONS, LimitParams, _em_advance,
-                         _exact_step_coeffs, expected_square, gauss_bump,
-                         generator_apply, limit_exact_reduce,
-                         limit_exact_terminal, radial_drift, square_fn,
-                         stationary_mean, stationary_square_cdf)
-from ablab.model import draw_buffer, replica_reduce
+from ablab.limit import (TEST_FUNCTIONS, LimitParams, _exact_step_coeffs,
+                         expected_square, gauss_bump, generator_apply,
+                         limit_exact_reduce, limit_exact_terminal,
+                         radial_drift, square_fn, stationary_mean,
+                         stationary_square_cdf)
 from ablab.sde import TimeGrid, normal_matrix
 
 
@@ -47,17 +45,6 @@ def ks_one_sample(samples, cdf):
     up = np.abs(np.arange(1, n + 1) / n - c).max()
     dn = np.abs(c - np.arange(0, n) / n).max()
     return max(up, dn)
-
-
-def em_reduce(p, grid, master_seed, n, reduce_fn, batch_size=2048):
-    """Replicas of the direct scheme behind ``simulate --system limit-em``,
-    replica i on stream i; reduce_fn(times, ys) -> dict of arrays."""
-    chunks = []
-    for b0 in range(0, n, batch_size):
-        ids = np.arange(b0, min(b0 + batch_size, n), dtype=np.uint64)
-        b = draw_buffer(master_seed, ids, grid.n_steps + 1)
-        chunks.append(reduce_fn(grid.times(), *_em_advance(p, grid, b, None)))
-    return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
 def test_generator_on_square_fn():
@@ -189,26 +176,8 @@ def test_em_drift_only_fixed_point():
     assert ys[0, -1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
 
 
-def test_em_path_stays_positive():
-    p = LimitParams(y0=0.05)
-    grid = TimeGrid(2.0, 1e-4)
-    out = replica_reduce(partial(_em_advance, p, grid), grid.times(), 3, 1,
-                         lambda ts, ys: {"ys": ys}, batch_size=1)
-    assert (out["ys"] > 0.0).all()
-
-
-def test_em_second_moment_matches_closed_form():
-    p = LimitParams(y0=2.0)
-    grid = TimeGrid(1.0, 1e-3)
-    out = em_reduce(p, grid, 17, 5000,
-                    lambda ts, ys: {"y2": ys[:, -1] ** 2})
-    target = expected_square(2.0, 1.0)
-    se = out["y2"].std(ddof=1) / math.sqrt(out["y2"].size)
-    assert abs(out["y2"].mean() - target) < 3 * se + 0.02
-
-
-def test_exact_sampler_moments_and_agreement_with_em():
-    # E[Y_t^2] = 1 + 3 e^{-2t} from y0=2 on both samplers
+def test_exact_sampler_second_moment_matches_closed_form():
+    # E[Y_t^2] = 1 + 3 e^{-2t} from y0=2
     target = expected_square(2.0, 1.0)
     ref = limit_exact_terminal(2.0, [1.0], 60_000, 5)[:, 0]
     se = (ref ** 2).std(ddof=1) / math.sqrt(ref.size)
@@ -265,16 +234,6 @@ def test_exact_transitions_compose():
     out = limit_exact_reduce(p, grid, 10, n,
                              lambda ts, rs: {"rT": rs[:, -1]})
     assert ks_statistic(one, out["rT"]) < ks_critical_value(n, n)
-
-
-def test_sampler_agreement_em_vs_exact():
-    # terminal laws at T=1 from y0=1: KS below the 1% critical value
-    n = 10_000
-    p = LimitParams(y0=1.0)
-    grid = TimeGrid(1.0, 1e-4)
-    em = em_reduce(p, grid, 21, n, lambda ts, ys: {"yT": ys[:, -1]})
-    ex = limit_exact_terminal(1.0, [1.0], n, 22)[:, 0]
-    assert ks_statistic(em["yT"], ex) < ks_critical_value(n, n)
 
 
 def test_stationary_law_and_mean():

@@ -17,11 +17,15 @@ def test_grid_rejects_degenerate_step():
 
 
 def test_grid_covers_horizon():
-    g = TimeGrid(1.0, 0.3)
-    assert g.n_steps * g.step >= g.horizon
+    g = TimeGrid(1.0, 0.25)
+    assert g.times()[-1] == g.horizon
     assert np.all(np.diff(g.times()) > 0)
     # float-noise span does not produce a spurious extra step
     assert TimeGrid(1.0, 0.1).n_steps == 10
+    # a grid past the horizon would report a horizon it did not stop at
+    for horizon, step in ((1.0, 0.3), (0.25, 0.1), (0.05, 0.1)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            TimeGrid(horizon, step)
 
 
 def stream_normals(master_seed, stream_id, n):
