@@ -14,12 +14,16 @@ size changed from step to step fragmented the malloc heap and raised peak
 memory by several percent.
 
 The exit-time kernel steps its live lanes in blocks of steps: only the OU
-recursion and the clock run once per step, and everything else (gathering
-the draws, the bridge-crossing tests, finding each lane's first exit) runs
+recursion runs once per step, and everything else (gathering the draws,
+the clocks, the bridge-crossing tests, finding each lane's first exit) runs
 once per block on (steps x lanes) arrays of about ``_BLOCK_ELEMS`` elements.
 With a few dozen lanes left, numpy's per-call cost, not arithmetic, sets the
-price of a step, and a step then costs three numpy calls instead of about
-thirty.
+price of a step, and a step then costs two numpy calls instead of about
+thirty.  Lanes that start a block at the same time share one clock column,
+advanced by one ``np.add.accumulate``.  The bridge's crossing chance
+exp(P) underflows for most steps, and numpy's exp is 20-40x slower on
+arguments below about -708, so P is raised to ``_EXP_FLOOR`` = -700 first:
+while every uniform of the block exceeds ``_U_MIN``, no hit test can tell.
 
 Both step loops, and the tiled ``ou2d_radius``, keep two rules.  They step
 on (steps x lanes) tiles or blocks of about ``_BLOCK_ELEMS`` elements stored
@@ -68,6 +72,10 @@ def _const(value) -> np.ndarray:
 
 
 _ONE, _HALF, _NEG2, _TINY = (_const(v) for v in (1.0, 0.5, -2.0, 1e-12))
+# ou_exit_chunk's floor on exp's argument, used while every uniform of a
+# block exceeds _U_MIN > exp(_EXP_FLOOR); -inf is no floor
+_EXP_FLOOR, _NO_FLOOR = _const(-700.0), _const(-np.inf)
+_U_MIN = 1e-300
 _CLAMP = _const(_EXP_CLAMP)
 # the largest substep rate kept before the cast: int(c) + 1 <= MAX_SUBSTEPS
 _RATE_CAP = _const(MAX_SUBSTEPS - 1)
@@ -355,12 +363,29 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
     # stored steps-major as (s, m) views of flat buffers allocated once per
     # call.  s * m stays near _BLOCK_ELEMS, so s grows as lanes exit and
     # the last few stragglers cross a whole chunk in one block.  Per step
-    # only the recursion x * decay + z * sd and the clock t + h run, one
-    # row each; the draws are gathered, and the crossing chances, the hit
-    # tests and each lane's first hit computed, once per block on whole
-    # arrays.  Lanes keep stepping past their exit to the block's end; those
-    # steps are discarded.  A lane that exits gets tau (from t before the
-    # step), done, x (before the step) and t written at the block's end; the
+    # only the recursion x * decay + z * sd runs, one row; the draws are
+    # gathered, and the clocks, the crossing chances, the hit tests and
+    # each lane's first hit computed, once per block on whole arrays.
+    #
+    # Clocks: lanes that start the block at the same t run the same sums
+    # t + h + h + ..., so the block keeps one clock column per distinct
+    # start (one in all: in ou_exit_mc every live path has the same t) and
+    # advances them with one np.add.accumulate, which adds in step order;
+    # each lane reads its column by index.
+    #
+    # Crossing chances: exp(P), P = -2 (x - b)(xn - b) / h, underflows for
+    # most steps, and numpy's exp is 20-40x slower on arguments below about
+    # -708.  A hit needs u < exp(P).  Below _EXP_FLOOR = -700, exp(P) stays
+    # under exp(-700) ~ 1e-304, so while every u of the block exceeds
+    # _U_MIN = 1e-300 no such P hits, whether or not it is raised to the
+    # floor: the block raises P to _EXP_FLOOR before exp.  Generator.random
+    # returns multiples of 2**-53, so only a block holding an exact 0 runs
+    # without the floor (u = 0 hits wherever exp(P) > 0, which the floor
+    # would change).
+    #
+    # Lanes keep stepping past their exit to the block's end; those steps
+    # are discarded.  A lane that exits gets tau (from t before the step),
+    # done, x (before the step) and t written at the block's end; the
     # others are written back at the end of the chunk.  Every lane runs the
     # operations of a one-step-at-a-time loop in the same order, so the
     # result is the same bit for bit.  x and t are updated in place and
@@ -369,7 +394,7 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
     live = np.flatnonzero(~done)
     m = live.size
     flat = max(_BLOCK_ELEMS, m)
-    xb, ck = np.empty(flat + m), np.empty(flat + m)  # (s + 1, m) each
+    xb = np.empty(flat + m)  # (s + 1, m)
     zs, p, q = np.empty(flat), np.empty(flat), np.empty(flat)
     g = np.empty(flat, dtype=np.complex128)
     hit, tmp = np.empty(flat, dtype=bool), np.empty(flat, dtype=bool)
@@ -382,15 +407,14 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
     # u[i, k], read as one complex128, is uf[i chunk + k]
     zf, uf = np.ravel(z), np.ravel(u).view(np.complex128)
     half_h = 0.5 * h
-    decay_a, h_a = _const(decay), _const(h)
+    decay_a = _const(decay)
     k = 0
     with np.errstate(over="ignore", under="ignore"):
         while m and k < chunk:
             s = min(chunk - k, max(1, _BLOCK_ELEMS // m))
             L, X, T = live[:m], xl[:m], tl[:m]
-            # row j of XB and CK: x and t before step j
+            # row j of XB: x before step j
             XB = xb[:(s + 1) * m].reshape(s + 1, m)
-            CK = ck[:(s + 1) * m].reshape(s + 1, m)
             ZS, P, Q, U = (a[:s * m].reshape(s, m) for a in (zs, p, q, g))
             HIT, TMP = (a[:s * m].reshape(s, m) for a in (hit, tmp))
             GI = gi[:s * m].reshape(s, m)  # flat index of each draw
@@ -399,22 +423,28 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
             zf.take(GI, out=ZS, mode="clip")
             ZS *= sd
             XB[0] = X
-            CK[0] = T
-            xr, zr, cr = list(XB), list(ZS), list(CK)
+            xr, zr = list(XB), list(ZS)
             for j in range(s):
                 xo = xr[j + 1]
                 np.multiply(xr[j], decay_a, out=xo)
                 np.add(xo, zr[j], out=xo)
-                np.add(cr[j], h_a, out=cr[j + 1])
             XA, XN = XB[:s], XB[1:]
+            # row j of CK: t before step j, one column per distinct start
+            starts, col = np.unique(T, return_inverse=True)
+            CK = np.full((s + 1, starts.size), h)
+            CK[0] = starts
+            np.add.accumulate(CK, axis=0, out=CK)
             uf.take(GI, out=U, mode="clip")
             k += s
+            floor = (_EXP_FLOOR if U.view(np.float64).min() > _U_MIN
+                     else _NO_FLOOR)
             HIT.fill(False)
             if lo > -np.inf:
                 # exp(-2 (x - lo)(xn - lo) / h): the bridge's crossing chance
                 np.multiply(np.subtract(XA, lo, out=P), -2.0, out=P)
                 P *= np.subtract(XN, lo, out=Q)
                 P /= h
+                np.maximum(P, floor, out=P)
                 np.exp(P, out=P)
                 HIT |= np.less(U.real, P, out=TMP)
                 HIT |= np.less_equal(XN, lo, out=TMP)
@@ -422,6 +452,7 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
                 np.multiply(np.subtract(hi, XA, out=P), -2.0, out=P)
                 P *= np.subtract(hi, XN, out=Q)
                 P /= h
+                np.maximum(P, floor, out=P)
                 np.exp(P, out=P)
                 HIT |= np.less(U.imag, P, out=TMP)
                 HIT |= np.greater_equal(XN, hi, out=TMP)
@@ -431,20 +462,20 @@ def ou_exit_chunk(x, t, tau, done, z, u, lo, hi, decay, sd, h):
             if n_hit:
                 cols = np.flatnonzero(exited)
                 first = HIT.argmax(axis=0)[cols]
-                out = L[cols]
-                tau[out] = CK[first, cols] + half_h
+                out, ck = L[cols], col[cols]
+                tau[out] = CK[first, ck] + half_h
                 done[out] = True
                 x[out] = XB[first, cols]
-                t[out] = CK[first + 1, cols]
+                t[out] = CK[first + 1, ck]
                 np.logical_not(exited, out=exited)
                 m -= n_hit
                 L.compress(exited, out=spare[:m])
                 live, spare = spare, live
                 XB[s].compress(exited, out=xl[:m])
-                CK[s].compress(exited, out=tl[:m])
+                CK[s].take(col.compress(exited), out=tl[:m])
             else:
                 X[...] = XB[s]
-                T[...] = CK[s]
+                CK[s].take(col, out=T)
         x[live[:m]] = xl[:m]
         t[live[:m]] = tl[:m]
     return x, t

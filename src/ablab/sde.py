@@ -19,6 +19,7 @@ A row with any draw off the fast path is redrawn one stream at a time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,9 @@ class TimeGrid:
             raise ValueError("horizon must be positive")
         # 1e-9 forgives the float noise of horizon / step
         ratio = self.horizon / self.step
+        if not math.isfinite(ratio):
+            raise ValueError(f"horizon {self.horizon} / step {self.step} "
+                             f"is not a finite number of steps")
         n = round(ratio)
         if n < 1 or abs(ratio - n) > 1e-9:
             raise ValueError(f"horizon {self.horizon} is not a whole number "

@@ -5,10 +5,11 @@
 changes a draw, an operation order or a threshold changes these bytes.  The
 whole command takes minutes, so only the cheap criteria (1, 3, 4, 5 and 10)
 and criterion 8 (metastable excursions, about 5 s, through the rescaled
-driver) are checked against their entries here, with two parts of criterion
-6: its crossing statistics and its one-sided exit-time Monte Carlo at
-delta = 0.1 (about 2 s each), the only stored outputs of the band-crossing
-scan and of the exit-time loop.  Of criterion 9, the five limit-PDE values
+driver) are checked against their entries here, with three parts of
+criterion 6: its crossing statistics and its two exit-time Monte Carlo runs
+at delta = 0.1, two-sided and one-sided (about 2 s each), the only stored
+outputs of the band-crossing scan and of the exit-time kernel's upper- and
+lower-barrier tests.  Of criterion 9, the five limit-PDE values
 (one Crank-Nicolson solve, about 0.05 s) and the Monte Carlo value of the
 probe (2, 0) (2-3.5 s) are checked, the only stored output of
 ``cauchy_2d_mc``.  Of criterion 7, the linear x-collapse gap (about
@@ -19,11 +20,13 @@ The stored bytes hold only where numpy dispatches the package's float64
 ufuncs to the SIMD targets in ``data/simd_targets.json``
 (``simd_targets.py``).  The criteria left out,
 with their times in seconds in the two passes of one run
-(``BENCH_21.json``, 2-core host; criterion 9 from ``BENCH_25.json``):
+(``BENCH_21.json``, 2-core host; criterion 9 from ``BENCH_25.json``,
+criterion 6 from ``BENCH_27.json``):
 
 - 2, exact radial identity: 17.3, 16.6;
-- 6's other three exit-time Monte Carlo runs and its asymptotics (the
-  whole criterion: 12.0, 13.6);
+- 6's other two exit-time Monte Carlo runs and its asymptotics (the
+  whole criterion: 10.4, 10.4, against 13.0, 14.2 before its exit-time
+  kernel skipped exp's underflow path, timed in the same session);
 - 7's martingale residuals, terminal-law gaps and clipped x-collapse
   ladder (the whole criterion: 20.8, 23.2);
 - 9's other four Monte Carlo probes (the whole criterion: 16.6, 12.3,
@@ -107,14 +110,23 @@ def test_criterion_6_crossings_match_their_stored_entry():
     assert _as_stored(cs) == stored["details"]["crossings"]
 
 
-def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
+def _check_exit_mc_entry(mode, stream):
+    # criterion 6's run of ou_exit_mc at delta = 0.1 against its entry
     (stored,) = _stored_entries((6,))
-    rep = ou_exit_mc(0.1, "one_sided", 50_000, _seed(42, 64))
+    rep = ou_exit_mc(0.1, mode, 50_000, _seed(42, stream))
     got = {"mc": rep.estimate, "se": rep.std_error,
            "censored": rep.config["censored"],
            "bias_bound": rep.config["bias_bound"]}
-    want = stored["details"]["one_sided_0.1"]
+    want = stored["details"][f"{mode}_0.1"]
     assert _as_stored(got) == {k: want[k] for k in got}
+
+
+def test_criterion_6_two_sided_exit_mc_matches_its_stored_entry():
+    _check_exit_mc_entry("two_sided", 62)
+
+
+def test_criterion_6_one_sided_exit_mc_matches_its_stored_entry():
+    _check_exit_mc_entry("one_sided", 64)
 
 
 def test_criterion_7_linear_collapse_gap_matches_its_stored_entry():

@@ -59,6 +59,9 @@ def test_config_errors_exit_2(tmp_path):
     for args in (["simulate", "--step", "0"],
                  # a horizon that is not a whole number of steps
                  ["simulate", "--horizon", "0.25", "--step", "0.1"],
+                 # horizon / step overflows to infinity
+                 ["simulate", "--step", "1e-320"],
+                 ["simulate", "--horizon", "inf"],
                  ["lemma1", "--horizon", "0.01"],
                  ["pde", "--horizon", "0"],
                  ["martingale", "--replicas", "1"],

@@ -696,3 +696,62 @@ def test_exit_blocks_match_step_at_a_time_oracle(mode, chunk, n):
             assert done[i] and tau[i] == clock + 0.5 * H
         if n > len(steps):
             assert 0 < done.sum() < n
+
+
+# a step short enough that the bridge exponent falls below -700 inside the
+# barriers
+H_FINE = 1e-5
+DECAY_FINE = math.exp(-H_FINE)
+SD_FINE = math.sqrt(-math.expm1(-2.0 * H_FINE) / 2.0)
+
+
+def _bridge_exponent(x, lo):
+    # the kernel's exponent at the lower barrier for a step with z = 0
+    return (x - lo) * -2.0 * (x * DECAY_FINE - lo) / H_FINE
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_exit_zero_uniforms_and_shared_clocks_match_oracle(mode):
+    # u = 0 hits exactly where exp of the bridge exponent has not
+    # underflowed to 0, so a block holding one runs without the kernel's
+    # floor on the exponent; lanes that share a start time share a clock
+    lo, hi, _ = MODES[mode]
+    n, chunk = 8, 64
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((n, chunk))
+    u = rng.random((n, chunk, 2))
+    # lanes 3-7 run on their draws from near the lower barrier
+    x = lo + 0.002 * np.arange(n)
+    # lanes 0-3 start at 0.25, lanes 4 and 5 at 0 and -0, lanes 6 and 7 at
+    # 0.5
+    t = np.array([0.25, 0.25, 0.25, 0.25, 0.0, -0.0, 0.5, 0.5])
+    tau = np.full(n, np.nan)
+    done = np.zeros(n, dtype=bool)
+    # lanes 0 and 1 start inside the lower barrier, with no noise and u = 1
+    # except a u = 0 against the lower barrier on step 0
+    for i, gap in ((0, 0.06), (1, 0.062)):
+        x[i] = lo + gap
+        z[i] = 0.0
+        u[i] = 1.0
+        u[i, 0, 0] = 0.0
+    assert -745.0 < _bridge_exponent(x[0], lo) < -700.0  # exp > 0: a hit
+    assert _bridge_exponent(x[1], lo) < -746.0  # exp = 0: no hit
+    # lane 2 shares lanes 0 and 1's clock and is knocked out on step 30
+    x[2], z[2], u[2] = lo + 0.05, 0.0, 1.0
+    z[2, 30] = -1e3
+    args = (x, t, tau, done, z, u, lo, hi, DECAY_FINE, SD_FINE, H_FINE)
+    got = _run_exit(args)
+    ref = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    ref[:2] = _exit_oracle(*ref)
+    for name, a, b in zip(("x", "t", "tau", "done"), got, ref):
+        assert _bits_equal(a, b), name
+    _, t_out, tau_out, done_out = got
+    assert done_out[0] and tau_out[0] == 0.25 + 0.5 * H_FINE
+    assert not done_out[1] and np.isnan(tau_out[1])
+    clock = 0.25
+    for _ in range(30):
+        clock += H_FINE
+    assert done_out[2] and tau_out[2] == clock + 0.5 * H_FINE
+    assert t_out[2] == clock + H_FINE
+    # some of the lanes on their draws exit, some run on
+    assert 0 < done_out[3:].sum() < n - 3

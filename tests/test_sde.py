@@ -14,6 +14,10 @@ def test_grid_rejects_degenerate_step():
         TimeGrid(1.0, 0.0)
     with pytest.raises(ValueError):
         TimeGrid(0, 0.1)  # zero horizon
+    # horizon / step is infinite: no step count, not an OverflowError
+    for horizon, step in ((1.0, 1e-320), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            TimeGrid(horizon, step)
 
 
 def test_grid_covers_horizon():
