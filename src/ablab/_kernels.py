@@ -45,9 +45,12 @@ The tiled kernels copy a tile's draws before they write the tile's states.
 ``first_passages`` is the one alternating first-passage walk along a
 stored row: the band crossings and the excursions are both read with it.
 
-``limit_sq_em``, an Euler scheme on the square of the limit process, has
-no caller in the package: ``ou2d_radius`` samples the same process exactly.
-It is kept for the layer timings only, and keeps the in-place rule.
+Two kernels have no caller in the package and are kept for the layer
+timings only.  ``limit_sq_em`` is an Euler scheme on the square of the
+limit process, which ``ou2d_radius`` samples exactly; it keeps the in-place
+rule.  ``scan_crossings`` writes the walk of the band crossings into
+fixed-width index buffers and flags the rows that overflow them;
+``analysis.crossing_stats`` reads ``first_passages`` directly.
 
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """
@@ -507,10 +510,8 @@ def first_passages(enter, leave):
 def scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig, overflow):
     # taus: entries into |y| <= delta, sigmas: the exits to |y| >= 2 delta
     # that follow them (for delta > 0 no index is both).  A row with more
-    # taus than tau_idx holds is flagged in overflow and keeps the first.
-    # The package's own buffers (analysis._scan_batch) are (L + 1) // 2
-    # wide for rows of length L and cannot overflow; the flag serves
-    # fixed-width callers such as benchmarks/layer_timings.py.
+    # taus than tau_idx holds is flagged in overflow and keeps the first;
+    # buffers (L + 1) // 2 wide for rows of length L cannot overflow.
     capacity = tau_idx.shape[1]
     ay = np.abs(ys)
     for r, (enter, leave) in enumerate(zip(ay <= delta, ay >= 2.0 * delta)):

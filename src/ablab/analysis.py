@@ -151,23 +151,25 @@ class ScalingFit:
 
 
 # ---------------------------------------------------------------------------
-# band-crossing stopping times
+# the fast-slow driver and the band-crossing walk
 # ---------------------------------------------------------------------------
 
-def _scan_batch(ys: np.ndarray, delta: float):
-    """Alternating first hits of |y| <= delta (taus) and |y| >= 2*delta
-    (sigmas) along each row of ys, as grid indices.  They fall on distinct,
-    alternating grid points, so a row of L points has at most (L + 1) // 2
-    of each; the buffers are that wide, and zeroed lazily, so a row holds
-    only the pages it writes."""
-    n_paths, width = ys.shape[0], (ys.shape[1] + 1) // 2
-    tau_idx = np.zeros((n_paths, width), dtype=np.int64)
-    sig_idx = np.zeros((n_paths, width), dtype=np.int64)
-    n_tau = np.zeros(n_paths, dtype=np.int64)
-    n_sig = np.zeros(n_paths, dtype=np.int64)
-    _kernels.scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig,
-                            np.zeros(n_paths, dtype=bool))
-    return tau_idx, sig_idx, n_tau, n_sig
+def _fast_slow_reduce(p: ModelParams, T: float, h: float, master_seed: int,
+                      n: int, reduce_fn) -> dict:
+    """``rescaled_reduce`` on the grid of step h to T, in batches of
+    ``batch_rows`` paths: the one driver call of the fast-slow estimators."""
+    grid = TimeGrid(T, h)
+    return rescaled_reduce(p, grid, master_seed, n, reduce_fn,
+                           batch_size=batch_rows(grid.n_steps + 1))
+
+
+def _scan_batch(ys: np.ndarray, delta: float) -> list[list]:
+    """Each row's visits to the band, as (tau, sigma) grid indices: tau is
+    a first hit of |y| <= delta, sigma the first hit of |y| >= 2*delta
+    after it (None, ending the row, when there is none)."""
+    ay = np.abs(ys)
+    return [list(_kernels.first_passages(enter, leave))
+            for enter, leave in zip(ay <= delta, ay >= 2.0 * delta)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +195,7 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     if t < t0:
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
     delta = p.delta()
-    grid = TimeGrid(t, h)
-    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
     kept = out["x"][(out["y_min"] >= delta) & ~out["div"]] ** 2
     if kept.size < 2:
         raise DegenerateRun(f"exclusion-dominated run: {kept.size} of {n} "
@@ -251,7 +251,6 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
     """
     check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
-    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
         rs = np.hypot(xs, ys)
@@ -261,8 +260,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
                 - _residual(f, rs, y_pi, h)
         return residuals
 
-    out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
     diverged = int(out["div"].sum())
     return [StatReport.from_samples(
         out[k], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
@@ -303,9 +301,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
     check_replicas(n)
-    grid = TimeGrid(T, h)
-    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     xT, yT = out["x"], out["y"]
     gap = np.asarray(F(xT, yT) - F(np.zeros_like(xT), yT), dtype=np.float64)
     return StatReport.from_samples(gap, epsilon=p.epsilon, T=T, h=h,
@@ -334,9 +330,7 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     """
     check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
-    grid = TimeGrid(T, h)
-    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     yT = out["y"]
     diff = np.asarray(f(yT) - f(np.hypot(out["x"], yT)), dtype=np.float64)
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
@@ -538,30 +532,29 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
     """
     check_replicas(n)
     delta = p.delta()
-    grid = TimeGrid(T, h)
 
     def reduce_fn(ts, xs, ys, div):
-        tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
-        n_gaps = np.maximum(n_tau - 1, 0)
-        n_up, st_sum, ts_sum, deep = (np.zeros(ys.shape[0]) for _ in range(4))
-        for i in range(ys.shape[0]):
-            k = int(n_sig[i])
-            taus = ts[tau_idx[i, :n_tau[i]]]
-            sigmas = ts[sig_idx[i, :k]]
-            n_up[i] = np.sum(sigmas <= T)
-            st_sum[i] = (sigmas - taus[:k]).sum()
-            ts_sum[i] = (taus[1:] - sigmas[:n_gaps[i]]).sum()
-            for j in range(k):
-                window = ys[i, tau_idx[i, j]:sig_idx[i, j] + 1]
-                deep[i] += float(window.min() < -1.99 * delta)
-        return {"n_up": n_up, "st_sum": st_sum, "st_cnt": n_sig,
-                "ts_sum": ts_sum, "ts_cnt": n_gaps, "deep": deep}
+        # per row: sigma and gap counts, the two duration sums and the
+        # tau->sigma windows that dip below -1.99 delta
+        rows = ys.shape[0]
+        st_cnt, ts_cnt, deep = (np.zeros(rows, np.int64) for _ in range(3))
+        st_sum, ts_sum = np.zeros(rows), np.zeros(rows)
+        for r, visits in enumerate(_scan_batch(ys, delta)):
+            ups = [(i, j) for i, j in visits if j is not None]
+            taus, sigmas = ts[[i for i, _ in visits]], ts[[j for _, j in ups]]
+            st_cnt[r], ts_cnt[r] = len(ups), max(len(visits) - 1, 0)
+            st_sum[r] = (sigmas - taus[:st_cnt[r]]).sum()
+            ts_sum[r] = (taus[1:] - sigmas[:ts_cnt[r]]).sum()
+            deep[r] = sum(ys[r, i:j + 1].min() < -1.99 * delta for i, j in ups)
+        return {"st_sum": st_sum, "st_cnt": st_cnt, "ts_sum": ts_sum,
+                "ts_cnt": ts_cnt, "deep": deep}
 
-    out = rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
+    # every sigma is an up-crossing: the grid's last point may round above
+    # T, so the count is not read off the times
     mean_n = StatReport.from_samples(
-        out["n_up"], epsilon=p.epsilon, T=T, h=h, seed=master_seed,
-        delta=delta, frac_zero=float((out["n_up"] == 0).mean()))
+        out["st_cnt"], epsilon=p.epsilon, T=T, h=h, seed=master_seed,
+        delta=delta, frac_zero=float((out["st_cnt"] == 0).mean()))
     n_st = int(out["st_cnt"].sum())
     n_ts = int(out["ts_cnt"].sum())
     mean_st = _duration_report(out["st_sum"], out["st_cnt"], n_st) \
@@ -603,9 +596,7 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
     if not a > 0.0:
         raise ValueError("a must be positive")
     check_replicas(n)
-    grid = TimeGrid(t, h)
-    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out = _fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
     p_hat = float(np.mean(out["y_min"] <= -a))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     return StatReport(estimate=p_hat, std_error=se, n_replicas=n,

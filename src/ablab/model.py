@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _kernels
-from .sde import DEFAULT_GUARD, TimeGrid, normal_matrix
+from .sde import BATCH_ELEMS, DEFAULT_GUARD, TimeGrid, normal_matrix
 
 # Fast angular motion is resolved to this many radians per drift substep.
 DTHETA_MAX = 0.02
@@ -108,11 +108,6 @@ def project_pi_flow(s0, t: float = 50.0, tol: float = 1e-8) -> float:
     return flow_unperturbed(s0, t, tol).y
 
 
-# Points per batch: criterion 2 (838-row batches) takes 23.2-24.9 s and
-# peaks at 210.7 MB.  2^22 would halve its batches to 419 rows, below the
-# ~1000 lanes where the splitting kernel stops gaining (512 lanes at
-# h = 1e-3: 85 against 52 ns/path-step at 1024, eps = 0.1).
-BATCH_ELEMS = 1 << 23
 # Points per block or exit-draw slice: exit runs 4.0-4.4 s (256 rows: 4.8 s).
 BLOCK_ELEMS = 1 << 18
 

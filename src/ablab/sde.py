@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_GUARD = 1.0e6
+# Points per batch of the replica driver (model.batch_rows), and so the most
+# points one path may hold: criterion 2 (838-row batches) takes 23.2-24.9 s
+# and peaks at 210.7 MB.  2^22 would halve its batches to 419 rows, below
+# the ~1000 lanes where the splitting kernel stops gaining (512 lanes at
+# h = 1e-3: 85 against 52 ns/path-step at 1024, eps = 0.1).
+BATCH_ELEMS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,8 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
 class TimeGrid:
     """Uniform grid on [0, horizon] with n_steps steps of size step: the
     one place a run states its horizon.  The horizon must be a whole number
-    of steps, so the last point is the horizon."""
+    of steps, so the last point is the horizon to rounding (0.7 + 1.1e-16
+    at T = 0.7, h = 1e-3).  A grid holds at most BATCH_ELEMS points."""
 
     horizon: float
     step: float
@@ -222,12 +229,15 @@ class TimeGrid:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        # 1e-9 forgives the float noise of horizon / step
         ratio = self.horizon / self.step
         if not math.isfinite(ratio):
             raise ValueError(f"horizon {self.horizon} / step {self.step} "
                              f"is not a finite number of steps")
         n = round(ratio)
+        if n + 1 > BATCH_ELEMS:
+            raise ValueError(f"{ratio:.3g} steps of {self.step}: a path "
+                             f"holds at most {BATCH_ELEMS} points")
+        # 1e-9 forgives the float noise of horizon / step
         if n < 1 or abs(ratio - n) > 1e-9:
             raise ValueError(f"horizon {self.horizon} is not a whole number "
                              f"of steps of {self.step}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab import analysis, limit, model
+from ablab import _kernels, analysis, limit, model
 from ablab.analysis import (MOMENT_SCALING_LADDER, MOMENT_SCALING_WINDOW,
                             ExcursionRecord, ScalingFit, StatReport,
                             _scan_batch, crossing_stats, excursion_anatomy,
@@ -36,17 +36,20 @@ def scan_oracle(y, delta):
     return taus, sigmas
 
 
-def scan_rows(rows, delta):
-    """Run _scan_batch on the rows as one batch, padding them to one length
-    with a value inside the band's gap (delta < |y| < 2 delta), which
-    starts no crossing.  Returns (taus, sigmas) index lists per row."""
-    length = max(len(r) for r in rows)
-    ys = np.full((len(rows), length), 1.5 * delta)
+def padded(rows, delta):
+    """The rows as one batch, padded to one length with a value inside the
+    band's gap (delta < |y| < 2 delta), which starts no crossing."""
+    ys = np.full((len(rows), max(len(r) for r in rows)), 1.5 * delta)
     for i, r in enumerate(rows):
         ys[i, :len(r)] = r
-    tau_idx, sig_idx, n_tau, n_sig = _scan_batch(ys, delta)
-    return [(tau_idx[i, :n_tau[i]].tolist(), sig_idx[i, :n_sig[i]].tolist())
-            for i in range(len(rows))]
+    return ys
+
+
+def scan_rows(rows, delta):
+    """Run _scan_batch on the rows as one batch.  Returns (taus, sigmas)
+    index lists per row."""
+    return [([i for i, _ in visits], [j for _, j in visits if j is not None])
+            for visits in _scan_batch(padded(rows, delta), delta)]
 
 
 def assert_rows_match_oracle(rows, delta):
@@ -100,6 +103,35 @@ def test_scan_batch_reads_every_crossing_of_a_zigzag():
     got = scan_rows([zigzag, np.full(10_001, 0.9)], delta)
     assert got == [(list(range(0, 10_001, 2)), list(range(1, 10_001, 2))),
                    ([], [])]
+
+
+def test_scan_crossings_kernel_keeps_the_walks_first_visits():
+    # the fixed-width kernel that only the layer timings call: each row
+    # keeps the first `width` visits of the walk, and a row with more is
+    # flagged
+    delta, width = 0.3, 4
+    rng = np.random.default_rng(5)
+    rows = [np.append(np.tile([0.0, 1.0], width), 0.0),  # width + 1 taus
+            np.tile([0.0, 1.0], width),  # exactly width visits
+            np.tile([0.0, 1.0], 3 * width),
+            np.full(9, 0.9),
+            np.cumsum(math.sqrt(1e-3) * rng.standard_normal(2000)) + 0.5]
+    ys = padded(rows, delta)
+    n = len(rows)
+    tau_idx = np.zeros((n, width), dtype=np.int64)
+    sig_idx = np.zeros((n, width), dtype=np.int64)
+    n_tau, n_sig = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    overflow = np.zeros(n, dtype=bool)
+    _kernels.scan_crossings(ys, delta, tau_idx, sig_idx, n_tau, n_sig,
+                            overflow)
+    walks = _scan_batch(ys, delta)
+    assert overflow.tolist() == [len(v) > width for v in walks]
+    assert overflow[:4].tolist() == [True, False, True, False]
+    for r, visits in enumerate(walks):
+        kept = visits[:width]
+        assert tau_idx[r, :n_tau[r]].tolist() == [i for i, _ in kept]
+        assert sig_idx[r, :n_sig[r]].tolist() \
+            == [j for _, j in kept if j is not None]
 
 
 def test_stat_report_basics():
@@ -344,6 +376,16 @@ def test_crossing_stats_bounds_hold():
     assert cs.bounds["sigma_minus_tau_ok"]
     assert cs.bounds["tau_minus_sigma_ok"]
     assert cs.mean_n.estimate > 0.1  # crossings do happen at this delta
+
+
+def test_crossing_stats_counts_a_sigma_on_the_last_grid_point():
+    # the last point of this grid rounds to 0.7000000000000001 > T, and
+    # every sigma, one landing there too, is an up-crossing
+    assert TimeGrid(0.7, 1e-3).times()[-1] > 0.7
+    n = 2000
+    cs = crossing_stats(ModelParams(epsilon=0.1, y0=1.0), 0.7, n, 1, h=1e-3)
+    assert round(cs.mean_n.estimate * n) \
+        == cs.mean_sigma_minus_tau.config["events"]
 
 
 def test_crossing_stats_far_start_no_crossings():

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from ablab import pde
+from ablab import analysis, pde
+from ablab.limit import gauss_bump
+from ablab.model import ModelParams, batch_rows
 from test_pde import PDE_CASES
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -137,6 +139,58 @@ def test_every_direct_call_binds_the_callee_signature(caller, expected):
         bound.add(label)
     # the extraction above sees the calls it is meant to guard
     assert expected <= bound, sorted(expected - bound)
+
+
+def test_every_traced_driver_call_passes_the_batch_rule(instrument,
+                                                       monkeypatch):
+    # the driver counters compute min(a["batch_size"], ...): a traced call
+    # that leaves the batch size to the driver's default breaks --trace 1
+    calls = []
+    for module_name, attr, span, hooks in instrument.LAYERS:
+        count = hooks.get("count")
+        if count is None or "batch_size" not in _names_read(count):
+            continue
+        module = importlib.import_module(module_name)
+        fn = getattr(module, attr)
+
+        def recording(*args, _fn=fn, _label=f"{module_name}.{attr}",
+                      **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs)
+            calls.append((_label, bound.arguments))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, recording)
+    p, T, n, f = ModelParams(epsilon=1e-3), 0.1, 4, gauss_bump()
+    estimators = {
+        "x_second_moment": lambda: analysis.x_second_moment(p, T, n, 1),
+        "martingale_residuals":
+            lambda: analysis.martingale_residuals(p, (f,), T, n, 2),
+        "x_collapse_gap":
+            lambda: analysis.x_collapse_gap(p, analysis.clipped_abs_x, T,
+                                            n, 3),
+        "terminal_law_gap": lambda: analysis.terminal_law_gap(p, f, T, n, 4),
+        "crossing_stats": lambda: analysis.crossing_stats(p, T, n, 5),
+        "excursion_probability":
+            lambda: analysis.excursion_probability(p, 0.5, T, n, 6),
+        "martingale_residual_limit":
+            lambda: analysis.martingale_residual_limit(1.0, f, T, n, 7),
+        "cauchy_2d_mc":
+            lambda: pde.cauchy_2d_mc(0.5, 1.0, T, lambda x, y: x * y, p,
+                                     n, 8),
+    }
+    seen = set()
+    for name, run in estimators.items():
+        calls.clear()
+        run()
+        assert calls, f"{name} made no traced driver call"
+        for label, args in calls:
+            assert args.get("batch_size") \
+                == batch_rows(len(args["grid"].times())), (name, label)
+            seen.add(label)
+    # the selection above finds the three driver names the tracer wraps
+    assert seen == {"ablab.analysis.rescaled_reduce",
+                    "ablab.analysis.limit_exact_reduce",
+                    "ablab.pde.rescaled_reduce"}
 
 
 @pytest.mark.parametrize("initial, n_points, t_final, times", PDE_CASES)

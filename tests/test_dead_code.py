@@ -21,8 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ablab"
 SHIPPED = [*PACKAGE.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
 # Public definitions whose only shipped caller is the benchmark harness: the
-# Euler scheme on the limit's square, which the layer timings still time.
-HARNESS_ONLY = {"limit_sq_em"}
+# Euler scheme on the limit's square and the fixed-width crossing scan, which
+# the layer timings still time.
+HARNESS_ONLY = {"limit_sq_em", "scan_crossings"}
 
 
 def _names_used(nodes) -> set[str]:

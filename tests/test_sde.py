@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ablab import _kernels, sde
+from ablab import _kernels, model, sde
 from ablab.model import DTHETA_MAX
 from ablab.sde import (DEFAULT_GUARD, RngStream, TimeGrid, PathSample,
                        normal_matrix)
@@ -18,6 +18,18 @@ def test_grid_rejects_degenerate_step():
     for horizon, step in ((1.0, 1e-320), (math.inf, 0.1)):
         with pytest.raises(ValueError, match="not a finite number of steps"):
             TimeGrid(horizon, step)
+
+
+def test_grid_caps_its_points_at_one_batch(monkeypatch):
+    # the cap is checked at construction: these grids are never sized
+    assert TimeGrid(sde.BATCH_ELEMS - 1, 1.0).n_steps == sde.BATCH_ELEMS - 1
+    for horizon, step in ((sde.BATCH_ELEMS, 1.0), (1.0, 1e-12),
+                          (1.0, 1e-300)):
+        with pytest.raises(ValueError, match="a path holds at most"):
+            TimeGrid(horizon, step)
+    # the tests that shrink the driver's batches leave the cap alone
+    monkeypatch.setattr(model, "BATCH_ELEMS", 300)
+    assert TimeGrid(1.0, 1e-3).n_steps == 1000
 
 
 def test_grid_covers_horizon():
