@@ -15,25 +15,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, euler_arnold as ea
-from .analysis import (KS_COEFF_1PCT, METASTABILITY_LADDER,
-                       MOMENT_SCALING_ALPHA, MOMENT_SCALING_LADDER,
-                       MOMENT_SCALING_WINDOW, WEAK_GAP_SLACK, StatReport,
-                       clipped_abs_x, crossing_stats, excursion_anatomy,
-                       excursion_probability, in_moment_window,
-                       ks_critical_value, ks_statistic,
-                       martingale_residual_limit, martingale_residuals,
-                       ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
-                       strictly_decreasing, terminal_law_gap, within_z,
-                       x_collapse_gap, x_second_moment_scaling, z_threshold)
+from .analysis import (METASTABILITY_LADDER, MOMENT_SCALING_ALPHA,
+                       MOMENT_SCALING_LADDER, MOMENT_SCALING_WINDOW,
+                       WEAK_GAP_SLACK, StatReport, clipped_abs_x,
+                       crossing_stats, excursion_anatomy,
+                       excursion_probability, fast_slow_reduce,
+                       in_moment_window, ks_critical_value, ks_one_sample,
+                       ks_statistic, martingale_residual_limit,
+                       martingale_residuals, ou_exit_mc, ou_exit_one_sided,
+                       ou_exit_two_sided, strictly_decreasing,
+                       terminal_law_gap, within_z, x_collapse_gap,
+                       x_second_moment_scaling, z_threshold)
 from .limit import (expected_square, gauss_bump, limit_exact_terminal,
                     lorentzian, square_fn, stationary_mean,
                     stationary_square_cdf)
 from .model import (ModelParams, flow_unperturbed, project_pi,
-                    project_pi_flow, rescaled_reduce, terminal_state,
-                    unperturbed_rhs)
+                    project_pi_flow, terminal_state, unperturbed_rhs)
 from .pde import Grid1D, cauchy_2d_mc, solve_limit_pde
 from .reporting import _jsonable
-from .sde import TimeGrid
 
 
 @dataclass
@@ -72,10 +71,8 @@ def criterion_radial_identity(seed: int) -> CriterionResult:
     ok = True
     crit = ks_critical_value(n, n)
     for j, eps in enumerate((0.1, 0.01)):
-        p = ModelParams(epsilon=eps, x0=1.2, y0=1.6)
-        grid = TimeGrid(1.0, 1e-4)
-        out = rescaled_reduce(p, grid, _seed(seed, 21 + j), n,
-                              terminal_state)
+        out = fast_slow_reduce(ModelParams(epsilon=eps, x0=1.2, y0=1.6), 1.0,
+                               1e-4, _seed(seed, 21 + j), n, terminal_state)
         ref = limit_exact_terminal(2.0, [1.0], n, _seed(seed, 23 + j))[:, 0]
         stat = ks_statistic(np.hypot(out["x"], out["y"]), ref)
         details[f"eps_{eps}"] = {"ks": stat, "critical": crit}
@@ -87,11 +84,7 @@ def criterion_stationary_law(seed: int) -> CriterionResult:
     """At T=10 the squared limit process is Exp(1); mean is sqrt(pi)/2."""
     n = 10_000
     ys = limit_exact_terminal(1.0, [10.0], n, _seed(seed, 31))[:, 0]
-    s = np.sort(ys ** 2)
-    cdf = stationary_square_cdf(s)
-    stat = max(np.abs(np.arange(1, n + 1) / n - cdf).max(),
-               np.abs(cdf - np.arange(0, n) / n).max())
-    crit = KS_COEFF_1PCT / math.sqrt(n)
+    stat, crit = ks_one_sample(ys ** 2, stationary_square_cdf)
     mean = StatReport.from_samples(ys)
     return CriterionResult(
         3, "stationary law of the limit process",
@@ -228,11 +221,7 @@ def criterion_metastability(seed: int) -> CriterionResult:
     dec = strictly_decreasing([r.estimate for r in probs])
     # anatomy at the ladder's largest epsilon
     p = ModelParams(epsilon=METASTABILITY_LADDER[0], x0=0.0, y0=1.0)
-    grid = TimeGrid(20.0, 1e-3)
-    paths = rescaled_reduce(p, grid, _seed(seed, 82), 30,
-                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
-    records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
-                                a=0.25)
+    records = excursion_anatomy(p, 0.25, 20.0, 30, _seed(seed, 82), h=1e-3)
     max_x = sorted(r.max_abs_x for r in records)
     details = {"ladder": probs,
                "decreasing": dec,

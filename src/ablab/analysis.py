@@ -101,6 +101,16 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
+def ks_one_sample(samples: np.ndarray, cdf) -> tuple[float, float]:
+    """One-sample KS statistic of the samples against a continuous cdf, and
+    its critical value (asymptotic) at the 1% level."""
+    c = cdf(np.sort(samples))
+    n = c.size
+    return (float(max(np.abs(np.arange(1, n + 1) / n - c).max(),
+                      np.abs(c - np.arange(0, n) / n).max())),
+            KS_COEFF_1PCT / math.sqrt(n))
+
+
 @dataclass
 class StatReport:
     """Monte Carlo estimate with its standard error and provenance."""
@@ -154,10 +164,11 @@ class ScalingFit:
 # the fast-slow driver and the band-crossing walk
 # ---------------------------------------------------------------------------
 
-def _fast_slow_reduce(p: ModelParams, T: float, h: float, master_seed: int,
-                      n: int, reduce_fn) -> dict:
-    """``rescaled_reduce`` on the grid of step h to T, in batches of
-    ``batch_rows`` paths: the one driver call of the fast-slow estimators."""
+def fast_slow_reduce(p: ModelParams, T: float, h: float, master_seed: int,
+                     n: int, reduce_fn) -> dict:
+    """``rescaled_reduce`` of n >= 2 paths on the grid of step h to T, in
+    batches of ``batch_rows`` paths: the fast-slow statistics' driver call."""
+    check_replicas(n)
     grid = TimeGrid(T, h)
     return rescaled_reduce(p, grid, master_seed, n, reduce_fn,
                            batch_size=batch_rows(grid.n_steps + 1))
@@ -190,12 +201,11 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     exclusion-and-report, with the discard rate itself a diagnostic.
     Fewer than two kept replicas raise ``DegenerateRun``.
     """
-    check_replicas(n)
     t0 = min_time_for_moment(p)
     if t < t0:
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
     delta = p.delta()
-    out = _fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
+    out = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
     kept = out["x"][(out["y_min"] >= delta) & ~out["div"]] ** 2
     if kept.size < 2:
         raise DegenerateRun(f"exclusion-dominated run: {kept.size} of {n} "
@@ -249,7 +259,6 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
     residual has mean 0, so subtracting it leaves the estimand unchanged
     while cancelling nearly all shared noise.
     """
-    check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
 
     def reduce_fn(ts, xs, ys, div):
@@ -260,7 +269,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
                 - _residual(f, rs, y_pi, h)
         return residuals
 
-    out = _fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
+    out = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
     diverged = int(out["div"].sum())
     return [StatReport.from_samples(
         out[k], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
@@ -300,8 +309,7 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
                    h: float = 1e-3) -> StatReport:
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
-    check_replicas(n)
-    out = _fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
+    out = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     xT, yT = out["x"], out["y"]
     gap = np.asarray(F(xT, yT) - F(np.zeros_like(xT), yT), dtype=np.float64)
     return StatReport.from_samples(gap, epsilon=p.epsilon, T=T, h=h,
@@ -328,9 +336,8 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     estimand is identical but almost all noise cancels.  The KS statistic
     uses an independent exact reference sample.
     """
-    check_replicas(n)
     y_pi = project_pi((p.x0, p.y0))
-    out = _fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
+    out = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     yT = out["y"]
     diff = np.asarray(f(yT) - f(np.hypot(out["x"], yT)), dtype=np.float64)
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
@@ -530,7 +537,6 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
     Durations carry a +h slack in the bound checks: discrete reading
     overestimates each hitting time by at most one step.
     """
-    check_replicas(n)
     delta = p.delta()
 
     def reduce_fn(ts, xs, ys, div):
@@ -549,7 +555,7 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
         return {"st_sum": st_sum, "st_cnt": st_cnt, "ts_sum": ts_sum,
                 "ts_cnt": ts_cnt, "deep": deep}
 
-    out = _fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
+    out = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
     # every sigma is an up-crossing: the grid's last point may round above
     # T, so the count is not read off the times
     mean_n = StatReport.from_samples(
@@ -595,8 +601,7 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
     """P(min of Y over the grid reaches -a before t)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
-    check_replicas(n)
-    out = _fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
+    out = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
     p_hat = float(np.mean(out["y_min"] <= -a))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
     return StatReport(estimate=p_hat, std_error=se, n_replicas=n,
@@ -612,21 +617,30 @@ class ExcursionRecord:
     min_y: float
 
 
-def excursion_anatomy(ts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                      a: float) -> list[ExcursionRecord]:
-    """Dips of Y below -a along each row of (xs, ys) on the times ts, in
-    row order: entry time, time of return above +a (None, ending the row,
-    when Y does not return), and the largest |X| seen in between (the
-    excursions hug the y-axis)."""
-    if not a > 0.0:
-        raise ValueError("a must be positive")
-    records: list[ExcursionRecord] = []
-    for x, y in zip(xs, ys):
+def _excursion_rows(ts: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    a: float) -> np.ndarray:
+    """Each row's dips of Y below -a, one list per row in a 1-D object
+    array: entry time, time of return above +a (None, ending the row, when
+    Y does not return), and the largest |X| between (they hug the y-axis)."""
+    rows = np.empty(len(ys), dtype=object)
+    for r, (x, y) in enumerate(zip(xs, ys)):
+        rows[r] = []
         for i, j in _kernels.first_passages(y <= -a, y >= a):
             end = None if j is None else j + 1
-            records.append(ExcursionRecord(
+            rows[r].append(ExcursionRecord(
                 entry_time=float(ts[i]),
                 return_time=None if j is None else float(ts[j]),
                 max_abs_x=float(np.abs(x[i:end]).max()),
                 min_y=float(y[i:end].min())))
-    return records
+    return rows
+
+
+def excursion_anatomy(p: ModelParams, a: float, T: float, n: int,
+                      master_seed: int,
+                      h: float = 1e-3) -> list[ExcursionRecord]:
+    """The dips of Y below -a on n paths to T, in path order."""
+    if not a > 0.0:
+        raise ValueError("a must be positive")
+    out = fast_slow_reduce(p, T, h, master_seed, n, lambda ts, xs, ys, div:
+                           {"rows": _excursion_rows(ts, xs, ys, a)})
+    return [rec for recs in out["rows"] for rec in recs]

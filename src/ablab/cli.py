@@ -209,18 +209,18 @@ def _path_columns(ts, *arrays) -> dict:
        "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
-    which reads streams (seed, 0) and (seed, 1) for every system.  A limit
-    path has no epsilon and one coordinate, so ``--epsilon`` and
-    ``--polar`` on the command line are errors for ``--system
-    limit-exact``; a config file's keys stay ignored."""
-    if s["system"] == "limit-exact":
-        ctx = click.get_current_context()
-        given = [f"--{name}" for name in ("epsilon", "polar")
-                 if ctx.get_parameter_source(name)
-                 is ParameterSource.COMMANDLINE]
-        if given:
-            raise ValueError(f"--system {s['system']} does not read "
-                             + " or ".join(given))
+    which reads streams (seed, 0) and (seed, 1) for every system.  Options
+    that the path cannot carry are errors on the command line (a limit path
+    has no epsilon and one coordinate, a JSON file no polar columns); a
+    config file's keys stay ignored."""
+    ctx = click.get_current_context()
+    given = [f"--{name}" for name in ("epsilon", "polar")
+             if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
+    if s["system"] == "limit-exact" and given:
+        raise ValueError(f"--system {s['system']} does not read "
+                         + " or ".join(given))
+    if s["format"] == "json" and "--polar" in given:
+        raise ValueError("--format json does not read --polar")
     grid = TimeGrid(s["horizon"], s["step"])
     seed = s["seed"]
     run, scheme = _system_driver(s, grid)
@@ -363,12 +363,8 @@ def excursions(**s):
             for e in eps]
     vals = [r.estimate for r in reps]
     passed = strictly_decreasing(vals)
-    grid = TimeGrid(t, s["step"])
-    paths = rescaled_reduce(_model_params(s, epsilon=eps[0]),
-                            grid, s["seed"] + 7, 20,
-                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
-    records = excursion_anatomy(grid.times(), paths["xs"], paths["ys"],
-                                a=a / 2.0)
+    records = excursion_anatomy(_model_params(s, epsilon=eps[0]), a / 2.0,
+                                t, 20, s["seed"] + 7, h=s["step"])
     _write_report(s, "excursions.json", report_json(
         "excursion_probability",
         {"a": a, "t": t, "epsilons": eps, "ladder": reps,

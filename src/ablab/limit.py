@@ -99,8 +99,8 @@ class LimitParams:
     y0: float
 
     def __post_init__(self):
-        if not self.y0 > 0.0:
-            raise ValueError("y0 must be positive (the origin is never hit)")
+        if not 0.0 < self.y0 < math.inf:
+            raise ValueError("y0 must be positive and finite (0 is never hit)")
 
 
 def radial_drift(y):

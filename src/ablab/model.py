@@ -40,10 +40,12 @@ class ModelParams:
     y0: float = 2.0
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError("the start x0, y0 must be finite")
 
     def delta(self) -> float:
         """Crossing-band half width eps**alpha (always derived, never stored)."""

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from ablab import _kernels, analysis, limit, model
 from ablab.analysis import (MOMENT_SCALING_LADDER, MOMENT_SCALING_WINDOW,
                             ExcursionRecord, ScalingFit, StatReport,
-                            _scan_batch, crossing_stats, excursion_anatomy,
-                            excursion_probability, ks_critical_value,
-                            ks_statistic, martingale_residual,
+                            _excursion_rows, _scan_batch, crossing_stats,
+                            excursion_anatomy, excursion_probability,
+                            ks_critical_value, ks_one_sample, ks_statistic,
+                            martingale_residual,
                             martingale_residual_limit, martingale_residuals,
                             ou_exit_mc, ou_exit_one_sided, ou_exit_two_sided,
                             terminal_law_gap, x_collapse_gap,
                             x_second_moment, x_second_moment_scaling)
 from ablab.limit import gauss_bump
-from ablab.model import (ModelParams, _rescaled_advance, draw_buffer,
-                         rescaled_reduce)
+from ablab.model import ModelParams, _rescaled_advance, draw_buffer
 from ablab.pde import cauchy_2d_mc
 from ablab.sde import TimeGrid
 
@@ -417,7 +417,7 @@ def test_excursion_anatomy_synthetic():
     y = np.array([1.0, 0.5, -0.1, -0.6, -0.4, 0.2, 0.9, 0.8])
     x = np.array([0.0, 0.1, 0.2, 0.05, -0.3, 0.1, 0.0, 0.0])
     ts = TimeGrid(0.7, 0.1).times()
-    recs = excursion_anatomy(ts, x[None], y[None], a=0.5)
+    [recs] = _excursion_rows(ts, x[None], y[None], a=0.5)
     assert len(recs) == 1
     assert recs[0].entry_time == pytest.approx(0.3)
     assert recs[0].return_time == pytest.approx(0.6)
@@ -428,7 +428,7 @@ def test_excursion_anatomy_synthetic():
 def test_excursion_anatomy_no_dips_empty():
     y = np.linspace(1.0, 2.0, 10)
     ts = TimeGrid(0.1 * 9, 0.1).times()
-    assert excursion_anatomy(ts, np.zeros((1, 10)), y[None], a=0.5) == []
+    assert _excursion_rows(ts, np.zeros((1, 10)), y[None], a=0.5)[0] == []
 
 
 def anatomy_oracle(ts, x, y, a):
@@ -463,10 +463,10 @@ def test_anatomy_matches_oracle_on_brownian_paths():
     # several excursions on a row, and one left open at the end
     assert sum(len(recs) > 1 for recs in per_row) >= 2
     assert any(recs[-1].return_time is None for recs in per_row if recs)
-    assert excursion_anatomy(ts, xs, ys, 0.25) == \
-        [rec for recs in per_row for rec in recs]
+    rows = _excursion_rows(ts, xs, ys, 0.25)
+    assert rows.shape == (len(ys),) and list(rows) == per_row
     for x, y, recs in zip(xs, ys, per_row):
-        assert excursion_anatomy(ts, x[None], y[None], 0.25) == recs
+        assert _excursion_rows(ts, x[None], y[None], 0.25)[0] == recs
 
 
 @settings(max_examples=50, deadline=None)
@@ -476,7 +476,7 @@ def test_excursion_record_interleaving_property(row, a):
     # on the times 0, 1, 2, ... each time is the index it was read at
     y = np.array(row)
     ts = np.arange(y.size, dtype=np.float64)
-    recs = excursion_anatomy(ts, y[::-1, None].T, y[None], a)
+    [recs] = _excursion_rows(ts, y[::-1, None].T, y[None], a)
     assert recs == anatomy_oracle(ts, y[::-1], y, a)
     returns = [r.return_time for r in recs]
     assert None not in returns[:-1]
@@ -488,26 +488,32 @@ def test_excursion_record_interleaving_property(row, a):
             assert y[int(rec.return_time)] >= a
 
 
-def test_batched_anatomy_equals_per_path_records():
-    # criterion 8 reads the anatomy off one batch of the driver; it must
+def test_batched_anatomy_equals_per_path_records(monkeypatch):
+    # the estimator reads the anatomy off batches of the driver; it must
     # give the records of the paths simulated one at a time on their own
     # streams (2i, 2i + 1), in path order
     p = ModelParams(epsilon=0.2, x0=0.0, y0=1.0)
     grid = TimeGrid(5.0, 1e-3)
     ts = grid.times()
     n, seed = 6, 82
-    paths = rescaled_reduce(p, grid, seed, n,
-                            lambda ts, xs, ys, div: {"xs": xs, "ys": ys})
-    batch = excursion_anatomy(ts, paths["xs"], paths["ys"], a=0.25)
+    batch = excursion_anatomy(p, 0.25, 5.0, n, seed, h=1e-3)
     per_path = []
     for i in range(n):
         xs, ys, _ = _rescaled_advance(
             p, grid, "splitting",
             draw_buffer(seed, [2 * i], grid.n_steps + 1),
             draw_buffer(seed, [2 * i + 1], grid.n_steps + 1))
-        per_path.append(excursion_anatomy(ts, xs, ys, a=0.25))
+        [recs] = _excursion_rows(ts, xs, ys, 0.25)
+        per_path.append(recs)
     assert sum(len(recs) > 0 for recs in per_path) >= 2
     assert batch == [rec for recs in per_path for rec in recs]
+    # in batches of 4 rows and blocks of 2, the rows' lists join in order
+    monkeypatch.setattr(model, "BATCH_ELEMS", 4 * len(ts))
+    monkeypatch.setattr(model, "BLOCK_ELEMS", 2 * len(ts))
+    assert excursion_anatomy(p, 0.25, 5.0, n, seed, h=1e-3) == batch
+    for a, n_bad in ((0.0, n), (0.25, 1)):
+        with pytest.raises(ValueError):
+            excursion_anatomy(p, a, 5.0, n_bad, seed)
 
 
 def test_fused_residuals_equal_single_function_calls():
@@ -527,6 +533,11 @@ def test_ks_helpers():
     assert ks_statistic(a, b) < ks_critical_value(2000, 2000)
     c = rng.standard_normal(2000) + 1.0
     assert ks_statistic(a, c) > ks_critical_value(2000, 2000)
-    from scipy.stats import ks_2samp
+    from scipy.stats import ks_2samp, kstest, norm
     assert ks_statistic(a, c) == pytest.approx(ks_2samp(a, c).statistic,
                                                rel=1e-12)
+    # one sample against a cdf, with its 1% critical value
+    stat, critical = ks_one_sample(a, norm.cdf)
+    assert stat == pytest.approx(kstest(a, norm.cdf).statistic, rel=1e-12)
+    assert critical == pytest.approx(1.6276 / math.sqrt(2000), rel=1e-4)
+    assert stat < critical < ks_one_sample(c, norm.cdf)[0]

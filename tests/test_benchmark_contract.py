@@ -172,6 +172,8 @@ def test_every_traced_driver_call_passes_the_batch_rule(instrument,
         "crossing_stats": lambda: analysis.crossing_stats(p, T, n, 5),
         "excursion_probability":
             lambda: analysis.excursion_probability(p, 0.5, T, n, 6),
+        "excursion_anatomy":
+            lambda: analysis.excursion_anatomy(p, 0.5, T, n, 9),
         "martingale_residual_limit":
             lambda: analysis.martingale_residual_limit(1.0, f, T, n, 7),
         "cauchy_2d_mc":

@@ -43,7 +43,7 @@ def test_an_exclusion_dominated_lemma1_run_exits_3(tmp_path, replicas):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, monkeypatch):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("epsilon = 1e-3\nepsilonn = 1e-2\n")
     result = run(["project", "--config", str(bad_key)])
@@ -55,7 +55,12 @@ def test_config_errors_exit_2(tmp_path):
     result = run(["lemma1", "--epsilons", "0.1,0.01"], tmp_path)
     assert result.exit_code == 2
     assert not (tmp_path / "xmoment_scaling.json").exists()
-    # values the package itself rejects with ValueError
+    # values the package itself rejects with ValueError, before any noise
+    # is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("noise drawn for a rejected setting")
+
+    monkeypatch.setattr(model, "normal_matrix", no_draws)
     for args in (["simulate", "--step", "0"],
                  # a horizon that is not a whole number of steps
                  ["simulate", "--horizon", "0.25", "--step", "0.1"],
@@ -66,7 +71,17 @@ def test_config_errors_exit_2(tmp_path):
                  ["pde", "--horizon", "0"],
                  ["martingale", "--replicas", "1"],
                  ["martingale", "--replicas", "0"],
-                 ["crossings", "--replicas", "0"]):
+                 ["crossings", "--replicas", "0"],
+                 # a start that is not finite, which every path would
+                 # leave on its first step
+                 ["crossings", "--replicas", "50", "--y0", "nan"],
+                 ["crossings", "--replicas", "50", "--x0", "inf"],
+                 ["simulate", "--x0", "inf"],
+                 ["weak-gap", "--x0", "nan"],
+                 ["simulate", "--epsilon", "inf"],
+                 # a finite start whose projection overflows to inf
+                 ["simulate", "--system", "limit-exact", "--x0", "1.5e308",
+                  "--y0", "1.5e308"]):
         out = tmp_path / args[0] / args[-1]
         result = run(args, out)
         assert result.exit_code == 2, (args, result.output)
@@ -116,6 +131,24 @@ def test_a_limit_system_rejects_epsilon_and_polar(tmp_path, system):
     assert result.exit_code == 0, result.output
     rows = (out / f"path_{system}_seed42.csv").read_text().splitlines()
     assert rows[1] == "t,y"
+
+
+def test_a_json_path_rejects_polar(tmp_path):
+    # a JSON path has no radius or angle columns
+    args = ["simulate", "--format", "json", "--horizon", "0.01"]
+    result = run([*args, "--polar"], tmp_path / "polar")
+    assert result.exit_code == 2, result.output
+    assert "--format json does not read --polar" in result.output
+    assert not (tmp_path / "polar").exists() \
+        or list((tmp_path / "polar").iterdir()) == []
+    # a config file serves every command, so its keys stay ignored
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("polar = true\n")
+    for out, extra in (("config", ["--config", str(cfg)]), ("plain", [])):
+        result = run([*args, *extra], tmp_path / out)
+        assert result.exit_code == 0, result.output
+    assert (tmp_path / "config" / "path_rescaled_seed42.json").read_text() \
+        == (tmp_path / "plain" / "path_rescaled_seed42.json").read_text()
 
 
 GOLDEN = Path(__file__).parent / "data" / "simulate"
