@@ -335,8 +335,11 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     the limit process in law from exactly the projected start, so the
     estimand is identical but almost all noise cancels.  The KS statistic
     uses an independent exact reference sample.
+
+    The projected start is checked before anything is drawn: a start that
+    projects to 0 or overflows to inf raises ValueError.
     """
-    y_pi = project_pi((p.x0, p.y0))
+    y_pi = LimitParams(y0=project_pi((p.x0, p.y0))).y0
     out = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     yT = out["y"]
     diff = np.asarray(f(yT) - f(np.hypot(out["x"], yT)), dtype=np.float64)
@@ -417,6 +420,11 @@ def _exit_horizon(scale: float, n: int) -> float:
     return float(scale) + math.log(n)
 
 
+# Steps of the exit-time Monte Carlo's first chunk; each later chunk doubles,
+# up to ``ou_exit_mc``'s ``chunk``.
+EXIT_FIRST_CHUNK = 32
+
+
 def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
                h: float | None = None, chunk: int = 512) -> StatReport:
     """Simulation oracle for the exit times, with Brownian-bridge crossing
@@ -432,16 +440,22 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     (0 when none is censored).  By the strong Markov property it bounds how
     much the censoring shortens the mean.
 
+    Chunk c draws and steps min(EXIT_FIRST_CHUNK * 2^c, ``chunk``) steps
+    per running path: 32, 64, 128, 256, then 512 steps at the default.
+    A path that exits early leaves little of a short chunk unread, and the
+    paths that run long draw long chunks, in few kernel calls.  Every
+    chunk's draws come from positions of the two streams that no earlier
+    chunk read, so the exit times stay i.i.d.
+
     Between chunks only the running paths are kept, packed in path order:
     ``live`` (their indices) with their positions ``x`` and clocks ``t``.
     Each chunk is drawn, into two buffers made once per call, and stepped
     in row slices of ``block_rows(chunk)`` running paths, so at most about
     BLOCK_ELEMS normals are held at once, and the kernel updates each
     slice in place.  Each generator fills its slices in row order, so the
-    draws, and the result, are those of one draw per chunk.  Every running
-    path draws a full chunk, of which it may read only the first few steps.
-    The chunk's exit times go into ``tau`` and the paths that exited are
-    dropped.
+    draws, and the result, are those of one draw per chunk.  A running
+    path may read only the first few steps of its chunk.  The chunk's exit
+    times go into ``tau`` and the paths that exited are dropped.
     """
     check_replicas(n)
     if mode == "two_sided":
@@ -467,22 +481,31 @@ def ou_exit_mc(delta: float, mode: str, n: int, master_seed: int,
     # every slice is drawn into the same two buffers: a slice's draws
     # allocated and freed each time give their pages back to the system,
     # and every slice faults them in again (18x the page faults at
-    # n = 10,000)
-    zbuf = np.empty((min(rows, n), chunk))
-    ubuf = np.empty((min(rows, n), chunk, 2))
+    # n = 10,000).  A chunk of fewer steps draws into their first
+    # elements, in slices of the same rows: 8192-row slices of the 32-step
+    # chunk lifted exit_pde's peak RSS by about 0.5 MB
+    zbuf = np.empty(min(rows, n) * chunk)
+    ubuf = np.empty(2 * zbuf.size)
+    # the chunk's exit times and flags, too: made anew for each of the
+    # short chunks, they left glibc's heap 9 MB larger after criterion 6's
+    # exit runs, under the path buffers of its crossing run
+    tau_buf, exited_buf = np.empty(n), np.empty(n, dtype=bool)
+    steps = min(EXIT_FIRST_CHUNK, chunk)
     while live.size and not (t >= t_max).any():
-        tau_c = np.full(live.size, np.nan)
-        exited = np.zeros(live.size, dtype=bool)
+        tau_c, exited = tau_buf[:live.size], exited_buf[:live.size]
+        tau_c.fill(np.nan)
+        exited.fill(False)
         for r0 in range(0, live.size, rows):
             sl = slice(r0, r0 + rows)
             r = tau_c[sl].size
-            z = gen_z.standard_normal(out=zbuf[:r])
-            u = gen_u.random(out=ubuf[:r])
+            z = gen_z.standard_normal(out=zbuf[:r * steps].reshape(r, steps))
+            u = gen_u.random(out=ubuf[:2 * r * steps].reshape(r, steps, 2))
             _kernels.ou_exit_chunk(x[sl], t[sl], tau_c[sl], exited[sl],
                                    z, u, lo, hi, decay, sd, h)
         tau[live[exited]] = tau_c[exited]
         running = ~exited
         live, x, t = live[running], x[running], t[running]
+        steps = min(2 * steps, chunk)
     censored = live.size
     bias_bound = 0.0
     if censored:

@@ -336,7 +336,7 @@ def test_ou_exit_mc_censors_at_the_horizon(monkeypatch):
     assert full.config["censored"] == 0 and full.config["bias_bound"] == 0.0
     h = full.config["h"]
     t_max = 0.0
-    for _ in range(512):  # the clock at the end of the first chunk
+    for _ in range(analysis.EXIT_FIRST_CHUNK):  # the first chunk's end
         t_max += h
     monkeypatch.setattr(analysis, "_exit_horizon", lambda scale, n: t_max)
     rep, tau_c = _exit_taus(monkeypatch, *args)
@@ -347,6 +347,24 @@ def test_ou_exit_mc_censors_at_the_horizon(monkeypatch):
     assert rep.estimate == cut.mean()
     # the bias the censoring caused stays under the reported bound
     assert 0.0 < full.estimate - rep.estimate <= rep.config["bias_bound"]
+
+
+@pytest.mark.parametrize("chunk, first", [(512, [32, 64, 128, 256, 512]),
+                                          (100, [32, 64, 100])])
+def test_ou_exit_mc_chunks_double_up_to_chunk(chunk, first, monkeypatch):
+    # 200 paths fit one slice of every chunk, so each kernel call is one
+    # chunk: its steps start at 32 and double, then stay at ``chunk``
+    steps = []
+    kernel = _kernels.ou_exit_chunk
+
+    def record(x, t, tau, done, z, *args):
+        steps.append(z.shape[1])
+        return kernel(x, t, tau, done, z, *args)
+
+    monkeypatch.setattr(_kernels, "ou_exit_chunk", record)
+    ou_exit_mc(0.1, "one_sided", 200, 13, chunk=chunk)
+    assert len(steps) > len(first) + 1
+    assert steps == first + [chunk] * (len(steps) - len(first))
 
 
 @pytest.mark.parametrize("mode", ["two_sided", "one_sided"])

@@ -81,7 +81,9 @@ def test_config_errors_exit_2(tmp_path, monkeypatch):
                  ["simulate", "--epsilon", "inf"],
                  # a finite start whose projection overflows to inf
                  ["simulate", "--system", "limit-exact", "--x0", "1.5e308",
-                  "--y0", "1.5e308"]):
+                  "--y0", "1.5e308"],
+                 ["weak-gap", "--x0", "1.5e308", "--y0", "1.5e308",
+                  "--replicas", "8", "--horizon", "0.01"]):
         out = tmp_path / args[0] / args[-1]
         result = run(args, out)
         assert result.exit_code == 2, (args, result.output)
