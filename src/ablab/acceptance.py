@@ -69,13 +69,15 @@ def criterion_radial_identity(seed: int) -> CriterionResult:
     n = 10_000
     details = {}
     ok = True
-    crit = ks_critical_value(n, n)
     for j, eps in enumerate((0.1, 0.01)):
-        out = fast_slow_reduce(ModelParams(epsilon=eps, x0=1.2, y0=1.6), 1.0,
-                               1e-4, _seed(seed, 21 + j), n, terminal_state)
+        out, diverged = fast_slow_reduce(
+            ModelParams(epsilon=eps, x0=1.2, y0=1.6), 1.0, 1e-4,
+            _seed(seed, 21 + j), n, terminal_state)
         ref = limit_exact_terminal(2.0, [1.0], n, _seed(seed, 23 + j))[:, 0]
         stat = ks_statistic(np.hypot(out["x"], out["y"]), ref)
-        details[f"eps_{eps}"] = {"ks": stat, "critical": crit}
+        crit = ks_critical_value(out["x"].size, n)
+        details[f"eps_{eps}"] = {"ks": stat, "critical": crit,
+                                 "diverged": diverged}
         ok = ok and stat < crit
     return CriterionResult(2, "exact radial identity", bool(ok), details)
 
@@ -247,7 +249,8 @@ def criterion_cauchy_corollary(seed: int) -> CriterionResult:
         u_ref = float(sol.at(1.0, project_pi((x0, y0))))
         details[f"probe_{x0}_{y0}"] = {
             "mc": rep.estimate, "pde": u_ref, "gap": abs(rep.estimate - u_ref),
-            "tol": z_threshold(rep.std_error, WEAK_GAP_SLACK)}
+            "tol": z_threshold(rep.std_error, WEAK_GAP_SLACK),
+            "diverged": rep.config["diverged"]}
         ok = ok and within_z(rep, u_ref, WEAK_GAP_SLACK)
     return CriterionResult(9, "limit Cauchy problem", bool(ok), details)
 

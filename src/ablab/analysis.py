@@ -47,6 +47,8 @@ MOMENT_SCALING_WINDOW = (0.9 * 0.9 - 0.15, 0.9 + 0.15)
 # ``ablab excursions``).
 MOMENT_SCALING_LADDER = (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5)
 METASTABILITY_LADDER = (0.2, 0.1, 0.05)
+# Fraction of replicas dropped (diverged, or excluded) above which to warn.
+DROP_WARN_FRACTION = 0.10
 
 
 def z_threshold(std_error: float, slack: float = 0.0) -> float:
@@ -165,13 +167,35 @@ class ScalingFit:
 # ---------------------------------------------------------------------------
 
 def fast_slow_reduce(p: ModelParams, T: float, h: float, master_seed: int,
-                     n: int, reduce_fn) -> dict:
+                     n: int, reduce_fn) -> tuple[dict, int]:
     """``rescaled_reduce`` of n >= 2 paths on the grid of step h to T, in
-    batches of ``batch_rows`` paths: the fast-slow statistics' driver call."""
+    batches of ``batch_rows`` paths: the fast-slow statistics' driver call.
+
+    It applies the divergence rule, ``drop_diverged``: the rows of the paths
+    that tripped the divergence guard, which ``reduce_fn`` passes through
+    as "div", are dropped from every output and counted.  More than half of
+    the paths diverged, or fewer than two left, raise ``DegenerateRun``;
+    more than DROP_WARN_FRACTION diverged warn.  Returns the outputs, as
+    they are when no path diverged, and the count.
+    """
     check_replicas(n)
     grid = TimeGrid(T, h)
-    return rescaled_reduce(p, grid, master_seed, n, reduce_fn,
-                           batch_size=batch_rows(grid.n_steps + 1))
+    return drop_diverged(rescaled_reduce(
+        p, grid, master_seed, n, reduce_fn,
+        batch_size=batch_rows(grid.n_steps + 1)))
+
+
+def drop_diverged(out: dict) -> tuple[dict, int]:
+    """``fast_slow_reduce``'s divergence rule on a driver's outputs."""
+    div = out.pop("div")
+    k, n = int(div.sum()), div.size
+    if k > 0.5 * n or n - k < 2:
+        raise DegenerateRun(f"divergence-dominated run: {k} of {n} "
+                            "replicas tripped the guard")
+    if k > DROP_WARN_FRACTION * n:
+        warnings.warn(f"{k} of {n} replicas diverged, above "
+                      f"{DROP_WARN_FRACTION:.0%}", stacklevel=3)
+    return ({key: v[~div] for key, v in out.items()} if k else out), k
 
 
 def _scan_batch(ys: np.ndarray, delta: float) -> list[list]:
@@ -196,8 +220,9 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
                     h: float = 1e-3) -> StatReport:
     """E[X_t^2] over replicas whose Y stayed >= delta up to t.
 
-    Replicas violating the conditioning band are excluded and the exclusion
-    rate reported (warning above 10%): the conditional statement is read as
+    Of the replicas that did not diverge, those violating the conditioning
+    band are excluded and the exclusion rate reported (warning above
+    DROP_WARN_FRACTION): the conditional statement is read as
     exclusion-and-report, with the discard rate itself a diagnostic.
     Fewer than two kept replicas raise ``DegenerateRun``.
     """
@@ -205,18 +230,19 @@ def x_second_moment(p: ModelParams, t: float, n: int, master_seed: int,
     if t < t0:
         raise ValueError(f"t={t} below the relaxation time {t0:.4g}")
     delta = p.delta()
-    out = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
-    kept = out["x"][(out["y_min"] >= delta) & ~out["div"]] ** 2
+    out, diverged = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
+    kept = out["x"][out["y_min"] >= delta] ** 2
     if kept.size < 2:
         raise DegenerateRun(f"exclusion-dominated run: {kept.size} of {n} "
                             f"replicas kept at epsilon = {p.epsilon:g}, "
                             f"t = {t:g}, delta = {delta:.4g}")
-    excl = 1.0 - kept.size / n
-    if excl > 0.10:
-        warnings.warn(f"exclusion rate {excl:.1%} above 10%", stacklevel=2)
+    excl = 1.0 - kept.size / out["x"].size
+    if excl > DROP_WARN_FRACTION:
+        warnings.warn(f"exclusion rate {excl:.1%} above "
+                      f"{DROP_WARN_FRACTION:.0%}", stacklevel=2)
     return StatReport.from_samples(
         kept, epsilon=p.epsilon, alpha=p.alpha, t=t, h=h,
-        seed=master_seed, exclusion_rate=excl)
+        seed=master_seed, exclusion_rate=excl, diverged=diverged)
 
 
 def x_second_moment_scaling(epsilons, alpha: float, t: float, n: int,
@@ -251,13 +277,15 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
                          h: float = 1e-3) -> list[StatReport]:
     """E[f(Y_T) - f(projected start) - int_0^T A f(Y_t) dt] on the
     perturbed system, for each f of ``fs`` on the same paths; the generator
-    value is 0 wherever Y < 0.
+    value is 0 wherever Y < 0.  Diverged paths are dropped, not averaged.
 
-    The path's own radius hypot(X, Y) serves as a coupled control variate:
-    it is exactly the limit process in law (the 1/eps terms cancel in the
-    radial equation), starts exactly at the projected value, and its
-    residual has mean 0, so subtracting it leaves the estimand unchanged
-    while cancelling nearly all shared noise.
+    The path's own radius hypot(X, Y) serves as a coupled control variate
+    that cancels nearly all shared noise.  In continuous time it is the
+    limit process in law (the 1/eps terms cancel in the radial equation)
+    from the projected value, so its residual has mean 0.  On the splitting
+    scheme the radius carries the scheme's bias where h >= eps (ROADMAP
+    item 17): the control's own residual reads +0.0094 +- 0.0035 for
+    exp(-y^2) at eps = h = 1e-3 (n = 20,000), and shifts the estimate.
     """
     y_pi = project_pi((p.x0, p.y0))
 
@@ -269,8 +297,7 @@ def martingale_residuals(p: ModelParams, fs: tuple[TestFunction, ...],
                 - _residual(f, rs, y_pi, h)
         return residuals
 
-    out = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
-    diverged = int(out["div"].sum())
+    out, diverged = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
     return [StatReport.from_samples(
         out[k], epsilon=p.epsilon, f=f.name, T=T, h=h, seed=master_seed,
         y_pi=y_pi, diverged=diverged, control_variate=True)
@@ -309,11 +336,11 @@ def x_collapse_gap(p: ModelParams, F, T: float, n: int, master_seed: int,
                    h: float = 1e-3) -> StatReport:
     """E[F(X_T, Y_T) - F(0, Y_T)]: the fast coordinate's footprint on any
     Lipschitz observable, which vanishes with epsilon."""
-    out = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
+    out, diverged = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     xT, yT = out["x"], out["y"]
     gap = np.asarray(F(xT, yT) - F(np.zeros_like(xT), yT), dtype=np.float64)
     return StatReport.from_samples(gap, epsilon=p.epsilon, T=T, h=h,
-                                   seed=master_seed)
+                                   seed=master_seed, diverged=diverged)
 
 
 @dataclass
@@ -331,24 +358,27 @@ def terminal_law_gap(p: ModelParams, f: TestFunction, T: float, n: int,
     projected initial point, plus a two-sample KS of the terminal laws.
 
     The gap is estimated as the per-replica difference
-    f(Y_T) - f(hypot(X_T, Y_T)), a coupling: the path's radius is exactly
-    the limit process in law from exactly the projected start, so the
-    estimand is identical but almost all noise cancels.  The KS statistic
-    uses an independent exact reference sample.
+    f(Y_T) - f(hypot(X_T, Y_T)), a coupling that cancels almost all noise.
+    In continuous time the path's radius is the limit process in law from
+    the projected start, so the estimand is unchanged; on the splitting
+    scheme the radius, and so the gap, carries the scheme's bias (see
+    ``martingale_residuals``).  The KS statistic uses an independent exact
+    reference sample.
 
     The projected start is checked before anything is drawn: a start that
     projects to 0 or overflows to inf raises ValueError.
     """
     y_pi = LimitParams(y0=project_pi((p.x0, p.y0))).y0
-    out = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
+    out, diverged = fast_slow_reduce(p, T, h, master_seed, n, terminal_state)
     yT = out["y"]
     diff = np.asarray(f(yT) - f(np.hypot(out["x"], yT)), dtype=np.float64)
     ref = limit_exact_terminal(y_pi, [T], n, master_seed + 1)[:, 0]
     rep = StatReport.from_samples(
         diff, epsilon=p.epsilon, f=f.name, T=T, h=h,
-        seed=master_seed, y_pi=y_pi, coupled=True)
+        seed=master_seed, y_pi=y_pi, coupled=True, diverged=diverged)
     return TerminalGapReport(gap=rep, ks_stat=ks_statistic(yT, ref),
-                             ks_critical=ks_critical_value(n, n), y_pi=y_pi)
+                             ks_critical=ks_critical_value(yT.size, n),
+                             y_pi=y_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +606,15 @@ def crossing_stats(p: ModelParams, T: float, n: int, master_seed: int,
             ts_sum[r] = (taus[1:] - sigmas[:ts_cnt[r]]).sum()
             deep[r] = sum(ys[r, i:j + 1].min() < -1.99 * delta for i, j in ups)
         return {"st_sum": st_sum, "st_cnt": st_cnt, "ts_sum": ts_sum,
-                "ts_cnt": ts_cnt, "deep": deep}
+                "ts_cnt": ts_cnt, "deep": deep, "div": div}
 
-    out = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
+    out, diverged = fast_slow_reduce(p, T, h, master_seed, n, reduce_fn)
     # every sigma is an up-crossing: the grid's last point may round above
     # T, so the count is not read off the times
     mean_n = StatReport.from_samples(
         out["st_cnt"], epsilon=p.epsilon, T=T, h=h, seed=master_seed,
-        delta=delta, frac_zero=float((out["st_cnt"] == 0).mean()))
+        delta=delta, frac_zero=float((out["st_cnt"] == 0).mean()),
+        diverged=diverged)
     n_st = int(out["st_cnt"].sum())
     n_ts = int(out["ts_cnt"].sum())
     mean_st = _duration_report(out["st_sum"], out["st_cnt"], n_st) \
@@ -624,12 +655,13 @@ def excursion_probability(p: ModelParams, a: float, t: float, n: int,
     """P(min of Y over the grid reaches -a before t)."""
     if not a > 0.0:
         raise ValueError("a must be positive")
-    out = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
+    out, diverged = fast_slow_reduce(p, t, h, master_seed, n, terminal_state)
+    m = out["y_min"].size
     p_hat = float(np.mean(out["y_min"] <= -a))
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / n) / n)
-    return StatReport(estimate=p_hat, std_error=se, n_replicas=n,
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / m) / m)
+    return StatReport(estimate=p_hat, std_error=se, n_replicas=m,
                       config={"epsilon": p.epsilon, "a": a, "t": t, "h": h,
-                              "seed": master_seed})
+                              "seed": master_seed, "diverged": diverged})
 
 
 @dataclass
@@ -664,6 +696,7 @@ def excursion_anatomy(p: ModelParams, a: float, T: float, n: int,
     """The dips of Y below -a on n paths to T, in path order."""
     if not a > 0.0:
         raise ValueError("a must be positive")
-    out = fast_slow_reduce(p, T, h, master_seed, n, lambda ts, xs, ys, div:
-                           {"rows": _excursion_rows(ts, xs, ys, a)})
+    out, _ = fast_slow_reduce(p, T, h, master_seed, n, lambda ts, xs, ys, div:
+                              {"rows": _excursion_rows(ts, xs, ys, a),
+                               "div": div})
     return [rec for recs in out["rows"] for rec in recs]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import StatReport, check_replicas
+from .analysis import StatReport, check_replicas, drop_diverged
 from .limit import TestFunction, limit_exact_terminal, radial_drift
 from .model import ModelParams, batch_rows, project_pi, rescaled_reduce, \
     terminal_state
@@ -266,10 +266,11 @@ def cauchy_2d_mc(x: float, y: float, t: float, f2, p: ModelParams, n: int,
     check_replicas(n)
     p = replace(p, x0=x, y0=y)
     grid = TimeGrid(t, CAUCHY_2D_STEP)
-    out = rescaled_reduce(p, grid, master_seed, n, terminal_state,
-                          batch_size=batch_rows(grid.n_steps + 1))
+    out, diverged = drop_diverged(rescaled_reduce(
+        p, grid, master_seed, n, terminal_state,
+        batch_size=batch_rows(grid.n_steps + 1)))
     val = np.asarray(f2(out["x"], out["y"]), dtype=np.float64)
     return StatReport.from_samples(val, x0=x, y0=y, t=t,
                                    epsilon=p.epsilon, h=CAUCHY_2D_STEP,
-                                   seed=master_seed,
+                                   seed=master_seed, diverged=diverged,
                                    y_pi=project_pi((x, y)))

@@ -276,6 +276,57 @@ def test_end_of_path_estimators_apply_observables_once(monkeypatch):
             assert reports.setdefault(name, rep) == rep, name
 
 
+def test_fast_slow_estimators_drop_and_count_the_diverged_path():
+    # at h = 100 eps one of these 200 paths trips the divergence guard and
+    # freezes at (-0.00018, -0.324): each estimator counts it, drops it and
+    # estimates from the other 199 paths of one direct driver call
+    p = ModelParams(epsilon=1e-3, x0=1.0, y0=2.0)
+    T, h, n, seed = 1.0, 0.1, 200, 1
+    raw = model.rescaled_reduce(p, TimeGrid(T, h), seed, n,
+                                lambda ts, xs, ys, div:
+                                {"xs": xs, "ys": ys, "div": div})
+    assert raw["div"].sum() == 1
+    xs, ys = raw["xs"][~raw["div"]], raw["ys"][~raw["div"]]
+    xT, yT = xs[:, -1], ys[:, -1]
+    f, a = gauss_bump(), 0.3
+    ups = [len(scan_oracle(y, p.delta())[1]) for y in ys]
+    expected = {
+        "x_collapse_gap": (
+            x_collapse_gap(p, analysis.clipped_abs_x, T, n, seed, h=h),
+            np.minimum(np.abs(xT), 1.0)),
+        "terminal_law_gap": (
+            terminal_law_gap(p, f, T, n, seed, h=h).gap,
+            f(yT) - f(np.hypot(xT, yT))),
+        "crossing_stats": (crossing_stats(p, T, n, seed, h=h).mean_n, ups),
+        "excursion_probability": (
+            excursion_probability(p, a, T, n, seed, h=h),
+            ys.min(axis=1) <= -a),
+    }
+    for name, (rep, samples) in expected.items():
+        assert rep.config["diverged"] == 1, name
+        assert rep.n_replicas == n - 1, name
+        assert rep.estimate == StatReport.from_samples(samples).estimate, name
+    # the frozen path dips below -a: kept, it would lift the estimate
+    assert expected["excursion_probability"][0].estimate == 8 / 199
+    res = martingale_residual(p, f, T, n, seed, h=h)
+    assert (res.config["diverged"], res.n_replicas) == (1, n - 1)
+
+
+def test_divergence_rule_keeps_warns_drops_and_raises():
+    x = np.arange(5.0)
+    out, k = analysis.drop_diverged({"x": x, "div": np.zeros(5, bool)})
+    assert k == 0 and out == {"x": x} and out["x"] is x
+    with pytest.warns(UserWarning, match="1 of 5 replicas diverged"):
+        out, k = analysis.drop_diverged({"x": x, "div": x == 2.0})
+    assert k == 1 and out["x"].tolist() == [0.0, 1.0, 3.0, 4.0]
+    # more than half diverged, or fewer than two paths left
+    for div in (x < 3.0, np.array([True, False])):
+        with pytest.raises(analysis.DegenerateRun,
+                           match=f"divergence-dominated run: {div.sum()} "
+                                 f"of {div.size} replicas tripped the guard"):
+            analysis.drop_diverged({"x": x[:div.size], "div": div})
+
+
 def test_ou_exit_two_sided_small_delta_asymptotics():
     # Brownian limit: 3 delta^2
     for d, rel in [(1e-3, 0.01), (0.01, 0.01)]:

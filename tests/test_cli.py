@@ -97,6 +97,22 @@ def test_project_prints_the_projected_start():
     assert result.output.strip() == "5.0"
 
 
+@pytest.mark.parametrize("command, epsilon", [
+    ("crossings", ["--epsilon", "1e-21"]),
+    ("weak-gap", ["--epsilon", "1e-21"]),
+    ("martingale", ["--epsilon", "1e-21"]),
+    ("excursions", ["--epsilons", "1e-19,1e-20,1e-21"])])
+def test_a_divergence_dominated_run_exits_3(tmp_path, command, epsilon):
+    # at these epsilons every one of the 8 paths trips the guard: each
+    # fast-slow command stops on one rule, before it writes a report
+    result = run([command, *epsilon, "--x0", "1", "--y0", "1",
+                  "--horizon", "0.003", "--replicas", "8"], tmp_path)
+    assert result.exit_code == 3, result.output
+    assert "divergence-dominated run: 8 of 8 replicas tripped the guard" \
+        in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_euler_divergence_exits_3(tmp_path):
     result = run(["simulate", "--system", "rescaled-euler", "--epsilon",
                   "1e-4", "--step", "0.01"], tmp_path)
