@@ -35,22 +35,24 @@ Python float operand on every call, which on a few hundred lanes costs about
 as much as the arithmetic.
 
 Every kernel that ``model.replica_reduce`` drives (``rescaled_split``,
-``rescaled_euler``, ``slowtime_euler`` and ``ou2d_radius``) keeps one more
-rule: it reads the draws of step k before it writes the state after step k,
-column k + 1 of its outputs.  So its draws may be columns ``1:`` of its own
-output arrays, and the paths overwrite their noise in place: the driver
-holds two path-sized arrays per batch, not two of draws and two of paths.
+``slowtime_euler`` and ``ou2d_radius``) keeps one more rule: it reads the
+draws of step k before it writes the state after step k, column k + 1 of
+its outputs.  So its draws may be columns ``1:`` of its own output arrays,
+and the paths overwrite their noise in place: the driver holds two
+path-sized arrays per batch, not two of draws and two of paths.
 The tiled kernels copy a tile's draws before they write the tile's states.
 
 ``first_passages`` is the one alternating first-passage walk along a
 stored row: the band crossings and the excursions are both read with it.
 
-Two kernels have no caller in the package and are kept for the layer
-timings only.  ``limit_sq_em`` is an Euler scheme on the square of the
-limit process, which ``ou2d_radius`` samples exactly; it keeps the in-place
-rule.  ``scan_crossings`` writes the walk of the band crossings into
-fixed-width index buffers and flags the rows that overflow them;
-``analysis.crossing_stats`` reads ``first_passages`` directly.
+Three kernels have no caller in the package and are kept for the layer
+timings only.  ``rescaled_euler`` (plain Euler-Maruyama on the fast-slow
+system, and the tests' oracle for ``rescaled_split``) and ``limit_sq_em``
+(an Euler scheme on the square of the limit, which ``ou2d_radius`` samples
+exactly) keep the in-place rule.  ``scan_crossings`` writes the walk of the
+band crossings into fixed-width index buffers and flags the rows that
+overflow them; ``analysis.crossing_stats`` reads ``first_passages``
+directly.
 
 ``benchmarks/layer_timings.py`` times each kernel at fixed shapes.
 """

@@ -39,7 +39,7 @@ from .model import (ModelParams, _slowtime_advance, project_pi,
                     replica_reduce, rescaled_reduce)
 from .pde import Grid1D, feynman_kac_mc, solve_limit_pde
 from .reporting import path_to_csv, report_json, scaling_to_csv
-from .sde import PathSample, TimeGrid
+from .sde import TimeGrid
 
 # Each setting's click option: ``--name`` with "_" written as "-".
 SETTINGS = {
@@ -53,9 +53,8 @@ SETTINGS = {
     "seed": dict(type=int, default=42),
     "out": dict(type=str, default=".", help="output directory"),
     "format": dict(type=click.Choice(["csv", "json"]), default="csv"),
-    "system": dict(type=click.Choice(["rescaled", "rescaled-euler",
-                                      "slowtime", "limit-exact"]),
-                   default="rescaled"),
+    "system": dict(type=click.Choice(["rescaled", "slowtime",
+                                      "limit-exact"]), default="rescaled"),
     "polar": dict(is_flag=True, default=False,
                   help="append radius/angle columns to 2-d paths"),
     "epsilons": dict(type=str, default="",
@@ -183,10 +182,9 @@ def _system_driver(s: dict, grid: TimeGrid):
     ``run(master_seed, n_replicas, reduce_fn)``, with its scheme label.
     A limit path starts at the projected start."""
     system = s["system"]
-    if system.startswith("rescaled"):
-        scheme = "euler" if system == "rescaled-euler" else "splitting"
-        return (partial(rescaled_reduce, _model_params(s), grid,
-                        scheme=scheme), f"rescaled_{scheme}")
+    if system == "rescaled":
+        return (partial(rescaled_reduce, _model_params(s), grid),
+                "rescaled_splitting")
     if system == "slowtime":
         return (partial(replica_reduce, partial(_slowtime_advance,
                                                 _model_params(s), grid),
@@ -209,10 +207,11 @@ def _path_columns(ts, *arrays) -> dict:
        "seed", "out", "format", "polar")
 def simulate(**s):
     """Simulate one path and export it: replica 0 of the batch driver,
-    which reads streams (seed, 0) and (seed, 1) for every system.  Options
-    that the path cannot carry are errors on the command line (a limit path
-    has no epsilon and one coordinate, a JSON file no polar columns); a
-    config file's keys stay ignored."""
+    which reads streams (seed, 0) and (seed, 1) for every system.  A path
+    that trips the divergence guard is not written.  Options that the path
+    cannot carry are errors on the command line (a limit path has no
+    epsilon and one coordinate, a JSON file no polar columns); a config
+    file's keys stay ignored."""
     ctx = click.get_current_context()
     given = [f"--{name}" for name in ("epsilon", "polar")
              if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE]
@@ -225,21 +224,18 @@ def simulate(**s):
     seed = s["seed"]
     run, scheme = _system_driver(s, grid)
     first = run(seed, 1, _path_columns)
-    path = PathSample(grid=grid, states=first["states"][0], master_seed=seed,
-                      stream_ids=(0, 1), scheme=scheme,
-                      diverged=bool(first["div"][0]))
-    if path.diverged:
+    if first["div"][0]:
         raise DegenerateRun("divergence guard tripped: step too large for "
                             "this stiffness (reduce --step)")
+    states = first["states"][0]
     name = f"path_{s['system']}_seed{seed}.{s['format']}"
     out = _out_dir(s) / name
     if s["format"] == "csv":
         with open(out, "w") as fh:
-            path_to_csv(path, fh, polar=s["polar"])
+            path_to_csv(grid, states, seed, scheme, fh, polar=s["polar"])
     else:
-        doc = {"version": __version__, "seed": seed, "scheme": path.scheme,
-               "times": path.grid.times().tolist(),
-               "states": path.states.tolist()}
+        doc = {"version": __version__, "seed": seed, "scheme": scheme,
+               "times": grid.times().tolist(), "states": states.tolist()}
         out.write_text(json.dumps(doc, sort_keys=True) + "\n")
     click.echo(f"wrote {out}")
     _finish(True)

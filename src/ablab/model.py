@@ -187,12 +187,12 @@ def _concat(chunks: list[dict]) -> dict:
     return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
 
 
-def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, b1, b2):
+def _rescaled_advance(p: ModelParams, grid: TimeGrid, b1, b2):
     """The fast-slow system (X, Y) with unit additive noise: (xs, ys,
     diverged) from one batch of draws, with xs and ys written over the
     draws in b1 and b2.
 
-    Default scheme: per step, X advances by an exact OU substep with the
+    Splitting scheme: per step, X advances by an exact OU substep with the
     rate Y/eps + 1 frozen (removing the stiffness of the X-equation),
     then Y advances by an explicit Euler-Maruyama step.  While the fast
     angular motion |x|/eps exceeds DTHETA_MAX radians per step, the drift
@@ -200,16 +200,9 @@ def _rescaled_advance(p: ModelParams, grid: TimeGrid, scheme: str, b1, b2):
     unstable half-axis to the stable one stay on their energy shell.
     """
     div = np.zeros(b1.shape[0], dtype=bool)
-    if scheme == "splitting":
-        _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, 1.0,
-                                grid.step, DTHETA_MAX, DEFAULT_GUARD,
-                                b1[:, 1:], b2[:, 1:], b1, b2, div)
-    elif scheme == "euler":
-        _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, 1.0,
-                                grid.step, DEFAULT_GUARD, b1[:, 1:],
-                                b2[:, 1:], b1, b2, div)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    _kernels.rescaled_split(p.x0, p.y0, 1.0 / p.epsilon, 1.0, grid.step,
+                            DTHETA_MAX, DEFAULT_GUARD, b1[:, 1:], b2[:, 1:],
+                            b1, b2, div)
     return b1, b2, div
 
 
@@ -217,11 +210,10 @@ def rescaled_reduce(p: ModelParams, grid: TimeGrid, master_seed: int,
                     n_replicas: int,
                     reduce_fn: Callable[[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray], dict],
-                    scheme: str = "splitting",
                     batch_size: int | None = None) -> dict:
     """``replica_reduce`` over the fast-slow system;
     ``reduce_fn(times, xs, ys, diverged)``."""
-    return replica_reduce(partial(_rescaled_advance, p, grid, scheme),
+    return replica_reduce(partial(_rescaled_advance, p, grid),
                           grid.times(), master_seed, n_replicas, reduce_fn,
                           batch_size)
 

@@ -62,7 +62,10 @@ class Grid1D:
         if dy * Y_MAX > 1.0:
             raise ValueError("dy too coarse for a diagonally dominant "
                              "scheme: need dy * Y_MAX <= 1")
-        dt = self.t_final / math.ceil(self.t_final / (dy / 5.0))
+        steps = self.t_final / (dy / 5.0)
+        if not math.isfinite(steps):
+            raise ValueError(f"t_final {self.t_final}: too many steps")
+        dt = self.t_final / math.ceil(steps)
         object.__setattr__(self, "dy", dy)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n_steps", int(round(self.t_final / dt)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ScalingFit
-from .sde import PathSample
+from .sde import TimeGrid
 
 
 def _fmt(x: float) -> str:
@@ -43,21 +43,23 @@ def to_polar(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, theta
 
 
-def path_to_csv(path: PathSample, out: IO[str], polar: bool = False) -> None:
-    """Write a path as CSV: columns t,x,y for 2-d paths (plus r,theta when
-    polar is requested), t,y for 1-d paths.  Floats carry 17 significant
-    digits; the header row is mandatory."""
-    config = {"scheme": path.scheme, "stream_ids": list(path.stream_ids),
-              "step": path.grid.step, "horizon": path.grid.horizon,
-              "diverged": path.diverged}
-    out.write(_meta_line(path.master_seed, config))
-    planar = path.states.shape[1] == 2
-    columns = {"t": path.grid.times()}
+def path_to_csv(grid: TimeGrid, states: np.ndarray, seed: int, scheme: str,
+                out: IO[str], polar: bool = False) -> None:
+    """Write the (n_steps + 1, d) states of a path on the grid as CSV:
+    columns t,x,y for 2-d paths (plus r,theta when polar is requested), t,y
+    for 1-d paths.  Floats carry 17 significant digits; the header row is
+    mandatory."""
+    # a path is replica 0 of the driver, and a diverged one is not written
+    config = {"scheme": scheme, "stream_ids": [0, 1], "step": grid.step,
+              "horizon": grid.horizon, "diverged": False}
+    out.write(_meta_line(seed, config))
+    planar = states.shape[1] == 2
+    columns = {"t": grid.times()}
     if planar:
-        columns["x"] = path.states[:, 0]
-    columns["y"] = path.states[:, -1]
+        columns["x"] = states[:, 0]
+    columns["y"] = states[:, -1]
     if planar and polar:
-        columns["r"], columns["theta"] = to_polar(path.states)
+        columns["r"], columns["theta"] = to_polar(states)
     out.write(",".join(columns) + "\n")
     for row in zip(*columns.values()):
         out.write(",".join(_fmt(v) for v in row) + "\n")

@@ -1,4 +1,4 @@
-"""Seeded noise streams, uniform time grids and path records.
+"""Seeded noise streams and uniform time grids.
 
 All randomness in the package flows through counter-based Philox streams
 keyed by ``(master_seed, stream_id)``: the same key always reproduces the
@@ -245,23 +245,3 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.n_steps + 1)
-
-
-@dataclass
-class PathSample:
-    """A single trajectory on a grid, with its RNG provenance."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_steps + 1, d)
-    master_seed: int
-    stream_ids: tuple[int, ...]
-    scheme: str
-    diverged: bool = False
-
-    def __post_init__(self):
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=np.float64))
-        if self.states.shape[0] != self.grid.n_steps + 1:
-            raise ValueError("states length must equal n_steps + 1")
-        if not self.diverged and not np.isfinite(self.states).all():
-            raise ValueError("non-finite states in a path not flagged diverged")
-

@@ -569,8 +569,7 @@ def test_batched_anatomy_equals_per_path_records(monkeypatch):
     per_path = []
     for i in range(n):
         xs, ys, _ = _rescaled_advance(
-            p, grid, "splitting",
-            draw_buffer(seed, [2 * i], grid.n_steps + 1),
+            p, grid, draw_buffer(seed, [2 * i], grid.n_steps + 1),
             draw_buffer(seed, [2 * i + 1], grid.n_steps + 1))
         [recs] = _excursion_rows(ts, xs, ys, 0.25)
         per_path.append(recs)

@@ -69,6 +69,7 @@ def test_config_errors_exit_2(tmp_path, monkeypatch):
                  ["simulate", "--horizon", "inf"],
                  ["lemma1", "--horizon", "0.01"],
                  ["pde", "--horizon", "0"],
+                 ["pde", "--horizon", "inf"],
                  ["martingale", "--replicas", "1"],
                  ["martingale", "--replicas", "0"],
                  ["crossings", "--replicas", "0"],
@@ -113,10 +114,11 @@ def test_a_divergence_dominated_run_exits_3(tmp_path, command, epsilon):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_simulate_euler_divergence_exits_3(tmp_path):
-    result = run(["simulate", "--system", "rescaled-euler", "--epsilon",
-                  "1e-4", "--step", "0.01"], tmp_path)
-    assert result.exit_code == 3
+def test_simulate_divergence_exits_3(tmp_path):
+    # at this epsilon the one path trips the guard, as in the test above
+    result = run(["simulate", "--epsilon", "1e-21", "--x0", "1", "--y0", "1",
+                  "--horizon", "0.003"], tmp_path)
+    assert result.exit_code == 3, result.output
     assert "divergence guard tripped" in result.output
     assert list(tmp_path.iterdir()) == []
 
@@ -177,9 +179,6 @@ GOLDEN_CASES = {
     "rescaled.csv-args0": ("rescaled.csv", ["--system", "rescaled"]),
     "rescaled.json-args1": ("rescaled.json", ["--system", "rescaled",
                                               "--format", "json"]),
-    "rescaled_euler.json-args2": ("rescaled_euler.json",
-                                  ["--system", "rescaled-euler",
-                                   "--format", "json"]),
     "rescaled_polar.csv-args3": ("rescaled_polar.csv",
                                  ["--system", "rescaled", "--polar"]),
     "slowtime.csv-args4": ("slowtime.csv", ["--system", "slowtime"]),
@@ -347,7 +346,7 @@ SHARED_BEFORE = ("epsilon", "alpha", "x0", "y0", "horizon", "step",
 REMOVED = [(command, option) for command, options in OPTIONS.items()
            for option in SHARED_BEFORE if option not in options]
 # The second names a horizon, a start and a test function once had, and the
-# scheme option that --system rescaled-euler replaced: no command takes them.
+# scheme option that no command takes since each system has one scheme.
 RETIRED = [(command, option) for command in OPTIONS
            for option in ("x", "y", "t", "t-final", "initial", "scheme")]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ablab import model
+from ablab import _kernels, model
 from ablab.analysis import (StatReport, ks_critical_value, ks_statistic,
                             within_z)
 from ablab.limit import (LimitParams, _exact_advance, _exact_step_coeffs,
@@ -19,7 +19,7 @@ from ablab.model import (ModelParams, _rescaled_advance, _slowtime_advance,
                          terminal_state, unperturbed_rhs)
 from ablab.pde import Grid1D, solve_limit_pde
 from ablab.reporting import path_to_csv
-from ablab.sde import PathSample, TimeGrid, normal_matrix
+from ablab.sde import DEFAULT_GUARD, TimeGrid, normal_matrix
 
 
 def test_unperturbed_rhs_values():
@@ -89,8 +89,17 @@ def _rows(*zs):
             .reshape(1, -1) for z in zs]
 
 
-def _rescaled_path(p, grid, z1, z2, scheme="splitting"):
-    xs, ys, div = _rescaled_advance(p, grid, scheme, *_rows(z1, z2))
+def _rescaled_euler_advance(p, grid, b1, b2):
+    """``_rescaled_advance`` by plain Euler-Maruyama: an independent oracle
+    for the splitting scheme that the package runs."""
+    div = np.zeros(b1.shape[0], dtype=bool)
+    _kernels.rescaled_euler(p.x0, p.y0, 1.0 / p.epsilon, 1.0, grid.step,
+                            DEFAULT_GUARD, b1[:, 1:], b2[:, 1:], b1, b2, div)
+    return b1, b2, div
+
+
+def _rescaled_path(p, grid, z1, z2, advance=_rescaled_advance):
+    xs, ys, div = advance(p, grid, *_rows(z1, z2))
     return np.column_stack([xs[0], ys[0]]), bool(div[0])
 
 
@@ -100,7 +109,8 @@ def _slowtime_path(p, grid, z1, z2):
 
 
 def _rescaled_step(p, z=(0.0, 0.0)):
-    states, _ = _rescaled_path(p, STEP, [z[0]], [z[1]], scheme="euler")
+    states, _ = _rescaled_path(p, STEP, [z[0]], [z[1]],
+                               advance=_rescaled_euler_advance)
     return tuple(states[1])
 
 
@@ -247,7 +257,8 @@ def test_time_change_identity():
     rng = np.random.default_rng(7)
     z1 = rng.standard_normal(g_res.n_steps)
     z2 = rng.standard_normal(g_res.n_steps)
-    st_res, _ = _rescaled_path(p, g_res, z1, z2, scheme="euler")
+    st_res, _ = _rescaled_path(p, g_res, z1, z2,
+                               advance=_rescaled_euler_advance)
     g_slow = TimeGrid(1.0 / eps, h / eps)
     st_slow, _ = _slowtime_path(p, g_slow, z1, z2)
     assert np.allclose(st_res, st_slow, rtol=1e-10, atol=1e-12)
@@ -269,12 +280,11 @@ def test_euler_scheme_cross_validates_splitting():
     p = ModelParams(epsilon=eps, x0=0.0, y0=2.0)
     grid = TimeGrid(1.0, eps / 10.0 / 10.0)
     n = 1500
-    a = rescaled_reduce(p, grid, 31, n,
-                        lambda ts, xs, ys, div: {"yT": ys[:, -1]},
-                        scheme="euler")
+    a = replica_reduce(partial(_rescaled_euler_advance, p, grid),
+                       grid.times(), 31, n,
+                       lambda ts, xs, ys, div: {"yT": ys[:, -1]})
     b = rescaled_reduce(p, grid, 32, n,
-                        lambda ts, xs, ys, div: {"yT": ys[:, -1]},
-                        scheme="splitting")
+                        lambda ts, xs, ys, div: {"yT": ys[:, -1]})
     assert ks_statistic(a["yT"], b["yT"]) < ks_critical_value(n, n)
 
 
@@ -294,11 +304,9 @@ def test_radial_identity_any_epsilon():
 
 def _polar_csv_columns(states):
     """The r and theta columns that the polar CSV writes for a path."""
-    grid = TimeGrid(1.0, 0.5)
-    p = PathSample(grid=grid, states=np.array(states), master_seed=0,
-                   stream_ids=(0, 1), scheme="synthetic")
     buf = io.StringIO()
-    path_to_csv(p, buf, polar=True)
+    path_to_csv(TimeGrid(1.0, 0.5), np.array(states), 0, "synthetic", buf,
+                polar=True)
     header, *rows = buf.getvalue().splitlines()[1:]
     assert header == "t,x,y,r,theta"
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
@@ -352,8 +360,7 @@ DRIVER_GRID = TimeGrid(5e-2, 1e-3)
 _P = ModelParams(epsilon=0.05, x0=0.3, y0=1.0)
 _LP = LimitParams(y0=1.0)
 SYSTEMS = {
-    "rescaled": partial(_rescaled_advance, _P, DRIVER_GRID, "splitting"),
-    "rescaled_euler": partial(_rescaled_advance, _P, DRIVER_GRID, "euler"),
+    "rescaled": partial(_rescaled_advance, _P, DRIVER_GRID),
     "slowtime": partial(_slowtime_advance, _P, DRIVER_GRID),
     "limit-exact": partial(_exact_advance, _LP.y0,
                            *_exact_step_coeffs(DRIVER_GRID.step)),

@@ -29,6 +29,9 @@ def test_grid_validation():
         Grid1D(n_points=4)
     with pytest.raises(ValueError):
         Grid1D(n_points=20, t_final=1.0)  # dy too coarse
+    for t_final in (math.inf, 1e308):  # no finite number of steps
+        with pytest.raises(ValueError):
+            Grid1D(t_final=t_final)
 
 
 @pytest.mark.parametrize("n_points", [37, 301, 601, 1201, 2001])

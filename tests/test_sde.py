@@ -5,8 +5,7 @@ import pytest
 
 from ablab import _kernels, model, sde
 from ablab.model import DTHETA_MAX
-from ablab.sde import (DEFAULT_GUARD, RngStream, TimeGrid, PathSample,
-                       normal_matrix)
+from ablab.sde import DEFAULT_GUARD, RngStream, TimeGrid, normal_matrix
 
 
 def test_grid_rejects_degenerate_step():
@@ -281,16 +280,3 @@ def test_euler_maruyama_deterministic_rerun():
     b = _ou_euler(1.0, 1.0, g, 2, seed=42)
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
-
-
-def test_path_sample_validation():
-    g = TimeGrid(1.0, 0.5)
-    with pytest.raises(ValueError):
-        PathSample(grid=g, states=np.zeros((5, 1)), master_seed=0,
-                   stream_ids=(0,), scheme="x")
-    with pytest.raises(ValueError):
-        PathSample(grid=g, states=np.array([[0.0], [np.nan], [0.0]]),
-                   master_seed=0, stream_ids=(0,), scheme="x")
-    # flagged diverged paths may carry the guard value
-    PathSample(grid=g, states=np.array([[0.0], [1e6], [1e6]]),
-               master_seed=0, stream_ids=(0,), scheme="x", diverged=True)
